@@ -93,18 +93,27 @@ def _link_from(mapping: dict, where: str) -> LinkParams:
     return LinkParams(**kw)
 
 
-def _dataset_from(mapping: dict, where: str) -> Dataset:
+def _dataset_from(mapping: dict, where: str, features: int) -> Dataset:
     _reject_unknown(mapping, ("features", "labels", "classes"), where)
     try:
-        features = np.asarray(mapping["features"], dtype=float)
+        x = np.asarray(mapping["features"], dtype=float)
         labels = np.asarray(mapping["labels"], dtype=int)
     except KeyError as exc:
         raise ValueError(f"{where}dataset needs {exc.args[0]!r}") from None
-    return Dataset(features, labels, _as_int(mapping.get("classes", 2),
-                                             where + "classes"))
+    classes = _as_int(mapping.get("classes", 2), where + "classes")
+    if x.ndim != 2 or x.shape[1] != features:
+        raise ValueError(f"{where}features must be rows of data.features = {features} "
+                         f"values, got shape {x.shape}")
+    if labels.shape != (len(x),):
+        raise ValueError(f"{where}labels must hold one label per features row "
+                         f"({len(x)}), got shape {labels.shape}")
+    if labels.size and (labels.min() < 0 or labels.max() >= classes):
+        raise ValueError(f"{where}labels must lie in [0, {classes}), got "
+                         f"{labels.min()}..{labels.max()}")
+    return Dataset(x, labels, classes)
 
 
-def _node_from(mapping: dict, where: str) -> NodeConfig:
+def _node_from(mapping: dict, where: str, features: int) -> NodeConfig:
     _reject_unknown(mapping, ("id", "role", "compute_time_multiplier",
                               "link", "dataset"), where)
     if "id" not in mapping:
@@ -125,7 +134,8 @@ def _node_from(mapping: dict, where: str) -> NodeConfig:
     if "link" in mapping:
         kw["link"] = _link_from(mapping["link"], where + "link.")
     if "dataset" in mapping:
-        kw["dataset"] = _dataset_from(mapping["dataset"], where + "dataset.")
+        kw["dataset"] = _dataset_from(mapping["dataset"], where + "dataset.",
+                                      features)
     return NodeConfig(**kw)
 
 
@@ -168,12 +178,6 @@ def scenario_from_mapping(data: dict) -> ScenarioConfig:
     _reject_unknown(data, _SCENARIO_KEYS, "")
     strategy = Strategy.parse(str(data.get("strategy", "DBAFL")))
     overrides = {}
-    if "nodes" in data:
-        raw = data["nodes"]
-        if not isinstance(raw, list):
-            raise ValueError("nodes must be a list")
-        overrides["nodes"] = tuple(
-            _node_from(n, f"nodes[{i}].") for i, n in enumerate(raw))
     train = _section(data, "train")
     if train:
         _reject_unknown(train, ("epochs", "learning_rate", "batch_size"), "train.")
@@ -200,6 +204,13 @@ def scenario_from_mapping(data: dict) -> ScenarioConfig:
             test_fraction=_as_float(geometry.get("test_fraction",
                                              defaults.test_fraction),
                                     "data.test_fraction"))
+    if "nodes" in data:
+        raw = data["nodes"]
+        if not isinstance(raw, list):
+            raise ValueError("nodes must be a list")
+        features = overrides.get("data", DataSpec()).features
+        overrides["nodes"] = tuple(
+            _node_from(n, f"nodes[{i}].", features) for i, n in enumerate(raw))
     policy = _section(data, "chain_policy")
     if policy:
         _reject_unknown(policy, ("max_wait_s", "max_records",

@@ -136,14 +136,69 @@ def local_loss(params: ModelParams, data: Dataset) -> float:
     return float(-np.mean(logp[np.arange(data.n), data.labels]))
 
 
+def _one_hot(labels: np.ndarray, classes: int) -> np.ndarray:
+    onehot = np.zeros((len(labels), classes))
+    onehot[np.arange(len(labels)), labels] = 1.0
+    return onehot
+
+
+class _GradientStep:
+    """Mean cross-entropy gradient of m-row batches, computed in preallocated buffers.
+
+    Performs the floating-point operations of the textbook form (logits,
+    _log_softmax, exp, subtract the one-hot labels, divide by m, X^T @ probs,
+    column sums) in the same order, so its results are bit-identical to it.
+    Row-wise broadcasts run one column at a time, which is exact and avoids
+    numpy's slow short inner loops.
+    """
+
+    def __init__(self, m: int, f: int, classes: int):
+        self.logits = np.empty((m, classes))
+        self.probs = np.empty((m, classes))
+        self.row = np.empty(m)
+        self.gw = np.empty((f, classes))
+        self.gb = np.empty(classes)
+        self.logit_cols = [self.logits[:, j] for j in range(classes)]
+        self.prob_cols = [self.probs[:, j] for j in range(classes)]
+
+    def __call__(self, weights, biases, x, onehot):
+        """(dW, dB) on batch (x, onehot); both are views of this step's buffers."""
+        z, p, row = self.logits, self.probs, self.row
+        np.matmul(x, weights, out=z)
+        for col, b in zip(self.logit_cols, biases):
+            col += b
+        np.copyto(row, self.logit_cols[0])
+        for col in self.logit_cols[1:]:
+            np.maximum(row, col, out=row)
+        for col in self.logit_cols:
+            col -= row
+        np.exp(z, out=p)
+        # numpy sums rows pairwise from 8 elements on: fold columns only below 8.
+        if len(self.prob_cols) < 8:
+            np.copyto(row, self.prob_cols[0])
+            for col in self.prob_cols[1:]:
+                row += col
+        else:
+            p.sum(axis=1, out=row)
+        np.log(row, out=row)
+        for col in self.logit_cols:
+            col -= row
+        np.exp(z, out=p)
+        p -= onehot  # equals probs[rows, labels] -= 1.0, since x - 0.0 == x
+        p /= len(p)
+        np.matmul(x.T, p, out=self.gw)
+        # sum(axis=0) of a C-ordered matrix adds rows in order; so does accumulate.
+        for j, col in enumerate(self.prob_cols):
+            self.gb[j] = np.add.accumulate(col, out=row)[-1]
+        return self.gw, self.gb
+
+
 def loss_gradient(params: ModelParams, data: Dataset) -> ModelParams:
     """Analytic gradient of local_loss with respect to the flat parameter vector."""
     weights, biases = _check(params, data)
-    logits = data.features @ weights + biases
-    probs = np.exp(_log_softmax(logits))
-    probs[np.arange(data.n), data.labels] -= 1.0
-    probs /= data.n
-    return pack_params(data.features.T @ probs, probs.sum(axis=0))
+    x = np.ascontiguousarray(data.features, dtype=float)
+    step = _GradientStep(data.n, x.shape[1], data.classes)
+    return pack_params(*step(weights, biases, x, _one_hot(data.labels, data.classes)))
 
 
 def local_train(start: ModelParams, data: Dataset, cfg: TrainConfig, rng_seed: int) -> ModelParams:
@@ -153,17 +208,28 @@ def local_train(start: ModelParams, data: Dataset, cfg: TrainConfig, rng_seed: i
     """
     _check(start, data)
     w = np.array(start, dtype=float, copy=True)
+    x = np.ascontiguousarray(data.features, dtype=float)
+    f, classes = x.shape[1], data.classes
+    weights, biases = _unpack(w, f, classes)  # views: updating them updates w
+    onehot = _one_hot(data.labels, classes)
     rng = np.random.default_rng(rng_seed)
-    n = data.n
+    n, size = data.n, min(cfg.batch_size, data.n)
+    steps = {size: _GradientStep(size, f, classes)}
+    if n % size:
+        steps[n % size] = _GradientStep(n % size, f, classes)
     for _ in range(cfg.epochs):
-        if cfg.batch_size >= n:
-            order = np.arange(n)
+        if size == n:
+            batches = [(x, onehot)]
         else:
             order = rng.permutation(n)
-        for lo in range(0, n, cfg.batch_size):
-            rows = order[lo : lo + cfg.batch_size]
-            batch = Dataset(data.features[rows], data.labels[rows], data.classes, data.indices[rows])
-            w -= cfg.learning_rate * loss_gradient(w, batch)
+            batches = [(x[rows], onehot[rows])
+                       for rows in (order[lo : lo + size] for lo in range(0, n, size))]
+        for xb, yb in batches:
+            gw, gb = steps[len(xb)](weights, biases, xb, yb)
+            gw *= cfg.learning_rate
+            gb *= cfg.learning_rate
+            weights -= gw
+            biases -= gb
     if not np.all(np.isfinite(w)):
         raise ArithmeticError("training diverged to non-finite parameters")
     return w

@@ -477,6 +477,9 @@ class _NodeRT:
         self.since = 0.0
         self.committed = dict.fromkeys(STAGES, 0.0)
         self.marks = {}
+        # (params, value) of the last sampled accuracy and loss; see _memoized
+        self.sampled_acc = (None, 0.0)
+        self.sampled_loss = (None, 0.0)
 
     def switch(self, now: float, stage: str) -> None:
         self.committed[self.stage] += now - self.since
@@ -487,6 +490,17 @@ class _NodeRT:
         out = dict(self.committed)
         out[self.stage] += now - self.since
         return out
+
+
+def _memoized(memo: tuple, params: ModelParams, fn, data: Dataset) -> tuple:
+    """(params, fn(params, data)), reusing memo when it holds this very array.
+
+    Identity is enough because no params array is mutated after it is
+    created: local_train copies its start and aggregation returns new arrays.
+    """
+    if memo[0] is not params:
+        memo = (params, fn(params, data))
+    return memo
 
 
 class _Simulation:
@@ -795,10 +809,15 @@ class _Simulation:
         self._begin_sync_round(now)
 
     def _on_sample(self, now: float) -> None:
-        accs = tuple(evaluate_accuracy(n.params, n.test_data) for n in self.nodes)
         local_model = self.strategy.kind is StrategyKind.LOCAL_ONLY
-        losses = [local_loss(n.params if local_model else self.global_params,
-                             n.train_data) for n in self.nodes]
+        for n in self.nodes:
+            n.sampled_acc = _memoized(n.sampled_acc, n.params, evaluate_accuracy,
+                                      n.test_data)
+            n.sampled_loss = _memoized(
+                n.sampled_loss, n.params if local_model else self.global_params,
+                local_loss, n.train_data)
+        accs = tuple(n.sampled_acc[1] for n in self.nodes)
+        losses = [n.sampled_loss[1] for n in self.nodes]
         objective = global_objective([n.last_eps for n in self.nodes], losses,
                                      len(self.nodes))
         sums = dict.fromkeys(STAGES, 0.0)

@@ -70,6 +70,39 @@ def test_zero_nodes_rejected_naming_the_field(tmp_path):
         cli.load_scenario(path)
 
 
+def _run_with_node_dataset(tmp_path, rows, labels):
+    """Exit code of `dbafl run` where node 1 brings its own dataset."""
+    text = SMALL_CONFIG + (
+        "nodes:\n"
+        "  - {id: 0, role: RSU}\n"
+        "  - id: 1\n"
+        "    role: RSU\n"
+        f"    dataset: {{classes: 2, features: {rows}, labels: {labels}}}\n")
+    return cli.main(["run", "--config", _write(tmp_path, "own.yaml", text),
+                     "--out", str(tmp_path / "out")])
+
+
+def test_node_dataset_negative_label_is_a_config_error(tmp_path, capsys):
+    labels = [0, 1] * 9 + [-1, 0]  # -1 used to wrap silently to the last class
+    rc = _run_with_node_dataset(tmp_path, [[0.1 * i, 1.0] for i in range(20)], labels)
+    assert rc == 1
+    assert "nodes[1].dataset.labels" in capsys.readouterr().err
+
+
+def test_node_dataset_label_out_of_range_in_test_split_is_a_config_error(tmp_path, capsys):
+    labels = [0, 1] * 9 + [1, 2]  # the last rows form the test split
+    rc = _run_with_node_dataset(tmp_path, [[0.1 * i, 1.0] for i in range(20)], labels)
+    assert rc == 1
+    assert "nodes[1].dataset.labels" in capsys.readouterr().err
+
+
+def test_node_dataset_feature_count_must_match_data_features(tmp_path, capsys):
+    rows = [[0.1 * i, 1.0, -1.0] for i in range(20)]  # data.features is 2
+    rc = _run_with_node_dataset(tmp_path, rows, [0, 1] * 10)
+    assert rc == 1
+    assert "nodes[1].dataset.features" in capsys.readouterr().err
+
+
 def test_static_eps_strategy_from_config(tmp_path):
     for eps in (0.5, 1.0, 1.5):
         path = _write(tmp_path, "eps.yaml", f"strategy: StaticEps:{eps}\n")

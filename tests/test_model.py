@@ -154,6 +154,66 @@ def test_gradient_matches_central_differences():
         assert rel < 1e-4
 
 
+def _reference_gradient(params, data):
+    """The textbook gradient the fused step must reproduce bit for bit."""
+    weights, biases = model._check(params, data)
+    probs = np.exp(model._log_softmax(data.features @ weights + biases))
+    probs[np.arange(data.n), data.labels] -= 1.0
+    probs /= data.n
+    return model.pack_params(data.features.T @ probs, probs.sum(axis=0))
+
+
+def _reference_train(start, data, cfg, rng_seed):
+    """Mini-batch SGD as a plain loop: a fresh Dataset and gradient per batch."""
+    w = np.array(start, dtype=float, copy=True)
+    rng = np.random.default_rng(rng_seed)
+    n = data.n
+    for _ in range(cfg.epochs):
+        order = np.arange(n) if cfg.batch_size >= n else rng.permutation(n)
+        for lo in range(0, n, cfg.batch_size):
+            rows = order[lo : lo + cfg.batch_size]
+            batch = model.Dataset(data.features[rows], data.labels[rows], data.classes,
+                                  data.indices[rows])
+            w -= cfg.learning_rate * _reference_gradient(w, batch)
+    return w
+
+
+def test_fused_training_is_bit_identical_to_the_reference_loop():
+    # classes 2..10 cross numpy's switch to pairwise row sums at 8 elements;
+    # batch sizes cover 1, a ragged last batch, exactly n and more than n.
+    rng = np.random.default_rng(2024)
+    for trial in range(120):
+        classes = int(rng.integers(2, 11))
+        f = int(rng.integers(1, 6))
+        n = int(rng.integers(classes + 1, 60))
+        data = model.generate_synthetic_dataset(
+            seed=int(rng.integers(1 << 30)), n=n, f=f, classes=classes,
+            separation=float(rng.uniform(0.0, 3.0)))
+        ragged = n // 2 + 1  # n >= 3, so the last batch is short
+        batch_size = (1, 7, ragged, n, n + 5)[trial % 5]
+        cfg = model.TrainConfig(epochs=int(rng.integers(1, 4)),
+                                learning_rate=float(rng.uniform(0.01, 2.0)),
+                                batch_size=batch_size)
+        if trial % 2:
+            start = model.init_params(f, classes)
+        else:
+            start = rng.normal(size=model.param_dim(f, classes))
+        expected = _reference_train(start, data, cfg, rng_seed=trial)
+        assert model.local_train(start, data, cfg, rng_seed=trial).tobytes() \
+            == expected.tobytes(), (classes, f, n, batch_size)
+        assert model.loss_gradient(start, data).tobytes() \
+            == _reference_gradient(start, data).tobytes(), (classes, f, n)
+
+
+def test_gradient_matches_central_differences_with_many_classes():
+    # 9 classes take the pairwise-sum branch of the fused step.
+    data = model.generate_synthetic_dataset(seed=6, n=90, f=2, classes=9, separation=1.0)
+    params = np.random.default_rng(8).normal(scale=0.8, size=model.param_dim(2, 9))
+    analytic = model.loss_gradient(params, data)
+    numeric = _numeric_grad(params, data)
+    assert np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric) < 1e-4
+
+
 def test_constant_class_zero_predictor_on_balanced_data():
     data = model.generate_synthetic_dataset(seed=7, n=100, f=2, classes=2, separation=0.0)
     zero = model.init_params(2, 2)  # all-equal logits -> argmax picks class 0

@@ -314,6 +314,46 @@ def test_defense_discards_are_bitwise_noops_in_a_full_run():
         assert d.global_digest_before == d.global_digest_after
 
 
+def _record_sampling_evaluations(monkeypatch):
+    """Patch counters onto the evaluations _on_sample makes; returns the call lists."""
+    calls = {"evaluate_accuracy": [], "local_loss": []}
+    sampling = [False]
+    for name, log in calls.items():
+        def counted(params, data, fn=getattr(orch, name), log=log):
+            if sampling[0]:
+                log.append((params, data))
+            return fn(params, data)
+        monkeypatch.setattr(orch, name, counted)
+    on_sample = orch._Simulation._on_sample
+
+    def flagged(self, now):
+        sampling[0] = True
+        try:
+            on_sample(self, now)
+        finally:
+            sampling[0] = False
+    monkeypatch.setattr(orch._Simulation, "_on_sample", flagged)
+    return calls
+
+
+@pytest.mark.parametrize("strategy", [orch.Strategy.dbafl(), orch.Strategy.local_only()],
+                         ids=["DBAFL", "LocalOnly"])
+def test_sampling_evaluates_each_params_object_once_per_node(monkeypatch, strategy):
+    cfg = orch.default_scenario(strategy, master_seed=3)
+    with monkeypatch.context() as m:
+        m.setattr(orch, "_memoized", lambda memo, params, fn, data: (params, fn(params, data)))
+        bypassed = orch.run_scenario(cfg)
+    calls = _record_sampling_evaluations(monkeypatch)
+    res = orch.run_scenario(cfg)
+    assert res.rows == bypassed.rows
+    assert res.node_accuracies == bypassed.node_accuracies
+    samples = len(res.rows) * len(cfg.nodes)
+    for name, log in calls.items():
+        for i, (params, data) in enumerate(log):
+            assert not any(p is params and d is data for p, d in log[:i]), name
+        assert len(log) < samples / 4, name  # the stock run repeats most models
+
+
 def test_dbafl_buses_barely_wait():
     cfg = small_scenario(orch.Strategy.dbafl(), duration=150.0)
     res = orch.run_scenario(cfg)
