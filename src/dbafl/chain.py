@@ -52,9 +52,13 @@ class HashRecord:
             raise ValueError("digest must be exactly 32 bytes")
 
 
+_RECORD_HEAD = struct.Struct("<BQQ")
+RECORD_BYTES = _RECORD_HEAD.size + 32  # every serialized record has this length
+
+
 def serialize_record(record: HashRecord) -> bytes:
     kind_byte = 0 if record.kind is RecordKind.LOCAL else 1
-    return struct.pack("<BQQ", kind_byte, record.node_id, record.round) + record.digest
+    return _RECORD_HEAD.pack(kind_byte, record.node_id, record.round) + record.digest
 
 
 def serialize_block_body(index: int, prev_hash: bytes, records, timestamp_ms: int) -> bytes:
@@ -111,13 +115,20 @@ class CommitteeState:
 
 
 class Chain:
-    """Single totally ordered chain (no forks); one writer, any number of readers."""
+    """Single totally ordered chain (no forks); one writer, any number of readers.
+
+    `submit` gathers records in the open block and seals it when the cut
+    policy says so; the writer calls `seal` itself once `policy.max_wait_s`
+    has passed since `submit` opened a block.
+    """
 
     def __init__(self, policy: BlockCutPolicy | None = None, committee: CommitteeState | None = None):
         self.policy = policy if policy is not None else BlockCutPolicy()
         self.committee = committee
         self.blocks: list[Block] = []
-        self._records_on_chain: set[HashRecord] = set()
+        self._recorded: set[HashRecord] = set()  # sealed or in the open block
+        self._open: list[HashRecord] = []
+        self._open_since = 0.0
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -141,7 +152,7 @@ class Chain:
             block_hash=hash_bytes(body),
         )
         self.blocks.append(block)
-        self._records_on_chain.update(records)
+        self._recorded.update(records)
         if self.committee is not None:
             if block.index == 0:
                 self.committee.elect_from(block.block_hash)  # initial election off the genesis
@@ -151,8 +162,27 @@ class Chain:
                     self.committee.elect_from(block.block_hash)
         return block
 
+    def submit(self, record: HashRecord, now_s: float) -> bool:
+        """Add to the open block, sealing it as the cut policy says; True if this opened it."""
+        opened = not self._open
+        if opened:
+            self._open_since = now_s
+        self._open.append(record)
+        self._recorded.add(record)
+        n = len(self._open)
+        if should_cut_block(n, n * RECORD_BYTES, now_s - self._open_since, self.policy):
+            self.seal(now_s)
+        return opened
+
+    def seal(self, now_s: float) -> None:
+        """Append the open block, stamped at now_s in whole ms; no-op when it is empty."""
+        if self._open:
+            records, self._open = self._open, []
+            self.append_block(records, int(round(now_s * 1000)))
+
     def has_record(self, record: HashRecord) -> bool:
-        return record in self._records_on_chain
+        """True for a record in a sealed block or in the open block."""
+        return record in self._recorded
 
 
 def elect_leader(block_hash: bytes, m: int) -> int:
@@ -180,7 +210,10 @@ def gini(probabilities) -> float:
 
 
 def verify_record(c: Chain, claimed_model, record: HashRecord, committee: CommitteeState) -> VerifyResult:
-    """Valid iff the model hashes to the on-chain digest; mismatch blacklists the node."""
+    """Valid iff the model hashes to the recorded digest, sealed or in the open block.
+
+    A mismatch blacklists the node.
+    """
     if not c.has_record(record):
         raise ValueError("record not found on chain")
     if hash_model(claimed_model) == record.digest:

@@ -93,17 +93,20 @@ def _link_from(mapping: dict, where: str) -> LinkParams:
     return LinkParams(**kw)
 
 
-def _dataset_from(mapping: dict, where: str, features: int) -> Dataset:
+def _dataset_from(mapping: dict, where: str, spec: DataSpec) -> Dataset:
     _reject_unknown(mapping, ("features", "labels", "classes"), where)
     try:
         x = np.asarray(mapping["features"], dtype=float)
         labels = np.asarray(mapping["labels"], dtype=int)
     except KeyError as exc:
         raise ValueError(f"{where}dataset needs {exc.args[0]!r}") from None
-    classes = _as_int(mapping.get("classes", 2), where + "classes")
-    if x.ndim != 2 or x.shape[1] != features:
-        raise ValueError(f"{where}features must be rows of data.features = {features} "
-                         f"values, got shape {x.shape}")
+    classes = _as_int(mapping.get("classes", spec.classes), where + "classes")
+    if classes != spec.classes:
+        raise ValueError(f"{where}classes must equal data.classes = {spec.classes}, "
+                         f"got {classes}")
+    if x.ndim != 2 or x.shape[1] != spec.features:
+        raise ValueError(f"{where}features must be rows of data.features = "
+                         f"{spec.features} values, got shape {x.shape}")
     if labels.shape != (len(x),):
         raise ValueError(f"{where}labels must hold one label per features row "
                          f"({len(x)}), got shape {labels.shape}")
@@ -113,7 +116,7 @@ def _dataset_from(mapping: dict, where: str, features: int) -> Dataset:
     return Dataset(x, labels, classes)
 
 
-def _node_from(mapping: dict, where: str, features: int) -> NodeConfig:
+def _node_from(mapping: dict, where: str, spec: DataSpec) -> NodeConfig:
     _reject_unknown(mapping, ("id", "role", "compute_time_multiplier",
                               "link", "dataset"), where)
     if "id" not in mapping:
@@ -134,8 +137,7 @@ def _node_from(mapping: dict, where: str, features: int) -> NodeConfig:
     if "link" in mapping:
         kw["link"] = _link_from(mapping["link"], where + "link.")
     if "dataset" in mapping:
-        kw["dataset"] = _dataset_from(mapping["dataset"], where + "dataset.",
-                                      features)
+        kw["dataset"] = _dataset_from(mapping["dataset"], where + "dataset.", spec)
     return NodeConfig(**kw)
 
 
@@ -208,9 +210,9 @@ def scenario_from_mapping(data: dict) -> ScenarioConfig:
         raw = data["nodes"]
         if not isinstance(raw, list):
             raise ValueError("nodes must be a list")
-        features = overrides.get("data", DataSpec()).features
+        spec = overrides.get("data", DataSpec())
         overrides["nodes"] = tuple(
-            _node_from(n, f"nodes[{i}].", features) for i, n in enumerate(raw))
+            _node_from(n, f"nodes[{i}].", spec) for i, n in enumerate(raw))
     policy = _section(data, "chain_policy")
     if policy:
         _reject_unknown(policy, ("max_wait_s", "max_records",

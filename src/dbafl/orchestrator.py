@@ -22,8 +22,7 @@ import numpy as np
 from .aggregation import (DefenseMode, DefensePolicy, Verdict, aggregate_async,
                           aggregate_fedavg, defense_filter, scaling_factor)
 from .chain import (Chain, CommitteeState, BlockCutPolicy, HashRecord, RecordKind,
-                    VerifyResult, hash_model, serialize_record, should_cut_block,
-                    verify_record)
+                    VerifyResult, hash_model, verify_record)
 from .model import (Dataset, ModelParams, TrainConfig, evaluate_accuracy,
                     generate_synthetic_dataset, global_objective, init_params,
                     local_loss, local_train, split_dataset)
@@ -412,47 +411,38 @@ class StepOutcome:
     acc_global: Optional[float]
 
 
-def _decide(global_params: ModelParams, test_data: Dataset,
-            eps_static: Optional[float], defense: DefensePolicy,
-            incoming: ModelParams):
-    """Filter-then-weigh core shared by the service and the public step."""
-    acc_l = acc_g = None
-    if defense.mode is not DefenseMode.OFF or eps_static is None:
-        acc_l = evaluate_accuracy(incoming, test_data)
-        acc_g = evaluate_accuracy(global_params, test_data)
-        if defense_filter(acc_l, acc_g, defense) is Verdict.DISCARD:
-            return StepVerdict.DISCARDED, None, acc_l, acc_g, None
-    eps = eps_static if eps_static is not None else scaling_factor(acc_l, acc_g)
-    return (StepVerdict.ACCEPTED, eps, acc_l, acc_g,
-            aggregate_async(global_params, incoming, eps))
-
-
 def leader_aggregation_step(leader: LeaderState, incoming: IncomingModel,
-                            c: Chain, defense: DefensePolicy) -> StepOutcome:
-    """Process one recorded model arrival: verify, filter, weigh, aggregate.
+                            c: Optional[Chain], defense: DefensePolicy) -> StepOutcome:
+    """Process one model arrival: verify, filter, weigh, aggregate.
 
-    Tampering blacklists the sender and leaves the global untouched; a
-    blacklisted sender is ignored outright until the next election.  An
-    accepted model updates the leader's global in place and queues the
-    new global digest for the next block.
+    With a chain, the upload must hash to the digest recorded for it, sealed
+    or still in the open block.  Tampering blacklists the sender and leaves
+    the global untouched; a blacklisted sender is ignored outright until the
+    next election.  Without a chain (AFL) there is nothing to verify against
+    and no blacklist.  An accepted model replaces the leader's global and
+    queues the new global digest for the next block.
     """
-    if c.committee is None:
-        raise ValueError("chain has no committee attached")
-    if incoming.node_id in c.committee.blacklist:
-        return StepOutcome(StepVerdict.IGNORED, None, None, None)
-    result = verify_record(c, incoming.params, incoming.record, c.committee)
-    if result is VerifyResult.TAMPERED_AND_BLACKLISTED:
-        return StepOutcome(StepVerdict.TAMPERED, None, None, None)
-    verdict, eps, acc_l, acc_g, new_global = _decide(
-        leader.global_params, leader.test_data, leader.eps_static, defense,
-        incoming.params)
-    if verdict is StepVerdict.ACCEPTED:
-        leader.global_params = new_global
-        leader.pending_records.append(HashRecord(
-            RecordKind.GLOBAL, leader.node_id, leader.global_round,
-            hash_model(new_global)))
-        leader.global_round += 1
-    return StepOutcome(verdict, eps, acc_l, acc_g)
+    if c is not None:
+        if c.committee is None:
+            raise ValueError("chain has no committee attached")
+        if incoming.node_id in c.committee.blacklist:
+            return StepOutcome(StepVerdict.IGNORED, None, None, None)
+        result = verify_record(c, incoming.params, incoming.record, c.committee)
+        if result is VerifyResult.TAMPERED_AND_BLACKLISTED:
+            return StepOutcome(StepVerdict.TAMPERED, None, None, None)
+    acc_l = acc_g = None
+    if defense.mode is not DefenseMode.OFF or leader.eps_static is None:
+        acc_l = evaluate_accuracy(incoming.params, leader.test_data)
+        acc_g = evaluate_accuracy(leader.global_params, leader.test_data)
+        if defense_filter(acc_l, acc_g, defense) is Verdict.DISCARD:
+            return StepOutcome(StepVerdict.DISCARDED, None, acc_l, acc_g)
+    eps = leader.eps_static if leader.eps_static is not None else scaling_factor(acc_l, acc_g)
+    leader.global_params = aggregate_async(leader.global_params, incoming.params, eps)
+    leader.pending_records.append(HashRecord(
+        RecordKind.GLOBAL, leader.node_id, leader.global_round,
+        hash_model(leader.global_params)))
+    leader.global_round += 1
+    return StepOutcome(StepVerdict.ACCEPTED, eps, acc_l, acc_g)
 
 
 # ------------------------------------------------------------------ simulation
@@ -515,6 +505,7 @@ class _Simulation:
         first = self.nodes[0]
         self.global_params = init_params(first.train_data.features.shape[1],
                                          first.train_data.classes)
+        self.global_digest: Optional[bytes] = None  # of global_params once published
         self.global_version = 0
         rsu_ids = tuple(n.id for n in cfg.nodes if n.role is Role.RSU)
         self.server_id = rsu_ids[0] if rsu_ids else -1
@@ -522,13 +513,12 @@ class _Simulation:
         if self.strategy.uses_chain:
             committee = CommitteeState(members=rsu_ids, term_blocks=cfg.term_blocks)
             self.chain = Chain(policy=cfg.chain_policy, committee=committee)
-        self.pool: list = []
-        self.pool_bytes = 0
-        self.pool_first: Optional[float] = None
-        self.pool_epoch = 0
+        self.block_epoch = 0  # blocks opened so far; a "cut" timer seals only its own
+        # the serving node's view; _on_svc points it at the current leader
+        self.leader_view = LeaderState(self.server_id, first.test_data, self.global_params,
+                                       eps_static=self.strategy.service_epsilon)
         self.svc: deque = deque()
         self.svc_busy = False
-        self.agg_counter = 0
         self.arrivals: list = []
         self.sync_index = 0
         self.sync_started = 0.0
@@ -609,31 +599,27 @@ class _Simulation:
             dur += tx_time(sizes.model_bits, leader.cfg.link.ethernet_rate_bps)
         return dur
 
-    def _pool_append(self, record: HashRecord, now: float) -> None:
-        if not self.pool:
-            self.pool_first = now
-            self.pool_epoch += 1
+    def _submit(self, record: HashRecord, now: float) -> None:
+        """Record on the chain; a block this opens gets its max-wait timer."""
+        if self.chain.submit(record, now):
+            self.block_epoch += 1
             self.q.schedule(now + self.chain.policy.max_wait_s,
-                            ("cut", self.pool_epoch))
-        self.pool.append(record)
-        self.pool_bytes += len(serialize_record(record))
-        if should_cut_block(len(self.pool), self.pool_bytes,
-                            now - self.pool_first, self.chain.policy):
-            self._cut(now)
+                            ("cut", self.block_epoch))
 
-    def _cut(self, now: float) -> None:
-        self.chain.append_block(self.pool, int(round(now * 1000)))
-        self.pool = []
-        self.pool_bytes = 0
-        self.pool_first = None
+    def _publish(self, params: ModelParams, digest: bytes) -> None:
+        """Make a new global visible to downloads and sampling."""
+        self.global_params = params
+        self.global_digest = digest
+        self.global_version += 1
 
-    def _upload_payload(self, node: _NodeRT):
+    def _upload_payload(self, node: _NodeRT) -> IncomingModel:
         params = node.params.copy()
         if node.cfg.id in self.cfg.attack.poisoners:
             params = poison(params, self.cfg.attack.poison_magnitude,
                             derive_seed(self.cfg.master_seed, "poison",
                                         node.cfg.id, node.round))
-        return params, hash_model(params)
+        record = HashRecord(RecordKind.LOCAL, node.cfg.id, node.round, hash_model(params))
+        return IncomingModel(node.cfg.id, node.round, params, record)
 
     def _finish_round(self, node: _NodeRT, now: float, upload_done: float,
                       decision: float) -> None:
@@ -642,7 +628,7 @@ class _Simulation:
             node.cfg.id, node.round, m["start"], m["dl"], m["train"], m["test"],
             upload_done, decision))
         node.round += 1
-        self.q.schedule(now, ("start", node.cfg.id))
+        self.q.schedule(now, ("start", node))
 
     # -------------------------------------------------------------- handlers
 
@@ -653,11 +639,11 @@ class _Simulation:
             snapshot = self.global_params.copy()
             node.switch(now, "communication")
             self.q.schedule(now + self._download_duration(node),
-                            ("dl", node.cfg.id, self.global_version, snapshot))
+                            ("dl", node, self.global_version, snapshot))
             return
         node.marks["dl"] = now
         node.switch(now, "training")
-        self.q.schedule(now + node.train_time, ("train", node.cfg.id))
+        self.q.schedule(now + node.train_time, ("train", node))
 
     def _on_dl(self, now: float, node: _NodeRT, version: int,
                snapshot: ModelParams) -> None:
@@ -665,7 +651,7 @@ class _Simulation:
         node.base_version = version
         node.marks["dl"] = now
         node.switch(now, "training")
-        self.q.schedule(now + node.train_time, ("train", node.cfg.id))
+        self.q.schedule(now + node.train_time, ("train", node))
 
     def _on_train(self, now: float, node: _NodeRT) -> None:
         node.params = local_train(
@@ -673,37 +659,35 @@ class _Simulation:
             derive_seed(self.cfg.master_seed, "train", node.cfg.id, node.round))
         node.marks["train"] = now
         node.switch(now, "testing")
-        self.q.schedule(now + node.test_time, ("test", node.cfg.id))
+        self.q.schedule(now + node.test_time, ("test", node))
 
     def _on_test(self, now: float, node: _NodeRT) -> None:
         node.marks["test"] = now
         if self.bootstrap_pending and node.cfg.id == self.server_id:
             node.switch(now, "communication")
             self.q.schedule(now + self._upload_duration(node),
-                            ("boot_up", node.cfg.id, node.params.copy()))
+                            ("boot_up", node, node.params.copy()))
             return
         if self.strategy.kind is StrategyKind.LOCAL_ONLY:
             self._finish_round(node, now, now, now)
             return
         if self.strategy.is_synchronous or node.cfg.id != self._aggregator():
-            params, digest = self._upload_payload(node)
+            incoming = self._upload_payload(node)
             node.switch(now, "communication")
-            self.q.schedule(now + self._upload_duration(node),
-                            ("up", node.cfg.id, node.round, params, digest))
+            self.q.schedule(now + self._upload_duration(node), ("up", node, incoming))
             return
         # the serving node keeps training instead of feeding itself models
         self._finish_round(node, now, now, now)
 
     def _on_boot_up(self, now: float, node: _NodeRT, params: ModelParams) -> None:
-        self.global_params = params
-        self.global_version = 1
-        node.base_version = 1
+        digest = hash_model(params)
+        self._publish(params, digest)
+        node.base_version = self.global_version
         self.bootstrap_pending = False
         if self.chain is not None:
-            digest = hash_model(params)
-            self._pool_append(HashRecord(RecordKind.LOCAL, node.cfg.id, 0, digest), now)
-            self._pool_append(HashRecord(RecordKind.GLOBAL, node.cfg.id, 0, digest), now)
-            self._cut(now)  # the initial digests become the first block right away
+            self._submit(HashRecord(RecordKind.LOCAL, node.cfg.id, 0, digest), now)
+            self._submit(HashRecord(RecordKind.GLOBAL, node.cfg.id, 0, digest), now)
+            self.chain.seal(now)  # the initial digests become the first block right away
         node.marks.setdefault("dl", node.marks["start"])
         self.round_logs.append(RoundLog(
             node.cfg.id, 0, node.marks["start"], node.marks["dl"],
@@ -713,100 +697,91 @@ class _Simulation:
             self._begin_sync_round(now)
             return
         for other in self.nodes:
-            self.q.schedule(now, ("start", other.cfg.id))
+            self.q.schedule(now, ("start", other))
 
     def _begin_sync_round(self, now: float) -> None:
         self.arrivals = []
         self.sync_started = now
         for node in self.nodes:
-            self.q.schedule(now, ("start", node.cfg.id))
+            self.q.schedule(now, ("start", node))
 
-    def _on_up(self, now: float, node: _NodeRT, rnd: int, params: ModelParams,
-               digest: bytes) -> None:
+    def _on_up(self, now: float, node: _NodeRT, incoming: IncomingModel) -> None:
         node.marks["up"] = now
         if self.chain is not None:
-            self._pool_append(HashRecord(RecordKind.LOCAL, node.cfg.id, rnd, digest),
-                              now)
+            self._submit(incoming.record, now)
         node.switch(now, "waiting")
         if self.strategy.is_synchronous:
-            self.arrivals.append((now, node.cfg.id, params, digest))
+            self.arrivals.append((now, node, incoming.params))
             if len(self.arrivals) == len(self.nodes):
                 dur = 0.0
                 if self.chain is not None:
                     dur = self._service_extras(self.by_id[self._aggregator()])
                 self.q.schedule(now + dur, ("sync_done",))
             return
-        self.svc.append((now, node.cfg.id, rnd, params, digest))
+        self.svc.append((now, node, incoming))
         if not self.svc_busy:
             self.svc_busy = True
             self.q.schedule(now, ("svc",))
 
     def _on_svc(self, now: float) -> None:
-        arr_t, node_id, rnd, params, digest = self.svc.popleft()
-        leader_id = self._aggregator()
-        leader = self.by_id[leader_id]
-        if self.chain is not None and node_id in self.chain.committee.blacklist:
-            outcome = (StepVerdict.IGNORED, None, None, None, None)
-        elif self.chain is not None and hash_model(params) != digest:
-            self.chain.committee.blacklist.add(node_id)
-            outcome = (StepVerdict.TAMPERED, None, None, None, None)
-        else:
-            outcome = _decide(self.global_params, leader.test_data,
-                              self.strategy.service_epsilon,
-                              self.cfg.attack.defense, params)
-        verdict, _, acc_l, _, _ = outcome
+        arrived, node, incoming = self.svc.popleft()
+        server = self.by_id[self._aggregator()]
+        view = self.leader_view
+        view.node_id, view.test_data = server.cfg.id, server.test_data
+        view.global_params = self.global_params
+        outcome = leader_aggregation_step(view, incoming, self.chain,
+                                          self.cfg.attack.defense)
         dur = 0.0
-        if acc_l is not None:
-            dur += 2.0 * leader.test_time  # incoming and current global, both re-tested
-        if verdict is StepVerdict.ACCEPTED:
-            dur += self._service_extras(leader)
-        self.q.schedule(now + dur,
-                        ("svc_done", (arr_t, node_id, rnd, digest), outcome, leader_id))
+        if outcome.acc_local is not None:
+            dur += 2.0 * server.test_time  # incoming and current global, both re-tested
+        if outcome.verdict is StepVerdict.ACCEPTED:
+            dur += self._service_extras(server)
+        self.q.schedule(now + dur, ("svc_done", arrived, node, incoming, outcome))
 
-    def _on_svc_done(self, now: float, item, outcome, leader_id: int) -> None:
-        arr_t, node_id, rnd, digest = item
-        verdict, eps, acc_l, acc_g, new_global = outcome
-        before = hash_model(self.global_params)
-        if verdict is StepVerdict.ACCEPTED:
-            self.global_params = new_global
-            self.global_version += 1
-            self.by_id[node_id].last_eps = eps
+    def _on_svc_done(self, now: float, arrived: float, node: _NodeRT,
+                     incoming: IncomingModel, outcome: StepOutcome) -> None:
+        # the step's new global goes public only once its service time is charged
+        before = self.global_digest
+        if outcome.verdict is StepVerdict.ACCEPTED:
+            record = self.leader_view.pending_records.pop()
+            self._publish(self.leader_view.global_params, record.digest)
+            node.last_eps = outcome.epsilon
             if self.chain is not None:
-                self._pool_append(HashRecord(RecordKind.GLOBAL, leader_id,
-                                             self.agg_counter,
-                                             hash_model(new_global)), now)
-                self.agg_counter += 1
+                self._submit(record, now)
         self.decisions.append(DecisionLog(
-            now, node_id, rnd, verdict, eps, acc_l, acc_g, digest, before,
-            hash_model(self.global_params)))
-        self._finish_round(self.by_id[node_id], now, arr_t, now)
+            now, node.cfg.id, incoming.round, outcome.verdict, outcome.epsilon,
+            outcome.acc_local, outcome.acc_global, incoming.record.digest, before,
+            self.global_digest))
+        self._finish_round(node, now, arrived, now)
         if self.svc:
             self.q.schedule(now, ("svc",))
         else:
             self.svc_busy = False
 
     def _on_sync_done(self, now: float) -> None:
-        models = [params for _, _, params, _ in self.arrivals]
-        sizes = [self.by_id[i].train_data.n for _, i, _, _ in self.arrivals]
-        self.global_params = synchronous_round(self.strategy, self.global_params,
-                                               models, sizes)
-        self.global_version += 1
+        models = [params for _, _, params in self.arrivals]
+        sizes = [node.train_data.n for _, node, _ in self.arrivals]
+        new_global = synchronous_round(self.strategy, self.global_params, models, sizes)
+        self._publish(new_global, hash_model(new_global))
         if self.chain is not None:
-            leader_id = self._aggregator()
-            self._pool_append(HashRecord(RecordKind.GLOBAL, leader_id,
-                                         self.agg_counter,
-                                         hash_model(self.global_params)), now)
-            self.agg_counter += 1
+            view = self.leader_view
+            self._submit(HashRecord(RecordKind.GLOBAL, self._aggregator(),
+                                    view.global_round, self.global_digest), now)
+            view.global_round += 1
             for n in self.nodes:
                 n.last_eps = 1.0
         fired = self.arrivals[-1][0]
         self.sync_rounds.append(SyncRoundLog(
             self.sync_index, self.sync_started,
-            tuple((i, t) for t, i, _, _ in self.arrivals), fired, now))
+            tuple((node.cfg.id, t) for t, node, _ in self.arrivals), fired, now))
         self.sync_index += 1
         for n in self.nodes:
             n.round += 1
         self._begin_sync_round(now)
+
+    def _on_cut(self, now: float, epoch: int) -> None:
+        if epoch == self.block_epoch:  # no block has opened since this timer was set
+            self.chain.seal(now)
 
     def _on_sample(self, now: float) -> None:
         local_model = self.strategy.kind is StrategyKind.LOCAL_ONLY
@@ -850,42 +825,26 @@ class _Simulation:
         if self.strategy.kind in (StrategyKind.LOCAL_ONLY, StrategyKind.FEDAVG):
             for node in self.nodes:
                 node.switch(0.0, "waiting")
-                self.q.schedule(0.0, ("start", node.cfg.id))
+                self.q.schedule(0.0, ("start", node))
         else:
-            self.q.schedule(0.0, ("start", self.server_id))
+            self.q.schedule(0.0, ("start", self.by_id[self.server_id]))
+        # an event is (kind, *arguments of the kind's handler)
+        handlers = {
+            "sample": self._on_sample, "start": self._on_start, "dl": self._on_dl,
+            "train": self._on_train, "test": self._on_test,
+            "boot_up": self._on_boot_up, "up": self._on_up, "svc": self._on_svc,
+            "svc_done": self._on_svc_done, "sync_done": self._on_sync_done,
+            "cut": self._on_cut}
         while True:
             item = self.q.pop()
             if item is None or item[0] > self.cfg.duration_s:
                 break
             now, event = item
-            kind = event[0]
-            if kind == "sample":
-                self._on_sample(now)
-            elif kind == "start":
-                self._on_start(now, self.by_id[event[1]])
-            elif kind == "dl":
-                self._on_dl(now, self.by_id[event[1]], event[2], event[3])
-            elif kind == "train":
-                self._on_train(now, self.by_id[event[1]])
-            elif kind == "test":
-                self._on_test(now, self.by_id[event[1]])
-            elif kind == "boot_up":
-                self._on_boot_up(now, self.by_id[event[1]], event[2])
-            elif kind == "up":
-                self._on_up(now, self.by_id[event[1]], event[2], event[3], event[4])
-            elif kind == "svc":
-                self._on_svc(now)
-            elif kind == "svc_done":
-                self._on_svc_done(now, event[1], event[2], event[3])
-            elif kind == "sync_done":
-                self._on_sync_done(now)
-            elif kind == "cut":
-                if self.pool and self.pool_epoch == event[1]:
-                    self._cut(now)
+            handlers[event[0]](now, *event[1:])
         for node in self.nodes:
             node.switch(self.cfg.duration_s, node.stage)
-        if self.chain is not None and self.pool:
-            self._cut(self.cfg.duration_s)  # orderly shutdown seals the tail block
+        if self.chain is not None:
+            self.chain.seal(self.cfg.duration_s)  # orderly shutdown seals the tail block
         return RunResult(
             config=self.cfg, rows=self.rows, node_accuracies=self.node_accuracies,
             chain=self.chain,

@@ -4,6 +4,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dbafl import chain as ch
 
@@ -169,6 +171,130 @@ def test_verify_record_paths():
     ghost = ch.HashRecord(ch.RecordKind.LOCAL, node_id=1, round=9, digest=ch.hash_bytes(b"?"))
     with pytest.raises(ValueError):
         ch.verify_record(c, params, ghost, committee)
+
+
+def test_submit_opens_blocks_and_seals_on_count_and_elapsed_wait():
+    c = ch.Chain(policy=ch.BlockCutPolicy(max_wait_s=2.0, max_records=3))
+    a, b, d, e, f = (_rec(i, 0, bytes([i])) for i in range(5))
+    assert c.submit(a, 0.0) is True
+    assert c.submit(b, 0.5) is False
+    assert len(c) == 0 and c.has_record(a) and c.has_record(b)
+    assert c.submit(d, 1.0) is False  # the third record meets max_records
+    assert [blk.records for blk in c.blocks] == [(a, b, d)]
+    assert c.blocks[0].timestamp_ms == 1000 and c.has_record(a)
+    assert c.submit(e, 1.25) is True
+    assert c.submit(f, 3.25) is False  # max_wait_s after the block opened
+    assert c.blocks[1].records == (e, f) and c.blocks[1].timestamp_ms == 3250
+    assert ch.verify_chain(c)
+
+
+def test_submit_byte_rule_cuts_a_block_the_byte_cap_refuses():
+    # the cut rule counts record bytes, the cap counts the whole serialized
+    # block, so a block cut on bytes is always over the cap
+    c = ch.Chain(policy=ch.BlockCutPolicy(max_block_bytes=2 * ch.RECORD_BYTES))
+    assert c.submit(_rec(0, 0, b"a"), 0.0) is True
+    with pytest.raises(ValueError, match="exceeds max_block_bytes"):
+        c.submit(_rec(1, 0, b"b"), 0.0)
+
+
+def test_seal_stamps_rounded_milliseconds_and_skips_an_empty_block():
+    c = ch.Chain()
+    c.seal(1.0)
+    assert len(c) == 0
+    for now in (0.0019, 2.5004, 7.0):
+        c.submit(_rec(0, int(now * 1e4)), now)
+        c.seal(now)
+        assert c.blocks[-1].timestamp_ms == int(round(now * 1000))
+    assert [b.timestamp_ms for b in c.blocks] == [2, 2500, 7000]
+
+
+def test_verify_record_accepts_a_digest_in_the_open_block():
+    committee = _committee()
+    c = ch.Chain(committee=committee)
+    params = np.array([1.0, 2.0, 3.0])
+    record = ch.HashRecord(ch.RecordKind.LOCAL, node_id=1, round=0, digest=ch.hash_model(params))
+    c.submit(record, 0.0)
+    assert len(c) == 0 and c.has_record(record)
+    assert ch.verify_record(c, params, record, committee) is ch.VerifyResult.VALID
+    ghost = ch.HashRecord(ch.RecordKind.LOCAL, node_id=1, round=9, digest=ch.hash_bytes(b"?"))
+    assert not c.has_record(ghost)
+    with pytest.raises(ValueError):
+        ch.verify_record(c, params, ghost, committee)
+
+
+class _ReferenceOpenBlock:
+    """The open block as the simulator kept it before the chain owned it."""
+
+    def __init__(self, chain):
+        self.chain = chain
+        self.pool = []
+        self.pool_bytes = 0
+        self.pool_first = None
+
+    def append(self, record, now):
+        opened = not self.pool
+        if opened:
+            self.pool_first = now
+        self.pool.append(record)
+        self.pool_bytes += len(ch.serialize_record(record))
+        if ch.should_cut_block(len(self.pool), self.pool_bytes,
+                               now - self.pool_first, self.chain.policy):
+            self.cut(now)
+        return opened
+
+    def cut(self, now):
+        self.chain.append_block(self.pool, int(round(now * 1000)))
+        self.pool = []
+        self.pool_bytes = 0
+        self.pool_first = None
+
+    def timer(self, now):
+        if self.pool:
+            self.cut(now)
+
+
+def _replay(submit, seal, ops):
+    """(opened flags, first ValueError message or None) of one op stream."""
+    opened, now = [], 0.0
+    try:
+        for i, (dt, action) in enumerate(ops):
+            now += dt
+            if action == "seal":
+                seal(now)
+            else:
+                opened.append(submit(_rec(action, i, bytes([i % 256]),
+                                          ch.RecordKind(("L", "G")[i % 2])), now))
+        seal(now)  # orderly shutdown
+    except ValueError as exc:
+        return opened, str(exc)
+    return opened, None
+
+
+_POLICIES = st.builds(
+    ch.BlockCutPolicy,
+    max_wait_s=st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.7]),
+    max_records=st.integers(1, 12),
+    max_block_bytes=st.one_of(st.just(10_000_000), st.integers(60, 700)))
+_OPS = st.lists(st.tuples(st.sampled_from([0.0, 0.0, 0.125, 0.25, 0.5, 1.0, 2.0, 3.7]),
+                          st.one_of(st.just("seal"), st.integers(0, 6))),
+                max_size=60)
+
+
+@settings(max_examples=300, deadline=None)
+@given(policy=_POLICIES, ops=_OPS, term_blocks=st.integers(1, 4))
+def test_submit_and_seal_match_the_reference_open_block(policy, ops, term_blocks):
+    def chain():
+        return ch.Chain(policy=policy, committee=_committee(term_blocks=term_blocks))
+
+    ref_chain = chain()
+    ref = _ReferenceOpenBlock(ref_chain)
+    new_chain = chain()
+    expected = _replay(ref.append, ref.timer, ops)
+    assert _replay(new_chain.submit, new_chain.seal, ops) == expected
+    assert ch.dump_chain(new_chain) == ch.dump_chain(ref_chain)
+    assert new_chain.committee.leader_history == ref_chain.committee.leader_history
+    for block in new_chain.blocks:
+        assert all(new_chain.has_record(r) for r in block.records)
 
 
 def test_record_digest_must_be_32_bytes():

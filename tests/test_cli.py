@@ -70,14 +70,18 @@ def test_zero_nodes_rejected_naming_the_field(tmp_path):
         cli.load_scenario(path)
 
 
-def _run_with_node_dataset(tmp_path, rows, labels):
-    """Exit code of `dbafl run` where node 1 brings its own dataset."""
-    text = SMALL_CONFIG + (
+def _run_with_node_dataset(tmp_path, rows, labels, classes="classes: 2, ", data=""):
+    """Exit code of `dbafl run` where node 1 brings its own dataset.
+
+    `classes` is the dataset's own classes entry ("" omits it); `data` adds
+    lines to the data section.
+    """
+    text = SMALL_CONFIG + data + (
         "nodes:\n"
         "  - {id: 0, role: RSU}\n"
         "  - id: 1\n"
         "    role: RSU\n"
-        f"    dataset: {{classes: 2, features: {rows}, labels: {labels}}}\n")
+        f"    dataset: {{{classes}features: {rows}, labels: {labels}}}\n")
     return cli.main(["run", "--config", _write(tmp_path, "own.yaml", text),
                      "--out", str(tmp_path / "out")])
 
@@ -101,6 +105,20 @@ def test_node_dataset_feature_count_must_match_data_features(tmp_path, capsys):
     rc = _run_with_node_dataset(tmp_path, rows, [0, 1] * 10)
     assert rc == 1
     assert "nodes[1].dataset.features" in capsys.readouterr().err
+
+
+def test_node_dataset_classes_must_match_data_classes(tmp_path, capsys):
+    rows = [[0.1 * i, 1.0] for i in range(20)]  # data.classes is 2
+    rc = _run_with_node_dataset(tmp_path, rows, [0, 1, 2] * 6 + [0, 1], "classes: 3, ")
+    assert rc == 1
+    assert "nodes[1].dataset.classes" in capsys.readouterr().err
+
+
+def test_node_dataset_classes_default_to_data_classes(tmp_path, capsys):
+    rows = [[0.1 * i, 1.0] for i in range(20)]
+    rc = _run_with_node_dataset(tmp_path, rows, [0, 1, 2] * 6 + [0, 1], "",
+                                data="  classes: 3\n")
+    assert rc == 0, capsys.readouterr().err
 
 
 def test_static_eps_strategy_from_config(tmp_path):

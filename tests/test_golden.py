@@ -1,33 +1,50 @@
-"""Byte-identity of the stock experiment: output digests against perfbench/golden.json.
+"""Byte-identity of every benchmark workload: output digests against perfbench/golden.json.
 
-The six stock-sweep runs of the benchmark, issued through `dbafl.cli.main`
-with the benchmark's arguments, must reproduce the recorded SHA-256 of every
-metrics CSV and chain dump.  The golden file is only read here; regenerate it
-with `python3 perfbench/run.py --regen-golden` when outputs change on purpose.
+Each run of the benchmark's workloads, issued through `dbafl.cli.main` with
+the benchmark's scenario file and arguments, must reproduce the recorded
+SHA-256 of every metrics CSV and chain dump.  Workloads, strategies and the
+seed derivation come from `perfbench/run.py`, loaded here without running
+it.  The golden file is only read here; regenerate it with
+`python3 perfbench/run.py --regen-golden` when outputs change on purpose.
 """
 
 import hashlib
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from dbafl import cli
 
-GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
-STRATEGIES = ("DBAFL", "BSFL", "FedAVG", "StaticEps:1.0", "AFL", "LocalOnly")
-CHAIN_BACKED = {"DBAFL", "BSFL", "StaticEps:1.0"}
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+GOLDEN = PERFBENCH / "golden.json"
 
 
-def _master_seed(workload: str, seed: int) -> int:
-    """The scenario seed perfbench/run.py derives from a workload seed."""
-    return int.from_bytes(hashlib.sha256(f"{workload}:{seed}".encode()).digest()[:4], "big")
+def _load_benchmark():
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses resolve annotations there
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCH = _load_benchmark()
+STRATEGIES = BENCH.WORKLOADS["stock-sweep"].strategies
+CHAIN_BACKED = BENCH.CHAIN_BACKED
+_master_seed = BENCH.master_seed
 
 
 @pytest.fixture(scope="module")
 def golden():
     doc = json.loads(GOLDEN.read_text(encoding="utf-8"))
     return doc["seed"], doc["workloads"]["stock-sweep"]
+
+
+@pytest.fixture(scope="module")
+def golden_doc():
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -46,4 +63,25 @@ def test_stock_sweep_outputs_match_golden_digests(tmp_path, golden, strategy):
     for kind, path in outputs.items():
         got = hashlib.sha256(path.read_bytes()).hexdigest()
         assert got == digests[f"{strategy}/{kind}"], f"{strategy}/{kind}"
+    assert len(outputs) == sum(key.startswith(f"{strategy}/") for key in digests)
+
+
+@pytest.mark.parametrize("workload,strategy", [
+    (name, strategy) for name, w in BENCH.WORKLOADS.items() if name != "stock-sweep"
+    for strategy in w.strategies])
+def test_workload_outputs_match_golden_digests(tmp_path, golden_doc, workload, strategy):
+    digests = golden_doc["workloads"][workload]
+    ms = _master_seed(workload, golden_doc["seed"])
+    cfg = tmp_path / "scenario.yaml"
+    cfg.write_text(BENCH.WORKLOADS[workload].yaml, encoding="utf-8")
+    rc = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path),
+                   "--seed", str(ms), "--strategy", strategy])
+    assert rc == 0
+    label = strategy.replace(":", "-")
+    outputs = {"metrics": tmp_path / f"metrics_{label}_{ms}.csv"}
+    if strategy in CHAIN_BACKED:
+        outputs["chain"] = tmp_path / f"chain_{label}_{ms}.txt"
+    for kind, path in outputs.items():
+        got = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert got == digests[f"{strategy}/{kind}"], f"{workload} {strategy}/{kind}"
     assert len(outputs) == sum(key.startswith(f"{strategy}/") for key in digests)

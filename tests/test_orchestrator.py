@@ -186,6 +186,48 @@ def test_leader_step_requires_recorded_digest():
             agg.DefensePolicy.off())
 
 
+def test_leader_step_verifies_a_digest_still_in_the_open_block():
+    train, test, trained, chain = _leader_fixture()
+    honest = ch.HashRecord(ch.RecordKind.LOCAL, 1, 0, ch.hash_model(trained))
+    spoofed = ch.HashRecord(ch.RecordKind.LOCAL, 5, 0, ch.hash_model(trained))
+    chain.submit(honest, 0.0)
+    chain.submit(spoofed, 0.5)
+    assert len(chain) == 0  # both digests are only in the open block
+    leader = orch.LeaderState(node_id=0, test_data=test,
+                              global_params=np.zeros_like(trained))
+    out = orch.leader_aggregation_step(
+        leader, orch.IncomingModel(1, 0, trained, honest), chain, agg.DefensePolicy.off())
+    assert out.verdict is orch.StepVerdict.ACCEPTED
+    assert [r.kind for r in leader.pending_records] == [ch.RecordKind.GLOBAL]
+
+    tampered = trained.copy()
+    tampered[0] = np.nextafter(tampered[0], np.inf)
+    after_accept = ch.hash_model(leader.global_params)
+    out = orch.leader_aggregation_step(
+        leader, orch.IncomingModel(5, 0, tampered, spoofed), chain, agg.DefensePolicy.off())
+    assert out.verdict is orch.StepVerdict.TAMPERED
+    assert chain.committee.blacklist == {5}
+    assert ch.hash_model(leader.global_params) == after_accept
+    assert len(leader.pending_records) == 1
+
+
+def test_leader_step_without_a_chain_accepts_an_unrecorded_upload():
+    train, test, trained, _ = _leader_fixture()
+    unrecorded = ch.HashRecord(ch.RecordKind.LOCAL, 5, 0, ch.hash_bytes(b"elsewhere"))
+    start = np.zeros_like(trained)
+    leader = orch.LeaderState(node_id=0, test_data=test, global_params=start.copy())
+    out = orch.leader_aggregation_step(
+        leader, orch.IncomingModel(5, 0, trained, unrecorded), None,
+        agg.DefensePolicy.off())
+    acc_l = mdl.evaluate_accuracy(trained, test)
+    acc_g = mdl.evaluate_accuracy(start, test)
+    assert out.verdict is orch.StepVerdict.ACCEPTED
+    assert (out.acc_local, out.acc_global) == (acc_l, acc_g)
+    assert out.epsilon == agg.scaling_factor(acc_l, acc_g) != 1.0
+    assert np.array_equal(leader.global_params,
+                          agg.aggregate_async(start, trained, out.epsilon))
+
+
 # ---------------------------------------------------------- run_scenario
 
 
