@@ -54,6 +54,12 @@ class HashRecord:
 
 _RECORD_HEAD = struct.Struct("<BQQ")
 RECORD_BYTES = _RECORD_HEAD.size + 32  # every serialized record has this length
+BLOCK_HEADER_BYTES = struct.calcsize("<Q32sIQ")  # index, prev_hash, count, timestamp
+
+
+def block_bytes(records: int) -> int:
+    """Length of a serialized block body holding this many records."""
+    return BLOCK_HEADER_BYTES + records * RECORD_BYTES
 
 
 def serialize_record(record: HashRecord) -> bytes:
@@ -83,12 +89,18 @@ class BlockCutPolicy:
     max_block_bytes: int = 10_000_000
 
     def __post_init__(self):
-        if self.max_wait_s <= 0 or self.max_records <= 0 or self.max_block_bytes <= 0:
-            raise ValueError("block cut policy fields must be positive")
+        if self.max_wait_s <= 0:
+            raise ValueError(f"max_wait_s must be positive, got {self.max_wait_s}")
+        if self.max_records <= 0:
+            raise ValueError(f"max_records must be positive, got {self.max_records}")
+        if self.max_block_bytes < block_bytes(1):
+            raise ValueError(f"max_block_bytes must hold a one-record block "
+                             f"({block_bytes(1)} bytes), got {self.max_block_bytes}")
 
 
 def should_cut_block(pending_records: int, pending_bytes: int, elapsed_since_first_s: float,
                      policy: BlockCutPolicy) -> bool:
+    """True when the open block (pending_bytes serialized) is due to be sealed."""
     if pending_records >= policy.max_records:
         return True
     if pending_bytes >= policy.max_block_bytes:
@@ -163,14 +175,20 @@ class Chain:
         return block
 
     def submit(self, record: HashRecord, now_s: float) -> bool:
-        """Add to the open block, sealing it as the cut policy says; True if this opened it."""
+        """Add to the open block, sealing it as the cut policy says; True if this opened it.
+
+        The open block is sealed first if this record would take it over
+        `policy.max_block_bytes`.
+        """
+        if block_bytes(len(self._open) + 1) > self.policy.max_block_bytes:
+            self.seal(now_s)
         opened = not self._open
         if opened:
             self._open_since = now_s
         self._open.append(record)
         self._recorded.add(record)
         n = len(self._open)
-        if should_cut_block(n, n * RECORD_BYTES, now_s - self._open_since, self.policy):
+        if should_cut_block(n, block_bytes(n), now_s - self._open_since, self.policy):
             self.seal(now_s)
         return opened
 

@@ -97,23 +97,11 @@ def _dataset_from(mapping: dict, where: str, spec: DataSpec) -> Dataset:
     _reject_unknown(mapping, ("features", "labels", "classes"), where)
     try:
         x = np.asarray(mapping["features"], dtype=float)
-        labels = np.asarray(mapping["labels"], dtype=int)
+        labels = np.asarray(mapping["labels"])
     except KeyError as exc:
         raise ValueError(f"{where}dataset needs {exc.args[0]!r}") from None
-    classes = _as_int(mapping.get("classes", spec.classes), where + "classes")
-    if classes != spec.classes:
-        raise ValueError(f"{where}classes must equal data.classes = {spec.classes}, "
-                         f"got {classes}")
-    if x.ndim != 2 or x.shape[1] != spec.features:
-        raise ValueError(f"{where}features must be rows of data.features = "
-                         f"{spec.features} values, got shape {x.shape}")
-    if labels.shape != (len(x),):
-        raise ValueError(f"{where}labels must hold one label per features row "
-                         f"({len(x)}), got shape {labels.shape}")
-    if labels.size and (labels.min() < 0 or labels.max() >= classes):
-        raise ValueError(f"{where}labels must lie in [0, {classes}), got "
-                         f"{labels.min()}..{labels.max()}")
-    return Dataset(x, labels, classes)
+    # ScenarioConfig checks the dataset against data, labels' dtype included
+    return Dataset(x, labels, _as_int(mapping.get("classes", spec.classes), where + "classes"))
 
 
 def _node_from(mapping: dict, where: str, spec: DataSpec) -> NodeConfig:
@@ -218,7 +206,7 @@ def scenario_from_mapping(data: dict) -> ScenarioConfig:
         _reject_unknown(policy, ("max_wait_s", "max_records",
                                  "max_block_bytes"), "chain_policy.")
         stock = BlockCutPolicy()
-        overrides["chain_policy"] = BlockCutPolicy(
+        kw = dict(
             max_wait_s=_as_float(policy.get("max_wait_s", stock.max_wait_s),
                                  "chain_policy.max_wait_s"),
             max_records=_as_int(policy.get("max_records", stock.max_records),
@@ -226,6 +214,10 @@ def scenario_from_mapping(data: dict) -> ScenarioConfig:
             max_block_bytes=_as_int(policy.get("max_block_bytes",
                                                stock.max_block_bytes),
                                     "chain_policy.max_block_bytes"))
+        try:
+            overrides["chain_policy"] = BlockCutPolicy(**kw)
+        except ValueError as exc:  # its messages start with the field name
+            raise ValueError(f"chain_policy.{exc}") from None
     payload = _section(data, "payload")
     if payload:
         _reject_unknown(payload, ("model_bits", "hash_bits", "block_bits"),

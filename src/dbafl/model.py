@@ -68,11 +68,6 @@ def _unpack(params: ModelParams, f: int, classes: int):
     return params[: f * classes].reshape(f, classes), params[f * classes :]
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
 def _check(params: ModelParams, data: Dataset):
     if data.n == 0:
         raise ValueError("empty dataset")
@@ -132,8 +127,10 @@ def evaluate_accuracy(params: ModelParams, data: Dataset) -> float:
 def local_loss(params: ModelParams, data: Dataset) -> float:
     """Mean cross-entropy over the dataset (log-sum-exp stable)."""
     weights, biases = _check(params, data)
-    logp = _log_softmax(data.features @ weights + biases)
-    return float(-np.mean(logp[np.arange(data.n), data.labels]))
+    x = np.ascontiguousarray(data.features, dtype=float)
+    logp = _GradientStep(data.n, x.shape[1], data.classes).log_softmax(weights, biases, x)
+    # logp[rows, labels] through flat indices, which numpy gathers faster
+    return float(-np.mean(logp.take(np.arange(0, logp.size, data.classes) + data.labels)))
 
 
 def _one_hot(labels: np.ndarray, classes: int) -> np.ndarray:
@@ -146,7 +143,7 @@ class _GradientStep:
     """Mean cross-entropy gradient of m-row batches, computed in preallocated buffers.
 
     Performs the floating-point operations of the textbook form (logits,
-    _log_softmax, exp, subtract the one-hot labels, divide by m, X^T @ probs,
+    log-softmax, exp, subtract the one-hot labels, divide by m, X^T @ probs,
     column sums) in the same order, so its results are bit-identical to it.
     Row-wise broadcasts run one column at a time, which is exact and avoids
     numpy's slow short inner loops.
@@ -161,8 +158,8 @@ class _GradientStep:
         self.logit_cols = [self.logits[:, j] for j in range(classes)]
         self.prob_cols = [self.probs[:, j] for j in range(classes)]
 
-    def __call__(self, weights, biases, x, onehot):
-        """(dW, dB) on batch (x, onehot); both are views of this step's buffers."""
+    def log_softmax(self, weights, biases, x):
+        """Log-softmax of x @ weights + biases, left in this step's logits buffer."""
         z, p, row = self.logits, self.probs, self.row
         np.matmul(x, weights, out=z)
         for col, b in zip(self.logit_cols, biases):
@@ -183,7 +180,12 @@ class _GradientStep:
         np.log(row, out=row)
         for col in self.logit_cols:
             col -= row
-        np.exp(z, out=p)
+        return z
+
+    def __call__(self, weights, biases, x, onehot):
+        """(dW, dB) on batch (x, onehot); both are views of this step's buffers."""
+        p, row = self.probs, self.row
+        np.exp(self.log_softmax(weights, biases, x), out=p)
         p -= onehot  # equals probs[rows, labels] -= 1.0, since x - 0.0 == x
         p /= len(p)
         np.matmul(x.T, p, out=self.gw)
@@ -212,8 +214,8 @@ def local_train(start: ModelParams, data: Dataset, cfg: TrainConfig, rng_seed: i
     f, classes = x.shape[1], data.classes
     weights, biases = _unpack(w, f, classes)  # views: updating them updates w
     onehot = _one_hot(data.labels, classes)
-    rng = np.random.default_rng(rng_seed)
     n, size = data.n, min(cfg.batch_size, data.n)
+    rng = np.random.default_rng(rng_seed) if size < n else None  # full batches never draw
     steps = {size: _GradientStep(size, f, classes)}
     if n % size:
         steps[n % size] = _GradientStep(n % size, f, classes)

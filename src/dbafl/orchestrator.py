@@ -225,6 +225,26 @@ class ScenarioConfig:
             raise ValueError("term_blocks must be at least 1")
         if not self.attack.poisoners <= set(ids):
             raise ValueError("attack.poisoners must reference configured node ids")
+        for i, n in enumerate(self.nodes):
+            if n.dataset is not None:
+                _check_node_dataset(n.dataset, self.data, f"nodes[{i}].dataset.")
+
+
+def _check_node_dataset(ds: Dataset, spec: DataSpec, where: str) -> None:
+    """A node's own dataset must fit the model that data describes."""
+    x, labels = np.asarray(ds.features), np.asarray(ds.labels)
+    if ds.classes != spec.classes:
+        raise ValueError(f"{where}classes must equal data.classes = {spec.classes}, "
+                         f"got {ds.classes}")
+    if x.ndim != 2 or x.shape[1] != spec.features:
+        raise ValueError(f"{where}features must be rows of data.features = "
+                         f"{spec.features} values, got shape {x.shape}")
+    if labels.shape != (len(x),) or not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError(f"{where}labels must hold one integer label per features "
+                         f"row ({len(x)}), got {labels.dtype} of shape {labels.shape}")
+    if labels.size and (labels.min() < 0 or labels.max() >= ds.classes):
+        raise ValueError(f"{where}labels must lie in [0, {ds.classes}), got "
+                         f"{labels.min()}..{labels.max()}")
 
 
 @dataclass(frozen=True)

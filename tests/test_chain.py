@@ -188,13 +188,45 @@ def test_submit_opens_blocks_and_seals_on_count_and_elapsed_wait():
     assert ch.verify_chain(c)
 
 
-def test_submit_byte_rule_cuts_a_block_the_byte_cap_refuses():
-    # the cut rule counts record bytes, the cap counts the whole serialized
-    # block, so a block cut on bytes is always over the cap
-    c = ch.Chain(policy=ch.BlockCutPolicy(max_block_bytes=2 * ch.RECORD_BYTES))
-    assert c.submit(_rec(0, 0, b"a"), 0.0) is True
-    with pytest.raises(ValueError, match="exceeds max_block_bytes"):
-        c.submit(_rec(1, 0, b"b"), 0.0)
+def test_block_bytes_counts_the_whole_serialized_block():
+    for n in (1, 2, 7):
+        body = ch.serialize_block_body(3, ch.ZERO_HASH, [_rec(i) for i in range(n)], 99)
+        assert ch.block_bytes(n) == len(body) == 52 + 49 * n
+
+
+def test_byte_cap_must_hold_a_one_record_block():
+    assert ch.BlockCutPolicy(max_block_bytes=101).max_block_bytes == 101
+    for cap in (100, 49, 0, -1):
+        with pytest.raises(ValueError, match="max_block_bytes"):
+            ch.BlockCutPolicy(max_block_bytes=cap)
+
+
+def test_submit_seals_before_a_record_that_would_overflow_the_byte_cap():
+    cap = ch.block_bytes(3) + 20  # room for three records, not four
+    c = ch.Chain(policy=ch.BlockCutPolicy(max_wait_s=10.0, max_records=10,
+                                          max_block_bytes=cap))
+    recs = [_rec(i, 0, bytes([i])) for i in range(7)]
+    assert c.submit(recs[0], 0.0) is True
+    assert c.submit(recs[1], 0.1) is False
+    assert c.submit(recs[2], 0.2) is False
+    assert len(c) == 0  # three records are under the cap
+    assert c.submit(recs[3], 0.3) is True  # seals the three, then opens a block
+    assert [b.records for b in c.blocks] == [tuple(recs[:3])]
+    assert c.blocks[0].timestamp_ms == 300 and c.has_record(recs[3])
+    # a block that meets the cap exactly is sealed on the record that fills it
+    exact = ch.Chain(policy=ch.BlockCutPolicy(max_block_bytes=ch.block_bytes(2)))
+    assert exact.submit(recs[4], 1.0) is True
+    assert exact.submit(recs[5], 1.0) is False
+    assert [b.records for b in exact.blocks] == [tuple(recs[4:6])]
+    # the smallest cap gives one record per block
+    single = ch.Chain(policy=ch.BlockCutPolicy(max_block_bytes=ch.block_bytes(1)))
+    assert [single.submit(r, 2.0) for r in recs[:3]] == [True] * 3
+    assert [b.records for b in single.blocks] == [(r,) for r in recs[:3]]
+    for chain in (c, exact, single):
+        for b in chain.blocks:
+            body = ch.serialize_block_body(b.index, b.prev_hash, b.records, b.timestamp_ms)
+            assert len(body) <= chain.policy.max_block_bytes
+        assert ch.verify_chain(chain)
 
 
 def test_seal_stamps_rounded_milliseconds_and_skips_an_empty_block():
@@ -228,16 +260,21 @@ class _ReferenceOpenBlock:
     def __init__(self, chain):
         self.chain = chain
         self.pool = []
-        self.pool_bytes = 0
         self.pool_first = None
 
+    @staticmethod
+    def body_bytes(records):
+        return len(ch.serialize_block_body(0, ch.ZERO_HASH, records, 0))
+
     def append(self, record, now):
+        # the byte cap binds on the whole serialized block: seal before overflowing it
+        if self.pool and self.body_bytes(self.pool + [record]) > self.chain.policy.max_block_bytes:
+            self.cut(now)
         opened = not self.pool
         if opened:
             self.pool_first = now
         self.pool.append(record)
-        self.pool_bytes += len(ch.serialize_record(record))
-        if ch.should_cut_block(len(self.pool), self.pool_bytes,
+        if ch.should_cut_block(len(self.pool), self.body_bytes(self.pool),
                                now - self.pool_first, self.chain.policy):
             self.cut(now)
         return opened
@@ -245,7 +282,6 @@ class _ReferenceOpenBlock:
     def cut(self, now):
         self.chain.append_block(self.pool, int(round(now * 1000)))
         self.pool = []
-        self.pool_bytes = 0
         self.pool_first = None
 
     def timer(self, now):
@@ -274,7 +310,7 @@ _POLICIES = st.builds(
     ch.BlockCutPolicy,
     max_wait_s=st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.7]),
     max_records=st.integers(1, 12),
-    max_block_bytes=st.one_of(st.just(10_000_000), st.integers(60, 700)))
+    max_block_bytes=st.one_of(st.just(10_000_000), st.integers(101, 700)))
 _OPS = st.lists(st.tuples(st.sampled_from([0.0, 0.0, 0.125, 0.25, 0.5, 1.0, 2.0, 3.7]),
                           st.one_of(st.just("seal"), st.integers(0, 6))),
                 max_size=60)
@@ -290,6 +326,7 @@ def test_submit_and_seal_match_the_reference_open_block(policy, ops, term_blocks
     ref = _ReferenceOpenBlock(ref_chain)
     new_chain = chain()
     expected = _replay(ref.append, ref.timer, ops)
+    assert expected[1] is None  # every valid cut policy can be met
     assert _replay(new_chain.submit, new_chain.seal, ops) == expected
     assert ch.dump_chain(new_chain) == ch.dump_chain(ref_chain)
     assert new_chain.committee.leader_history == ref_chain.committee.leader_history

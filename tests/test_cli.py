@@ -100,6 +100,13 @@ def test_node_dataset_label_out_of_range_in_test_split_is_a_config_error(tmp_pat
     assert "nodes[1].dataset.labels" in capsys.readouterr().err
 
 
+def test_node_dataset_fractional_labels_are_a_config_error(tmp_path, capsys):
+    labels = [0, 1] * 9 + [0.5, 1]  # 0.5 used to be truncated to class 0
+    rc = _run_with_node_dataset(tmp_path, [[0.1 * i, 1.0] for i in range(20)], labels)
+    assert rc == 1
+    assert "nodes[1].dataset.labels" in capsys.readouterr().err
+
+
 def test_node_dataset_feature_count_must_match_data_features(tmp_path, capsys):
     rows = [[0.1 * i, 1.0, -1.0] for i in range(20)]  # data.features is 2
     rc = _run_with_node_dataset(tmp_path, rows, [0, 1] * 10)
@@ -119,6 +126,26 @@ def test_node_dataset_classes_default_to_data_classes(tmp_path, capsys):
     rc = _run_with_node_dataset(tmp_path, rows, [0, 1, 2] * 6 + [0, 1], "",
                                 data="  classes: 3\n")
     assert rc == 0, capsys.readouterr().err
+
+
+def test_run_with_a_binding_byte_cap_exits_0_and_audits_ok(tmp_path, capsys):
+    # 400 bytes hold seven records, so blocks are cut on bytes before max_records
+    text = SMALL_CONFIG + "chain_policy: {max_block_bytes: 400}\n"
+    out = tmp_path / "out"
+    rc = cli.main(["run", "--config", _write(tmp_path, "cap.yaml", text), "--out", str(out)])
+    assert rc == 0, capsys.readouterr().err
+    dump = out / "chain_DBAFL_1.txt"
+    assert cli.main(["audit", "--chain", str(dump)]) == 0
+    assert "Ok" in capsys.readouterr().out
+    assert max(len(line.split("|")[3].split(";")) for line in dump.read_text().splitlines()) == 7
+
+
+def test_byte_cap_below_a_one_record_block_is_a_config_error(tmp_path, capsys):
+    text = SMALL_CONFIG + "chain_policy: {max_block_bytes: 100}\n"
+    rc = cli.main(["run", "--config", _write(tmp_path, "cap.yaml", text),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "chain_policy.max_block_bytes" in capsys.readouterr().err
 
 
 def test_static_eps_strategy_from_config(tmp_path):

@@ -154,10 +154,23 @@ def test_gradient_matches_central_differences():
         assert rel < 1e-4
 
 
+def _log_softmax(logits):
+    """Textbook log-softmax, the oracle for the fused forward pass."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def _reference_loss(params, data):
+    """The textbook mean cross-entropy that local_loss must reproduce bit for bit."""
+    weights, biases = model._check(params, data)
+    logp = _log_softmax(data.features @ weights + biases)
+    return float(-np.mean(logp[np.arange(data.n), data.labels]))
+
+
 def _reference_gradient(params, data):
     """The textbook gradient the fused step must reproduce bit for bit."""
     weights, biases = model._check(params, data)
-    probs = np.exp(model._log_softmax(data.features @ weights + biases))
+    probs = np.exp(_log_softmax(data.features @ weights + biases))
     probs[np.arange(data.n), data.labels] -= 1.0
     probs /= data.n
     return model.pack_params(data.features.T @ probs, probs.sum(axis=0))
@@ -203,6 +216,49 @@ def test_fused_training_is_bit_identical_to_the_reference_loop():
             == expected.tobytes(), (classes, f, n, batch_size)
         assert model.loss_gradient(start, data).tobytes() \
             == _reference_gradient(start, data).tobytes(), (classes, f, n)
+
+
+def test_fused_loss_is_bit_identical_to_the_textbook_form():
+    # classes 2..10 cross the 8-class fold; large scales push some rows'
+    # probabilities to exactly 0 or 1, and rounded parameters give exact ties.
+    rng = np.random.default_rng(4048)
+    trials = 0
+    for classes in range(2, 11):
+        for f in (1, 2, 5):
+            for n in (1, 7, 1200):
+                trials += 1
+                scale = (0.1, 1.0, 8.0, 50.0)[trials % 4]
+                x = rng.normal(scale=2.0, size=(n, f))
+                labels = rng.integers(0, classes, size=n)
+                data = model.Dataset(x, labels, classes)
+                params = rng.normal(scale=scale, size=model.param_dim(f, classes))
+                if trials % 3 == 0:
+                    data.features = np.round(x)
+                    params = np.round(params)
+                for p in (params, model.init_params(f, classes)):
+                    got = model.local_loss(p, data)
+                    want = _reference_loss(p, data)
+                    assert np.float64(got).tobytes() == np.float64(want).tobytes(), \
+                        (classes, f, n, scale, got, want)
+
+
+def test_full_batch_training_builds_no_generator(monkeypatch):
+    data = model.generate_synthetic_dataset(seed=3, n=40, f=2, classes=3, separation=2.0)
+    start = model.init_params(2, 3)
+    cfg = model.TrainConfig(epochs=3, learning_rate=0.1, batch_size=40)
+    expected = model.local_train(start, data, cfg, rng_seed=0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a full-batch epoch drew a generator")
+
+    monkeypatch.setattr(model.np.random, "default_rng", refuse)
+    for seed in (0, 1, 12345):
+        assert model.local_train(start, data, cfg, rng_seed=seed).tobytes() \
+            == expected.tobytes()
+    big = model.TrainConfig(epochs=3, learning_rate=0.1, batch_size=1500)
+    assert model.local_train(start, data, big, rng_seed=7).tobytes() == expected.tobytes()
+    with pytest.raises(AssertionError, match="drew a generator"):
+        model.local_train(start, data, model.TrainConfig(1, 0.1, batch_size=39), rng_seed=0)
 
 
 def test_gradient_matches_central_differences_with_many_classes():

@@ -462,6 +462,32 @@ def test_scenario_validation():
         orch.NodeConfig(id=0, role=orch.Role.RSU, compute_time_multiplier=0.5)
 
 
+@pytest.mark.parametrize("features, labels, classes, field", [
+    (np.zeros((20, 2)), [0, 1, 2] * 6 + [0, 1], 3, "classes"),
+    (np.zeros((20, 3)), [0, 1] * 10, 2, "features"),
+    (np.zeros(20), [0, 1] * 10, 2, "features"),
+    (np.zeros((20, 2)), [0, 1] * 9 + [1, 2], 2, "labels"),
+    (np.zeros((20, 2)), [0, 1] * 9 + [-1, 0], 2, "labels"),
+    (np.zeros((20, 2)), [0, 1] * 9, 2, "labels"),
+    (np.zeros((20, 2)), [0.0, 1.0] * 10, 2, "labels"),
+])
+def test_node_dataset_must_fit_the_data_spec(features, labels, classes, field):
+    own = mdl.Dataset(features, np.asarray(labels), classes)
+    nodes = (orch.NodeConfig(id=0, role=orch.Role.RSU),
+             orch.NodeConfig(id=1, role=orch.Role.RSU, dataset=own))
+    with pytest.raises(ValueError, match=rf"^nodes\[1\]\.dataset\.{field} "):
+        small_scenario(orch.Strategy.dbafl(), nodes=nodes)
+
+
+def test_node_dataset_that_fits_runs():
+    data = mdl.generate_synthetic_dataset(seed=4, n=60, f=2, classes=2, separation=3.0)
+    nodes = (orch.NodeConfig(id=0, role=orch.Role.RSU),
+             orch.NodeConfig(id=1, role=orch.Role.RSU, dataset=data))
+    result = orch.run_scenario(small_scenario(orch.Strategy.dbafl(), nodes=nodes,
+                                              duration=20.0))
+    assert result.rows and ch.verify_chain(result.chain)
+
+
 def test_strategy_labels_round_trip():
     for s in (orch.Strategy.dbafl(), orch.Strategy.bsfl(), orch.Strategy.fedavg(),
               orch.Strategy.local_only(), orch.Strategy.afl(),
