@@ -24,10 +24,10 @@ def hash_bytes(payload: bytes) -> bytes:
 
 def hash_model(params) -> bytes:
     """SHA-256 over the little-endian float64 serialization of the parameter vector."""
-    arr = np.asarray(params, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    arr = np.asarray(params, dtype="<f8")
+    if not np.isfinite(arr).all():
         raise ValueError("cannot hash non-finite parameters")
-    return hash_bytes(arr.astype("<f8").tobytes())
+    return hash_bytes(arr.tobytes())
 
 
 class RecordKind(enum.Enum):
@@ -271,6 +271,7 @@ def dump_chain(c: Chain) -> str:
 
 
 def _parse_dump_line(line: str, lineno: int):
+    """(index, prev_hash, serialized block body, block_hash) of one dump line."""
     parts = line.split("|")
     if len(parts) != 5:
         raise ValueError(f"dump line {lineno}: expected 5 fields, got {len(parts)}")
@@ -289,7 +290,16 @@ def _parse_dump_line(line: str, lineno: int):
         raise ValueError(f"dump line {lineno}: {exc}") from exc
     if len(prev_hash) != 32 or len(block_hash) != 32:
         raise ValueError(f"dump line {lineno}: hash fields must be 32 bytes")
-    return index, prev_hash, tuple(records), timestamp_ms, block_hash
+    try:
+        body = serialize_block_body(index, prev_hash, records, timestamp_ms)
+    except struct.error:  # an integer field is negative or >= 2**64, outside its u64
+        fields = [("index", index), ("timestamp_ms", timestamp_ms)]
+        for j, r in enumerate(records):
+            fields += [(f"record {j} node_id", r.node_id), (f"record {j} round", r.round)]
+        name, value = next((k, v) for k, v in fields if not 0 <= v < 1 << 64)
+        raise ValueError(f"dump line {lineno}: {name} {value} does not fit an unsigned "
+                         f"64-bit field") from None
+    return index, prev_hash, body, block_hash
 
 
 def audit_dump(text: str) -> AuditReport:
@@ -305,8 +315,7 @@ def audit_dump(text: str) -> AuditReport:
         raise ValueError("empty chain dump")
     prev = ZERO_HASH
     for i, line in enumerate(lines):
-        index, prev_hash, records, timestamp_ms, block_hash = _parse_dump_line(line, i)
-        body = serialize_block_body(index, prev_hash, records, timestamp_ms)
+        index, prev_hash, body, block_hash = _parse_dump_line(line, i)
         if index != i or prev_hash != prev or hash_bytes(body) != block_hash:
             return AuditReport(ok=False, first_bad_block=i)
         prev = block_hash

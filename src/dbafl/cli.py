@@ -79,6 +79,13 @@ def _as_int(value, name: str) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _as_array(value, dtype, name: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError):  # ragged rows, or an entry that is not a number
+        raise ValueError(f"{name} must be a rectangular array of numbers") from None
+
+
 def _section(data: dict, key: str) -> dict:
     value = data.get(key) or {}
     if not isinstance(value, dict):
@@ -96,10 +103,11 @@ def _link_from(mapping: dict, where: str) -> LinkParams:
 def _dataset_from(mapping: dict, where: str, spec: DataSpec) -> Dataset:
     _reject_unknown(mapping, ("features", "labels", "classes"), where)
     try:
-        x = np.asarray(mapping["features"], dtype=float)
-        labels = np.asarray(mapping["labels"])
+        raw_x, raw_labels = mapping["features"], mapping["labels"]
     except KeyError as exc:
         raise ValueError(f"{where}dataset needs {exc.args[0]!r}") from None
+    x = _as_array(raw_x, float, where + "features")
+    labels = _as_array(raw_labels, None, where + "labels")
     # ScenarioConfig checks the dataset against data, labels' dtype included
     return Dataset(x, labels, _as_int(mapping.get("classes", spec.classes), where + "classes"))
 

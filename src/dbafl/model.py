@@ -16,12 +16,17 @@ ModelParams = np.ndarray
 
 @dataclass(eq=False)
 class Dataset:
-    """Feature matrix (n x f), integer labels in [0, classes), optional global row ids."""
+    """Feature matrix (n x f), integer labels in [0, classes), optional global row ids.
+
+    The arrays are never mutated in place: the model calls derive constants
+    from them once (`_prepare`) and notice only when a field is reassigned.
+    """
 
     features: np.ndarray
     labels: np.ndarray
     classes: int
     indices: np.ndarray = field(default=None)
+    _prepared: _Prepared = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.indices is None:
@@ -120,23 +125,55 @@ def split_dataset(data: Dataset, test_fraction: float) -> tuple[Dataset, Dataset
 def evaluate_accuracy(params: ModelParams, data: Dataset) -> float:
     """Fraction of samples whose argmax logit matches the label."""
     weights, biases = _check(params, data)
-    logits = data.features @ weights + biases
-    return float(np.mean(np.argmax(logits, axis=1) == data.labels))
+    logits = _prepare(data).x @ weights + biases
+    return np.count_nonzero(logits.argmax(axis=1) == data.labels) / data.n
 
 
 def local_loss(params: ModelParams, data: Dataset) -> float:
     """Mean cross-entropy over the dataset (log-sum-exp stable)."""
     weights, biases = _check(params, data)
-    x = np.ascontiguousarray(data.features, dtype=float)
-    logp = _GradientStep(data.n, x.shape[1], data.classes).log_softmax(weights, biases, x)
-    # logp[rows, labels] through flat indices, which numpy gathers faster
-    return float(-np.mean(logp.take(np.arange(0, logp.size, data.classes) + data.labels)))
+    p = _prepare(data)
+    logp = p.step(data.n).log_softmax(weights, biases, p.x)
+    return float(-logp.take(p.label_at).mean())
 
 
 def _one_hot(labels: np.ndarray, classes: int) -> np.ndarray:
     onehot = np.zeros((len(labels), classes))
     onehot[np.arange(len(labels)), labels] = 1.0
     return onehot
+
+
+class _Prepared:
+    """A dataset's per-call constants, built once and shared by every model call on it.
+
+    Holds the C-contiguous float64 features, the one-hot labels, the flat
+    indices of logp[rows, labels], and one _GradientStep per batch size.
+    The steps' buffers are scratch space: no model function returns a view
+    of them.
+    """
+
+    def __init__(self, features: np.ndarray, labels: np.ndarray, classes: int):
+        self.features, self.labels, self.classes = features, labels, classes  # the cache key
+        self.x = np.ascontiguousarray(features, dtype=float)
+        self.onehot = _one_hot(labels, classes)
+        # logp[rows, labels] through flat indices, which numpy gathers faster
+        self.label_at = np.arange(0, len(labels) * classes, classes) + labels
+        self._steps = {}
+
+    def step(self, m: int) -> _GradientStep:
+        step = self._steps.get(m)
+        if step is None:
+            step = self._steps[m] = _GradientStep(m, self.x.shape[1], self.classes)
+        return step
+
+
+def _prepare(data: Dataset) -> _Prepared:
+    """data's derived model inputs, rebuilt when its features, labels or classes were reassigned."""
+    p = data._prepared
+    if (p is None or p.features is not data.features or p.labels is not data.labels
+            or p.classes != data.classes):
+        p = data._prepared = _Prepared(data.features, data.labels, data.classes)
+    return p
 
 
 class _GradientStep:
@@ -153,8 +190,8 @@ class _GradientStep:
         self.logits = np.empty((m, classes))
         self.probs = np.empty((m, classes))
         self.row = np.empty(m)
-        self.gw = np.empty((f, classes))
-        self.gb = np.empty(classes)
+        self.grad = np.empty(param_dim(f, classes))
+        self.gw, self.gb = _unpack(self.grad, f, classes)  # views of grad
         self.logit_cols = [self.logits[:, j] for j in range(classes)]
         self.prob_cols = [self.probs[:, j] for j in range(classes)]
 
@@ -183,7 +220,7 @@ class _GradientStep:
         return z
 
     def __call__(self, weights, biases, x, onehot):
-        """(dW, dB) on batch (x, onehot); both are views of this step's buffers."""
+        """Flat gradient on batch (x, onehot), left in this step's grad buffer."""
         p, row = self.probs, self.row
         np.exp(self.log_softmax(weights, biases, x), out=p)
         p -= onehot  # equals probs[rows, labels] -= 1.0, since x - 0.0 == x
@@ -192,15 +229,14 @@ class _GradientStep:
         # sum(axis=0) of a C-ordered matrix adds rows in order; so does accumulate.
         for j, col in enumerate(self.prob_cols):
             self.gb[j] = np.add.accumulate(col, out=row)[-1]
-        return self.gw, self.gb
+        return self.grad
 
 
 def loss_gradient(params: ModelParams, data: Dataset) -> ModelParams:
     """Analytic gradient of local_loss with respect to the flat parameter vector."""
     weights, biases = _check(params, data)
-    x = np.ascontiguousarray(data.features, dtype=float)
-    step = _GradientStep(data.n, x.shape[1], data.classes)
-    return pack_params(*step(weights, biases, x, _one_hot(data.labels, data.classes)))
+    p = _prepare(data)
+    return p.step(data.n)(weights, biases, p.x, p.onehot).copy()
 
 
 def local_train(start: ModelParams, data: Dataset, cfg: TrainConfig, rng_seed: int) -> ModelParams:
@@ -208,17 +244,12 @@ def local_train(start: ModelParams, data: Dataset, cfg: TrainConfig, rng_seed: i
 
     Deterministic given (start, data, cfg, rng_seed); start is not mutated.
     """
-    _check(start, data)
     w = np.array(start, dtype=float, copy=True)
-    x = np.ascontiguousarray(data.features, dtype=float)
-    f, classes = x.shape[1], data.classes
-    weights, biases = _unpack(w, f, classes)  # views: updating them updates w
-    onehot = _one_hot(data.labels, classes)
+    weights, biases = _check(w, data)  # views: updating them updates w
+    p = _prepare(data)
+    x, onehot = p.x, p.onehot
     n, size = data.n, min(cfg.batch_size, data.n)
     rng = np.random.default_rng(rng_seed) if size < n else None  # full batches never draw
-    steps = {size: _GradientStep(size, f, classes)}
-    if n % size:
-        steps[n % size] = _GradientStep(n % size, f, classes)
     for _ in range(cfg.epochs):
         if size == n:
             batches = [(x, onehot)]
@@ -227,12 +258,10 @@ def local_train(start: ModelParams, data: Dataset, cfg: TrainConfig, rng_seed: i
             batches = [(x[rows], onehot[rows])
                        for rows in (order[lo : lo + size] for lo in range(0, n, size))]
         for xb, yb in batches:
-            gw, gb = steps[len(xb)](weights, biases, xb, yb)
-            gw *= cfg.learning_rate
-            gb *= cfg.learning_rate
-            weights -= gw
-            biases -= gb
-    if not np.all(np.isfinite(w)):
+            grad = p.step(len(xb))(weights, biases, xb, yb)
+            grad *= cfg.learning_rate
+            w -= grad
+    if not np.isfinite(w).all():
         raise ArithmeticError("training diverged to non-finite parameters")
     return w
 

@@ -4,7 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dbafl import chain as ch
@@ -375,3 +375,67 @@ def test_audit_rejects_malformed_dump():
         ch.audit_dump(text[: len(text) // 2])  # truncated line
     with pytest.raises(ValueError):
         ch.audit_dump("")
+
+
+def test_hash_model_rejects_infinities():
+    for bad in (np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            ch.hash_model(np.array([0.5, bad]))
+
+
+def test_audit_names_an_integer_field_that_cannot_serialize():
+    z = "00" * 32
+    cases = [
+        (f"-1|{z}|0|L,1,1,{z}|{z}", "index -1"),
+        (f"0|{z}|{2**70}|L,1,1,{z}|{z}", f"timestamp_ms {2**70}"),
+        (f"0|{z}|0|L,1,1,{z};G,{2**64},0,{z}|{z}", f"record 1 node_id {2**64}"),
+        (f"0|{z}|0|L,1,-3,{z}|{z}", "record 0 round -3"),
+    ]
+    for line, named in cases:
+        with pytest.raises(ValueError, match=f"^dump line 0: {named} "):
+            ch.audit_dump(line + "\n")
+    # the largest u64 values serialize, so they reach an integrity verdict
+    top = 2**64 - 1
+    report = ch.audit_dump(f"{top}|{z}|{top}|L,{top},{top},{z}|{z}\n")
+    assert not report.ok and report.first_bad_block == 0
+
+
+def _fuzz_dump() -> str:
+    c = ch.Chain()
+    c.append_block([_rec(0, 0, b"g", ch.RecordKind.GLOBAL)], timestamp_ms=0)
+    c.append_block([_rec(1, 1, b"a"), _rec(2, 1, b"b")], timestamp_ms=2000)
+    c.append_block([_rec(0, 2, b"z", ch.RecordKind.GLOBAL)], timestamp_ms=4100)
+    return ch.dump_chain(c)
+
+
+_DUMP = _fuzz_dump()
+# characters of the dump format, plus signs and separators int() accepts, plus anything
+_DUMP_CHARS = st.sampled_from(sorted(set(_DUMP) | set("-+_ \t\r"))) | st.characters()
+
+
+def _audit_reports_or_raises_value_error(text: str) -> None:
+    try:
+        report = ch.audit_dump(text)
+    except ValueError:
+        return
+    assert isinstance(report, ch.AuditReport)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=_DUMP_CHARS))
+def test_audit_dump_of_arbitrary_text_reports_or_raises_value_error(text):
+    _audit_reports_or_raises_value_error(text)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.sampled_from(("replace", "insert", "delete")),
+       st.integers(0, len(_DUMP) - 1), _DUMP_CHARS)
+@example("insert", _DUMP.index("\n") + 1, "-")  # block 1's index becomes -1
+def test_audit_dump_of_a_mutated_dump_reports_or_raises_value_error(op, i, char):
+    if op == "replace":
+        text = _DUMP[:i] + char + _DUMP[i + 1:]
+    elif op == "insert":
+        text = _DUMP[:i] + char + _DUMP[i:]
+    else:
+        text = _DUMP[:i] + _DUMP[i + 1:]
+    _audit_reports_or_raises_value_error(text)

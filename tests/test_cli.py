@@ -114,6 +114,26 @@ def test_node_dataset_feature_count_must_match_data_features(tmp_path, capsys):
     assert "nodes[1].dataset.features" in capsys.readouterr().err
 
 
+def test_node_dataset_ragged_features_are_a_config_error(tmp_path, capsys):
+    rows = [[0.1 * i, 1.0] for i in range(20)]
+    rows[3] = [0.2]
+    rc = _run_with_node_dataset(tmp_path, rows, [0, 1] * 10)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "nodes[1].dataset.features" in err
+    assert "inhomogeneous" not in err  # numpy's own wording stays out
+
+
+def test_node_dataset_non_numeric_feature_is_a_config_error(tmp_path, capsys):
+    rows = [[0.1 * i, 1.0] for i in range(20)]
+    rows[5] = [0.2, "x"]
+    rc = _run_with_node_dataset(tmp_path, rows, [0, 1] * 10)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "nodes[1].dataset.features" in err
+    assert "could not convert" not in err
+
+
 def test_node_dataset_classes_must_match_data_classes(tmp_path, capsys):
     rows = [[0.1 * i, 1.0] for i in range(20)]  # data.classes is 2
     rc = _run_with_node_dataset(tmp_path, rows, [0, 1, 2] * 6 + [0, 1], "classes: 3, ")
@@ -375,3 +395,26 @@ def test_audit_rejects_truncated_dump(tmp_path, capsys):
 
 def test_audit_missing_file_is_a_config_error(tmp_path):
     assert cli.main(["audit", "--chain", str(tmp_path / "absent.txt")]) == 1
+
+
+def _audit_text(tmp_path, text: str) -> int:
+    dump = tmp_path / "dump.txt"
+    dump.write_text(text)
+    return cli.main(["audit", "--chain", str(dump)])
+
+
+def test_audit_negative_index_is_a_format_error(tmp_path, capsys):
+    z = "00" * 32
+    assert _audit_text(tmp_path, f"-1|{z}|0|L,1,1,{z}|{z}\n") == 3
+    err = capsys.readouterr().err
+    assert "format error" in err and "index -1" in err
+
+
+def test_audit_timestamp_beyond_u64_is_a_format_error(tmp_path, capsys):
+    lines = _run_small(tmp_path).read_text().splitlines()
+    parts = lines[1].split("|")
+    parts[2] = str(2**70)
+    lines[1] = "|".join(parts)
+    assert _audit_text(tmp_path, "\n".join(lines) + "\n") == 3
+    err = capsys.readouterr().err
+    assert "format error" in err and f"dump line 1: timestamp_ms {2**70}" in err

@@ -347,3 +347,75 @@ def test_split_dataset_partitions_rows():
     assert np.array_equal(np.sort(np.concatenate([train.indices, test.indices])), np.sort(data.indices))
     joined = np.vstack([train.features, test.features])
     assert np.array_equal(joined, data.features)
+
+
+def test_local_train_raises_when_training_diverges():
+    data = _separable_data()
+    start = np.random.default_rng(1).normal(size=model.param_dim(2, 2))
+    for batch_size in (8, 1500):  # mini-batch and full batch
+        cfg = model.TrainConfig(epochs=5, learning_rate=1e308, batch_size=batch_size)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ArithmeticError, match="diverged"):
+            model.local_train(start, data, cfg, rng_seed=0)
+
+
+_FULL = model.TrainConfig(epochs=2, learning_rate=0.3, batch_size=1500)
+_MINI = model.TrainConfig(epochs=2, learning_rate=0.3, batch_size=7)  # ragged last batch
+
+
+def _call(kind, params, data):
+    """One model call; float results as numpy scalars, so every result has tobytes()."""
+    if kind == "train_full":
+        return model.local_train(params, data, _FULL, rng_seed=5)
+    if kind == "train_mini":
+        return model.local_train(params, data, _MINI, rng_seed=5)
+    if kind == "loss":
+        return np.float64(model.local_loss(params, data))
+    if kind == "gradient":
+        return model.loss_gradient(params, data)
+    return np.float64(model.evaluate_accuracy(params, data))
+
+
+_KINDS = ("train_full", "train_mini", "loss", "gradient", "accuracy")
+
+
+@pytest.mark.parametrize("classes", [3, 9])
+def test_reassigning_features_or_labels_rebuilds_the_derived_arrays(classes):
+    a = model.generate_synthetic_dataset(seed=31, n=40, f=3, classes=classes, separation=1.0)
+    b = model.generate_synthetic_dataset(seed=32, n=40, f=3, classes=classes, separation=1.0)
+    c = model.generate_synthetic_dataset(seed=33, n=23, f=3, classes=classes, separation=1.0)
+    params = np.random.default_rng(34).normal(size=model.param_dim(3, classes))
+    reassignments = [
+        {"features": b.features},
+        {"labels": b.labels},
+        {"features": np.asfortranarray(b.features)},  # not C-contiguous
+        {"features": c.features, "labels": c.labels},  # another row count
+    ]
+    for new in reassignments:
+        for first in _KINDS:
+            data = model.Dataset(a.features, a.labels, classes)
+            _call(first, params, data)  # derive from the old arrays
+            for name, value in new.items():
+                setattr(data, name, value)
+            want = model.Dataset(new.get("features", a.features), new.get("labels", a.labels),
+                                 classes)
+            for kind in _KINDS:
+                assert _call(kind, params, data).tobytes() \
+                    == _call(kind, params, want).tobytes(), (sorted(new), first, kind)
+
+
+@pytest.mark.parametrize("classes", [2, 9])
+def test_interleaved_model_calls_match_calls_on_fresh_datasets(classes):
+    # Results are compared only after every call has run, so a result that
+    # shares memory with a buffer a later call reuses would show.
+    data = model.generate_synthetic_dataset(seed=41, n=30, f=2, classes=classes, separation=1.5)
+    rng = np.random.default_rng(42)
+    done = []
+    for _ in range(60):
+        kind = _KINDS[int(rng.integers(len(_KINDS)))]
+        params = rng.normal(size=model.param_dim(2, classes))
+        done.append((kind, params, _call(kind, params, data)))
+    assert {kind for kind, _, _ in done} == set(_KINDS)
+    for kind, params, got in done:
+        want = _call(kind, params, model.Dataset(data.features, data.labels, classes))
+        assert got.tobytes() == want.tobytes(), kind
