@@ -22,7 +22,7 @@ class Verdict(enum.Enum):
 
 class DefenseMode(enum.Enum):
     OFF = "off"
-    THRESHOLD_FRACTION = "threshold_fraction"
+    THRESHOLD_FRACTION = "threshold"
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,10 @@
 """Command-line front end: config files in, metrics CSV and chain dumps out.
 
 Scenarios are described in a nested key-value file; omitted fields fall
-back to the stock five-node experiment (three roadside units, two buses
-at 4x compute, 50 local epochs at learning rate 0.01 on 1500-sample
-batches, 2 s / 10 record / 10 MB block cutting).  Outputs are plain text
-so any plotting tool can consume them: one CSV per (strategy, seed) and
-one chain dump per chain-backed run, all written atomically.
+back to the stock five-node experiment of `orchestrator.default_scenario`.
+Outputs are plain text so any plotting tool can consume them: one CSV per
+(strategy, seed) and one chain dump per chain-backed run, all written
+atomically.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime error,
 3 audit failure (including an unparseable dump).
@@ -15,27 +14,26 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import enum
+import functools
 import io
+import math
 import os
 import sys
 import tempfile
+import typing
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 import yaml
 
-from .aggregation import DefenseMode, DefensePolicy
-from .chain import AuditReport, BlockCutPolicy, audit_dump, dump_chain
-from .model import Dataset, TrainConfig
-from .netsim import DdosConfig, LinkParams, PayloadSizes
-from .orchestrator import (AttackConfig, DataSpec, MetricsRow, NodeConfig,
-                           Role, RunResult, ScenarioConfig, Strategy,
-                           default_nodes, default_scenario, run_scenario)
-
-_SCENARIO_KEYS = ("strategy", "nodes", "train", "data", "chain_policy",
-                  "term_blocks", "payload", "attack", "duration_s",
-                  "master_seed", "metrics_interval_s")
+from .aggregation import DefensePolicy
+from .chain import AuditReport, audit_dump, dump_chain
+from .model import Dataset
+from .netsim import DdosConfig
+from .orchestrator import (AttackConfig, DataSpec, MetricsRow, RunResult,
+                           ScenarioConfig, Strategy, default_scenario, run_scenario)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -56,271 +54,169 @@ class RunManifest:
             raise ValueError("seeds: need at least one seed")
 
 
-# ------------------------------------------------------------ config parsing
+# ------------------------------------------------------------- config schema
+#
+# A scenario file has one key per config dataclass field, with a nested
+# mapping for each dataclass-typed field.  The keys a section gives are
+# merged onto its default: the stock scenario at the root, else the value
+# the enclosing default holds, else the dataclass's own field default.  So
+# every default is written once, in its dataclass or in default_scenario.
 
 
-def _reject_unknown(mapping: dict, known: Sequence[str], where: str) -> None:
-    for key in mapping:
-        if key not in known:
-            raise ValueError(f"{where}unknown field {key!r}")
-
-
-def _as_float(value, name: str) -> float:
+def _finite(value) -> Optional[float]:
+    """value as a finite float, or None; PyYAML reads 8e7 (no dot) as a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        return None
     try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a number, got {value!r}") from None
+        number = float(value)
+    except (ValueError, OverflowError):
+        return None
+    return number if math.isfinite(number) else None
 
 
-def _as_int(value, name: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+def _as_float(value, path: str, spec=None) -> float:
+    number = _finite(value)
+    if number is None:
+        raise ValueError(f"{path} must be a finite number, got {value!r}")
+    return number
 
 
-def _as_array(value, dtype, name: str) -> np.ndarray:
+def _as_int(value, path: str, spec=None) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    number = _finite(value)
+    if number is None or not number.is_integer():
+        raise ValueError(f"{path} must be a whole number, got {value!r}")
+    return int(number)
+
+
+def _as_array(value, dtype, path: str) -> np.ndarray:
     try:
         return np.asarray(value, dtype=dtype)
     except (TypeError, ValueError):  # ragged rows, or an entry that is not a number
-        raise ValueError(f"{name} must be a rectangular array of numbers") from None
+        raise ValueError(f"{path} must be a rectangular array of numbers") from None
 
 
-def _section(data: dict, key: str) -> dict:
-    value = data.get(key) or {}
+def _as_mapping(value, path: str, known) -> dict:
+    if value is None:  # an empty section keeps its default
+        return {}
     if not isinstance(value, dict):
-        raise ValueError(f"{key} must be a mapping")
+        raise ValueError(f"{path or 'config root'} must be a mapping, got {value!r}")
+    for key in value:
+        if key not in known:
+            raise ValueError(f"unknown field {_join(path, key)}")
     return value
 
 
-def _link_from(mapping: dict, where: str) -> LinkParams:
-    _reject_unknown(mapping, ("mobile_bandwidth_hz", "mobile_snr",
-                              "ethernet_rate_bps"), where)
-    kw = {k: _as_float(v, where + k) for k, v in mapping.items()}
-    return LinkParams(**kw)
+def _join(path: str, name) -> str:
+    return f"{path}.{name}" if path else str(name)
 
 
-def _dataset_from(mapping: dict, where: str, spec: DataSpec) -> Dataset:
-    _reject_unknown(mapping, ("features", "labels", "classes"), where)
-    try:
-        raw_x, raw_labels = mapping["features"], mapping["labels"]
-    except KeyError as exc:
-        raise ValueError(f"{where}dataset needs {exc.args[0]!r}") from None
-    x = _as_array(raw_x, float, where + "features")
-    labels = _as_array(raw_labels, None, where + "labels")
+def _load_dataset(value, path: str, spec: DataSpec) -> Dataset:
+    value = _as_mapping(value, path, ("features", "labels", "classes"))
+    for key in ("features", "labels"):
+        if key not in value:
+            raise ValueError(f"{path}.{key} is required")
     # ScenarioConfig checks the dataset against data, labels' dtype included
-    return Dataset(x, labels, _as_int(mapping.get("classes", spec.classes), where + "classes"))
+    return Dataset(_as_array(value["features"], float, path + ".features"),
+                   _as_array(value["labels"], None, path + ".labels"),
+                   _as_int(value.get("classes", spec.classes), path + ".classes"))
 
 
-def _node_from(mapping: dict, where: str, spec: DataSpec) -> NodeConfig:
-    _reject_unknown(mapping, ("id", "role", "compute_time_multiplier",
-                              "link", "dataset"), where)
-    if "id" not in mapping:
-        raise ValueError(f"{where}id is required")
-    kw = {"id": _as_int(mapping["id"], where + "id")}
-    if "role" in mapping:
-        try:
-            kw["role"] = Role(mapping["role"])
-        except ValueError:
-            raise ValueError(
-                f"{where}role must be one of "
-                f"{[r.value for r in Role]}, got {mapping['role']!r}") from None
-    else:
-        kw["role"] = Role.RSU
-    if "compute_time_multiplier" in mapping:
-        kw["compute_time_multiplier"] = _as_float(
-            mapping["compute_time_multiplier"], where + "compute_time_multiplier")
-    if "link" in mapping:
-        kw["link"] = _link_from(mapping["link"], where + "link.")
-    if "dataset" in mapping:
-        kw["dataset"] = _dataset_from(mapping["dataset"], where + "dataset.", spec)
-    return NodeConfig(**kw)
+def _load_strategy(value, path: str, spec=None) -> Strategy:
+    try:
+        return Strategy.parse(str(value))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
-def _attack_from(mapping: dict) -> AttackConfig:
-    _reject_unknown(mapping, ("poisoners", "poison_magnitude", "ddos",
-                              "defense"), "attack.")
+# (load, dump) of each type that is not walked field by field.  A loader
+# takes (value, path, spec), spec being the scenario's DataSpec.
+_COERCERS = {
+    int: (_as_int, int),
+    float: (_as_float, float),
+    Strategy: (_load_strategy, lambda s: s.label),
+    Dataset: (_load_dataset, lambda ds: {"features": ds.features.tolist(),
+                                         "labels": [int(x) for x in ds.labels],
+                                         "classes": int(ds.classes)}),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _schema(cls) -> dict:
+    """Init field name -> (field, resolved type) of a config dataclass."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (f, hints[f.name]) for f in dataclasses.fields(cls) if f.init}
+
+
+def _load(tp, value, base, path: str, spec: Optional[DataSpec]):
+    """value read from a file as type tp.
+
+    A dataclass section merges onto base when base is an instance, else onto
+    the dataclass's field defaults.
+    """
+    if tp in _COERCERS:
+        return _COERCERS[tp][0](value, path, spec)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is typing.Union:  # Optional[X]
+        return None if value is None else _load(args[0], value, base, path, spec)
+    if origin in (tuple, frozenset):
+        if not isinstance(value, list):
+            raise ValueError(f"{path} must be a list, got {value!r}")
+        return origin(_load(args[0], v, None, f"{path}[{i}]", spec)
+                      for i, v in enumerate(value))
+    if issubclass(tp, enum.Enum):  # spelled by value
+        names = {m.value: m for m in tp}
+        if isinstance(value, str) and value in names:
+            return names[value]
+        raise ValueError(f"{path} must be one of {list(names)}, got {value!r}")
+    schema = _schema(tp)
+    value = _as_mapping(value, path, schema)
     kw = {}
-    if "poisoners" in mapping:
-        ids = mapping["poisoners"] or []
-        kw["poisoners"] = frozenset(_as_int(i, "attack.poisoners") for i in ids)
-    if "poison_magnitude" in mapping:
-        kw["poison_magnitude"] = _as_float(mapping["poison_magnitude"],
-                                           "attack.poison_magnitude")
-    if mapping.get("ddos") is not None:
-        d = mapping["ddos"]
-        _reject_unknown(d, ("attack_fraction", "retarget_lag_terms"),
-                        "attack.ddos.")
-        kw["ddos"] = DdosConfig(
-            attack_fraction=_as_float(d.get("attack_fraction", 0.0),
-                                      "attack.ddos.attack_fraction"),
-            retarget_lag_terms=_as_int(d.get("retarget_lag_terms", 1),
-                                       "attack.ddos.retarget_lag_terms"))
-    if "defense" in mapping:
-        d = mapping["defense"] or {}
-        _reject_unknown(d, ("mode", "theta"), "attack.defense.")
-        mode = d.get("mode", "off")
-        if mode == "off":
-            kw["defense"] = DefensePolicy.off()
-        elif mode == "threshold":
-            kw["defense"] = DefensePolicy.threshold(
-                _as_float(d.get("theta", 0.0), "attack.defense.theta"))
+    for name, (f, hint) in schema.items():
+        default = getattr(base, name, f.default)  # f.default when base is None
+        if name in value:
+            kw[name] = _load(hint, value[name], default, _join(path, name), spec)
+        elif default is dataclasses.MISSING:
+            raise ValueError(f"{_join(path, name)} is required")
         else:
-            raise ValueError(f"attack.defense.mode must be 'off' or "
-                             f"'threshold', got {mode!r}")
-    return AttackConfig(**kw)
+            kw[name] = default
+    try:
+        return tp(**kw)
+    except ValueError as exc:  # a config dataclass's messages start with the field name
+        raise ValueError(_join(path, exc)) from None
 
 
-def scenario_from_mapping(data: dict) -> ScenarioConfig:
-    """Validated scenario from a parsed config mapping; omitted keys default."""
-    _reject_unknown(data, _SCENARIO_KEYS, "")
-    strategy = Strategy.parse(str(data.get("strategy", "DBAFL")))
-    overrides = {}
-    train = _section(data, "train")
-    if train:
-        _reject_unknown(train, ("epochs", "learning_rate", "batch_size"), "train.")
-        overrides["train"] = TrainConfig(
-            epochs=_as_int(train.get("epochs", 50), "train.epochs"),
-            learning_rate=_as_float(train.get("learning_rate", 0.01),
-                                    "train.learning_rate"),
-            batch_size=_as_int(train.get("batch_size", 1500), "train.batch_size"))
-    geometry = _section(data, "data")
-    if geometry:
-        _reject_unknown(geometry, ("samples_per_node", "features", "classes",
-                               "separation", "test_fraction"), "data.")
-        defaults = DataSpec()
-        overrides["data"] = DataSpec(
-            samples_per_node=_as_int(geometry.get("samples_per_node",
-                                              defaults.samples_per_node),
-                                     "data.samples_per_node"),
-            features=_as_int(geometry.get("features", defaults.features),
-                             "data.features"),
-            classes=_as_int(geometry.get("classes", defaults.classes),
-                            "data.classes"),
-            separation=_as_float(geometry.get("separation", defaults.separation),
-                                 "data.separation"),
-            test_fraction=_as_float(geometry.get("test_fraction",
-                                             defaults.test_fraction),
-                                    "data.test_fraction"))
-    if "nodes" in data:
-        raw = data["nodes"]
-        if not isinstance(raw, list):
-            raise ValueError("nodes must be a list")
-        spec = overrides.get("data", DataSpec())
-        overrides["nodes"] = tuple(
-            _node_from(n, f"nodes[{i}].", spec) for i, n in enumerate(raw))
-    policy = _section(data, "chain_policy")
-    if policy:
-        _reject_unknown(policy, ("max_wait_s", "max_records",
-                                 "max_block_bytes"), "chain_policy.")
-        stock = BlockCutPolicy()
-        kw = dict(
-            max_wait_s=_as_float(policy.get("max_wait_s", stock.max_wait_s),
-                                 "chain_policy.max_wait_s"),
-            max_records=_as_int(policy.get("max_records", stock.max_records),
-                                "chain_policy.max_records"),
-            max_block_bytes=_as_int(policy.get("max_block_bytes",
-                                               stock.max_block_bytes),
-                                    "chain_policy.max_block_bytes"))
-        try:
-            overrides["chain_policy"] = BlockCutPolicy(**kw)
-        except ValueError as exc:  # its messages start with the field name
-            raise ValueError(f"chain_policy.{exc}") from None
-    payload = _section(data, "payload")
-    if payload:
-        _reject_unknown(payload, ("model_bits", "hash_bits", "block_bits"),
-                        "payload.")
-        kw = {k: _as_float(v, "payload." + k) for k, v in payload.items()}
-        overrides["payload"] = PayloadSizes(**kw)
-    attack = _section(data, "attack")
-    if attack:
-        overrides["attack"] = _attack_from(attack)
-    return default_scenario(
-        strategy,
-        master_seed=_as_int(data.get("master_seed", 1), "master_seed"),
-        duration_s=_as_float(data.get("duration_s", 600.0), "duration_s"),
-        term_blocks=_as_int(data.get("term_blocks", 10), "term_blocks"),
-        metrics_interval_s=_as_float(data.get("metrics_interval_s", 5.0),
-                                     "metrics_interval_s"),
-        **overrides)
+def _dump(tp, value):
+    """File form of value, which _load reads back to an equal value."""
+    if tp in _COERCERS:
+        return _COERCERS[tp][1](value)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is typing.Union:
+        return None if value is None else _dump(args[0], value)
+    if origin is tuple:
+        return [_dump(args[0], v) for v in value]
+    if origin is frozenset:
+        return sorted(_dump(args[0], v) for v in value)
+    if issubclass(tp, enum.Enum):
+        return value.value
+    return {name: _dump(hint, getattr(value, name))
+            for name, (_, hint) in _schema(tp).items()}
 
 
 def load_scenario(path: str) -> ScenarioConfig:
-    """Parse and validate a scenario file; empty files mean all defaults."""
+    """Parse and validate a scenario file, merged onto the stock scenario."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
-    if data is None:
-        data = {}
-    if not isinstance(data, dict):
-        raise ValueError("config root must be a mapping")
-    return scenario_from_mapping(data)
+        data = _as_mapping(yaml.safe_load(fh), "", _schema(ScenarioConfig))
+    stock = default_scenario(Strategy.dbafl())
+    # a node dataset's classes default to data.classes, so data loads first
+    spec = _load(DataSpec, data.get("data"), stock.data, "data", None)
+    return _load(ScenarioConfig, data, stock, "", spec)
 
 
 def serialize_scenario(cfg: ScenarioConfig) -> str:
     """Config text that loads back to an equal scenario."""
-    nodes = []
-    for n in cfg.nodes:
-        entry = {
-            "id": n.id,
-            "role": n.role.value,
-            "compute_time_multiplier": float(n.compute_time_multiplier),
-            "link": {
-                "mobile_bandwidth_hz": float(n.link.mobile_bandwidth_hz),
-                "mobile_snr": float(n.link.mobile_snr),
-                "ethernet_rate_bps": float(n.link.ethernet_rate_bps),
-            },
-        }
-        if n.dataset is not None:
-            entry["dataset"] = {
-                "features": n.dataset.features.tolist(),
-                "labels": [int(x) for x in n.dataset.labels],
-                "classes": int(n.dataset.classes),
-            }
-        nodes.append(entry)
-    attack = {
-        "poisoners": sorted(cfg.attack.poisoners),
-        "poison_magnitude": float(cfg.attack.poison_magnitude),
-        "ddos": None if cfg.attack.ddos is None else {
-            "attack_fraction": float(cfg.attack.ddos.attack_fraction),
-            "retarget_lag_terms": int(cfg.attack.ddos.retarget_lag_terms),
-        },
-        "defense": (
-            {"mode": "off"}
-            if cfg.attack.defense.mode is DefenseMode.OFF
-            else {"mode": "threshold", "theta": float(cfg.attack.defense.theta)}),
-    }
-    doc = {
-        "strategy": cfg.strategy.label,
-        "duration_s": float(cfg.duration_s),
-        "master_seed": int(cfg.master_seed),
-        "metrics_interval_s": float(cfg.metrics_interval_s),
-        "term_blocks": int(cfg.term_blocks),
-        "nodes": nodes,
-        "train": {
-            "epochs": int(cfg.train.epochs),
-            "learning_rate": float(cfg.train.learning_rate),
-            "batch_size": int(cfg.train.batch_size),
-        },
-        "data": {
-            "samples_per_node": int(cfg.data.samples_per_node),
-            "features": int(cfg.data.features),
-            "classes": int(cfg.data.classes),
-            "separation": float(cfg.data.separation),
-            "test_fraction": float(cfg.data.test_fraction),
-        },
-        "chain_policy": {
-            "max_wait_s": float(cfg.chain_policy.max_wait_s),
-            "max_records": int(cfg.chain_policy.max_records),
-            "max_block_bytes": int(cfg.chain_policy.max_block_bytes),
-        },
-        "payload": {
-            "model_bits": float(cfg.payload.model_bits),
-            "hash_bits": float(cfg.payload.hash_bits),
-            "block_bits": float(cfg.payload.block_bits),
-        },
-        "attack": attack,
-    }
-    return yaml.safe_dump(doc, sort_keys=False)
+    return yaml.safe_dump(_dump(ScenarioConfig, cfg), sort_keys=False)
 
 
 # -------------------------------------------------------------- run plumbing
@@ -336,12 +232,10 @@ def apply_overrides(cfg: ScenarioConfig, strategy: Optional[str] = None,
         if attack == "poisoning":
             new = dataclasses.replace(
                 cfg.attack, poisoners=frozenset({max(n.id for n in cfg.nodes)}),
-                poison_magnitude=10.0)
+                poison_magnitude=AttackConfig().poison_magnitude)
         elif attack.startswith("ddos:"):
             new = dataclasses.replace(
-                cfg.attack,
-                ddos=DdosConfig(attack_fraction=_as_float(attack[5:], "--attack"),
-                                retarget_lag_terms=1))
+                cfg.attack, ddos=DdosConfig(attack_fraction=_as_float(attack[5:], "--attack")))
         else:
             raise ValueError(
                 f"--attack must be 'poisoning' or 'ddos:<fraction>', got {attack!r}")

@@ -30,11 +30,11 @@ class LinkParams:
 
     def __post_init__(self) -> None:
         if self.mobile_bandwidth_hz <= 0:
-            raise ValueError("mobile bandwidth must be positive")
+            raise ValueError("mobile_bandwidth_hz must be positive")
         if self.mobile_snr < 0:
-            raise ValueError("SNR must be non-negative")
+            raise ValueError("mobile_snr must be non-negative")
         if self.ethernet_rate_bps <= 0:
-            raise ValueError("ethernet rate must be positive")
+            raise ValueError("ethernet_rate_bps must be positive")
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,9 @@ class PayloadSizes:
 
     def __post_init__(self) -> None:
         if self.model_bits <= 0 or self.hash_bits <= 0 or self.block_bits <= 0:
-            raise ValueError("payload sizes must be positive")
+            raise ValueError("model_bits, hash_bits and block_bits must be positive")
         if self.hash_bits > self.model_bits:
-            raise ValueError("a digest cannot be larger than the model it summarizes")
+            raise ValueError("hash_bits must not exceed model_bits")
 
 
 @dataclass(frozen=True)
@@ -86,14 +86,14 @@ class DdosConfig:
         knowledge of who currently serves is.
     """
 
-    attack_fraction: float
-    retarget_lag_terms: int
+    attack_fraction: float = 0.0
+    retarget_lag_terms: int = 1
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.attack_fraction < 1.0:
-            raise ValueError("attack fraction must lie in [0, 1)")
+            raise ValueError("attack_fraction must lie in [0, 1)")
         if self.retarget_lag_terms < 0:
-            raise ValueError("retarget lag must be non-negative")
+            raise ValueError("retarget_lag_terms must be non-negative")
 
 
 def shannon_rate(link: LinkParams) -> float:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -66,8 +67,8 @@ class Strategy:
 
     def __post_init__(self) -> None:
         if self.kind is StrategyKind.STATIC_EPS:
-            if self.epsilon is None or self.epsilon <= 0:
-                raise ValueError("StaticEps needs a positive epsilon")
+            if self.epsilon is None or not 0 < self.epsilon < math.inf:
+                raise ValueError("StaticEps needs a positive finite epsilon")
         elif self.epsilon is not None:
             raise ValueError(f"{self.kind.value} does not take an epsilon")
 
@@ -142,14 +143,14 @@ class Strategy:
 @dataclass(frozen=True)
 class NodeConfig:
     id: int
-    role: Role
+    role: Role = Role.RSU
     compute_time_multiplier: float = 1.0  # simulated s of training per epoch per 1000 samples
     dataset: Optional[Dataset] = None     # None derives a slice of the shared pool
     link: LinkParams = DEFAULT_LINK
 
     def __post_init__(self) -> None:
         if self.id < 0:
-            raise ValueError("node id must be non-negative")
+            raise ValueError("id must be non-negative")
         if self.compute_time_multiplier < 1.0:
             raise ValueError("compute_time_multiplier must be at least 1")
 
@@ -168,7 +169,7 @@ class DataSpec:
         if self.samples_per_node < 10:
             raise ValueError("samples_per_node must be at least 10")
         if self.features < 1 or self.classes < 2:
-            raise ValueError("need at least one feature and two classes")
+            raise ValueError("features must be at least 1 and classes at least 2")
         if self.separation < 0:
             raise ValueError("separation must be non-negative")
         if not 0.0 < self.test_fraction < 1.0:
@@ -177,7 +178,7 @@ class DataSpec:
 
 @dataclass(frozen=True)
 class AttackConfig:
-    poisoners: frozenset = frozenset()
+    poisoners: frozenset[int] = frozenset()
     poison_magnitude: float = 10.0
     ddos: Optional[DdosConfig] = None
     defense: DefensePolicy = DefensePolicy.off()
@@ -194,7 +195,7 @@ class AttackConfig:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    nodes: tuple
+    nodes: tuple[NodeConfig, ...]
     strategy: Strategy
     train: TrainConfig
     data: DataSpec
@@ -217,10 +218,11 @@ class ScenarioConfig:
                 not any(n.role is Role.RSU for n in self.nodes):
             raise ValueError(
                 f"nodes: {self.strategy.label} needs at least one RSU to serve")
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be positive")
-        if self.metrics_interval_s <= 0:
-            raise ValueError("metrics_interval_s must be positive")
+        # a non-finite horizon or sampling interval would never end a run
+        if not 0 < self.duration_s < math.inf:
+            raise ValueError("duration_s must be positive and finite")
+        if not 0 < self.metrics_interval_s < math.inf:
+            raise ValueError("metrics_interval_s must be positive and finite")
         if self.term_blocks < 1:
             raise ValueError("term_blocks must be at least 1")
         if not self.attack.poisoners <= set(ids):
@@ -239,6 +241,8 @@ def _check_node_dataset(ds: Dataset, spec: DataSpec, where: str) -> None:
     if x.ndim != 2 or x.shape[1] != spec.features:
         raise ValueError(f"{where}features must be rows of data.features = "
                          f"{spec.features} values, got shape {x.shape}")
+    if not np.isfinite(x).all():  # training on them diverges
+        raise ValueError(f"{where}features must be finite numbers")
     if labels.shape != (len(x),) or not np.issubdtype(labels.dtype, np.integer):
         raise ValueError(f"{where}labels must hold one integer label per features "
                          f"row ({len(x)}), got {labels.dtype} of shape {labels.shape}")

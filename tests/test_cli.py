@@ -1,9 +1,13 @@
 """Config loading, the run/sweep/audit commands, and output file contracts."""
 
 import csv
+import dataclasses
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, given, settings
+from scenario_strategies import scenarios
 
 from dbafl import aggregation as agg
 from dbafl import cli
@@ -216,6 +220,95 @@ def test_round_trip_preserves_every_field(tmp_path):
         path = tmp_path / f"rt{i}.yaml"
         path.write_text(cli.serialize_scenario(cfg))
         assert cli.load_scenario(str(path)) == cfg
+
+
+# Partial sections merge onto their defaults, and every bad value is exit 1
+# naming its field, never a traceback, a misleading message or a truncation.
+LOADER_CASES = {
+    "partial-link": ("nodes: [{id: 0, link: {mobile_snr: 9.0}}]\n", lambda: orch.default_scenario(
+        orch.Strategy.dbafl(),
+        nodes=(orch.NodeConfig(0, link=dataclasses.replace(orch.DEFAULT_LINK, mobile_snr=9.0)),))),
+    "partial-payload": ("payload: {model_bits: 1.0e6}\n", lambda: orch.default_scenario(
+        orch.Strategy.dbafl(),
+        payload=dataclasses.replace(orch.DEFAULT_PAYLOAD, model_bits=1e6))),
+    "link-not-a-mapping": ("nodes: [{id: 0, link: [1]}]\n", "nodes[0].link must be a mapping"),
+    "node-not-a-mapping": ("nodes:\n  - 5\n", "nodes[0] must be a mapping"),
+    "scalar-poisoners": ("attack: {poisoners: 3}\n", "attack.poisoners must be a list"),
+    "fractional-epochs": ("train: {epochs: 2.7}\n", "train.epochs must be a whole number"),
+    "bool-seed": ("master_seed: true\n", "master_seed must be a whole number"),
+    "theta-out-of-range": ("attack: {defense: {mode: threshold, theta: 2}}\n",
+                           "attack.defense.theta must be in [0, 1]"),
+}
+
+
+@pytest.mark.parametrize("text, expected", LOADER_CASES.values(), ids=LOADER_CASES.keys())
+def test_loader_merges_partial_sections_or_names_the_bad_field(tmp_path, capsys, text,
+                                                              expected):
+    path = _write(tmp_path, "case.yaml", text)
+    if callable(expected):
+        assert cli.load_scenario(path) == expected()
+        return
+    rc = cli.main(["run", "--config", path, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1 and expected in err, err
+
+
+@pytest.mark.parametrize("text, field", [
+    ("duration_s: .nan\n", "duration_s"),
+    ("duration_s: .inf\n", "duration_s"),
+    ("metrics_interval_s: .nan\n", "metrics_interval_s"),
+    ("chain_policy: {max_wait_s: .inf}\n", "chain_policy.max_wait_s"),
+    ("payload: {model_bits: .nan}\n", "payload.model_bits"),
+    ("train: {learning_rate: true}\n", "train.learning_rate"),
+    ("master_seed: 1.9\n", "master_seed"),
+    ("term_blocks: 2.5\n", "term_blocks"),
+], ids=["nan-horizon", "inf-horizon", "nan-interval", "inf-max-wait", "nan-model-bits",
+        "bool-rate", "fractional-seed", "fractional-term-blocks"])
+def test_non_finite_bool_or_fractional_values_are_named_config_errors(tmp_path, text, field):
+    # load only: a run with a non-finite horizon that slipped through would never end
+    with pytest.raises(ValueError, match=rf"^{re.escape(field)} must be a (finite|whole) "):
+        cli.load_scenario(_write(tmp_path, "bad.yaml", text))
+
+
+def test_exponent_numbers_without_a_dot_still_load(tmp_path):
+    # PyYAML reads 8e7 (no dot) as a string, not a float
+    text = "payload: {model_bits: 8e7}\nchain_policy: {max_block_bytes: 1e6}\n"
+    cfg = cli.load_scenario(_write(tmp_path, "exp.yaml", text))
+    assert cfg.payload.model_bits == 8e7
+    assert cfg.chain_policy.max_block_bytes == 1_000_000
+
+
+@pytest.mark.parametrize("bad", [".inf", "-.inf", ".nan", "null", "1e400"])
+def test_node_dataset_non_finite_features_are_a_config_error(tmp_path, capsys, bad):
+    rows = "[" + ", ".join(f"[{0.1 * i}, 1.0]" for i in range(19)) + f", [0.2, {bad}]]"
+    rc = _run_with_node_dataset(tmp_path, rows, [0, 1] * 10)
+    assert rc == 1
+    assert "nodes[1].dataset.features" in capsys.readouterr().err
+
+
+# No shrinking: a failure names its first differing line, and shrinking
+# float-heavy scenarios takes minutes.
+@settings(max_examples=30, deadline=None, derandomize=True, phases=[Phase.generate])
+@given(cfg=scenarios())
+def test_serialized_scenarios_load_back_to_the_same_text(tmp_path_factory, cfg):
+    # text, not configs: a node Dataset holds arrays, so == on it is ambiguous
+    path = tmp_path_factory.getbasetemp() / "round_trip.yaml"  # one file for all examples
+    text = cli.serialize_scenario(cfg)
+    path.write_text(text)
+    again = cli.serialize_scenario(cli.load_scenario(str(path)))
+    if again != text:  # report the first difference: diffing whole texts is slow
+        before, after = next((a, b) for a, b in zip(text.splitlines() + [""],
+                                                    again.splitlines() + [""]) if a != b)
+        pytest.fail(f"reloaded scenario serializes differently: {before!r} -> {after!r}")
+
+
+def test_readme_scenario_example_loads_and_round_trips(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("A fuller scenario file", 1)[1].split("```yaml\n", 1)[1]
+    cfg = cli.load_scenario(_write(tmp_path, "readme.yaml", example.split("```", 1)[0]))
+    text = cli.serialize_scenario(cfg)
+    again = cli.load_scenario(_write(tmp_path, "again.yaml", text))
+    assert again == cfg and cli.serialize_scenario(again) == text
 
 
 def test_manifest_requires_seeds(tmp_path):

@@ -479,6 +479,31 @@ def test_node_dataset_must_fit_the_data_spec(features, labels, classes, field):
         small_scenario(orch.Strategy.dbafl(), nodes=nodes)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_node_dataset_non_finite_features_are_rejected(bad):
+    features = np.zeros((20, 2))
+    features[7, 1] = bad
+    own = mdl.Dataset(features, np.array([0, 1] * 10), 2)
+    nodes = (orch.NodeConfig(id=0, role=orch.Role.RSU),
+             orch.NodeConfig(id=1, role=orch.Role.RSU, dataset=own))
+    with pytest.raises(ValueError, match=r"^nodes\[1\]\.dataset\.features "):
+        small_scenario(orch.Strategy.dbafl(), nodes=nodes)
+
+
+@pytest.mark.parametrize("field", ["duration_s", "metrics_interval_s"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_non_finite_horizon_or_interval_is_rejected(field, value):
+    # either would keep run_scenario from ever ending
+    with pytest.raises(ValueError, match=rf"^{field} must be positive and finite"):
+        orch.default_scenario(orch.Strategy.dbafl(), **{field: value})
+
+
+@pytest.mark.parametrize("text", ["StaticEps:nan", "StaticEps:inf"])
+def test_static_eps_needs_a_finite_epsilon(text):
+    with pytest.raises(ValueError, match="finite"):
+        orch.Strategy.parse(text)
+
+
 def test_node_dataset_that_fits_runs():
     data = mdl.generate_synthetic_dataset(seed=4, n=60, f=2, classes=2, separation=3.0)
     nodes = (orch.NodeConfig(id=0, role=orch.Role.RSU),
