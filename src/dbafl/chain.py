@@ -40,6 +40,9 @@ class VerifyResult(enum.Enum):
     TAMPERED_AND_BLACKLISTED = "tampered_and_blacklisted"
 
 
+_DIGEST_LENGTH = "digest must be exactly 32 bytes"
+
+
 @dataclass(frozen=True)
 class HashRecord:
     kind: RecordKind
@@ -49,12 +52,16 @@ class HashRecord:
 
     def __post_init__(self):
         if len(self.digest) != 32:
-            raise ValueError("digest must be exactly 32 bytes")
+            raise ValueError(_DIGEST_LENGTH)
 
 
 _RECORD_HEAD = struct.Struct("<BQQ")
+_U32 = struct.Struct("<I")
+_U64 = struct.Struct("<Q")
 RECORD_BYTES = _RECORD_HEAD.size + 32  # every serialized record has this length
 BLOCK_HEADER_BYTES = struct.calcsize("<Q32sIQ")  # index, prev_hash, count, timestamp
+_KIND_BYTE = {RecordKind.LOCAL: 0, RecordKind.GLOBAL: 1}
+_LETTER_BYTE = {kind.value: byte for kind, byte in _KIND_BYTE.items()}  # dump_chain's letters
 
 
 def block_bytes(records: int) -> int:
@@ -63,14 +70,17 @@ def block_bytes(records: int) -> int:
 
 
 def serialize_record(record: HashRecord) -> bytes:
-    kind_byte = 0 if record.kind is RecordKind.LOCAL else 1
-    return _RECORD_HEAD.pack(kind_byte, record.node_id, record.round) + record.digest
+    return _RECORD_HEAD.pack(_KIND_BYTE[record.kind], record.node_id, record.round) + record.digest
+
+
+def _block_body(index: int, prev_hash: bytes, records: bytes, timestamp_ms: int) -> bytes:
+    """The block layout around records, the concatenation of serialized records."""
+    return (_U64.pack(index) + prev_hash + _U32.pack(len(records) // RECORD_BYTES)
+            + records + _U64.pack(timestamp_ms))
 
 
 def serialize_block_body(index: int, prev_hash: bytes, records, timestamp_ms: int) -> bytes:
-    head = struct.pack("<Q", index) + prev_hash + struct.pack("<I", len(records))
-    body = b"".join(serialize_record(r) for r in records)
-    return head + body + struct.pack("<Q", timestamp_ms)
+    return _block_body(index, prev_hash, b"".join(map(serialize_record, records)), timestamp_ms)
 
 
 @dataclass(frozen=True)
@@ -271,34 +281,46 @@ def dump_chain(c: Chain) -> str:
 
 
 def _parse_dump_line(line: str, lineno: int):
-    """(index, prev_hash, serialized block body, block_hash) of one dump line."""
+    """(index, prev_hash, serialized block body, block_hash) of one dump line.
+
+    Each record is packed straight from its fields, with HashRecord's checks
+    and messages, so no record object is built.
+    """
     parts = line.split("|")
     if len(parts) != 5:
         raise ValueError(f"dump line {lineno}: expected 5 fields, got {len(parts)}")
+    records, fits = [], True
     try:
         index = int(parts[0])
         prev_hash = bytes.fromhex(parts[1])
         timestamp_ms = int(parts[2])
-        records = []
         for item in parts[3].split(";"):
             kind_s, node_s, round_s, digest_hex = item.split(",")
-            records.append(
-                HashRecord(RecordKind(kind_s), int(node_s), int(round_s), bytes.fromhex(digest_hex))
-            )
+            kind = _LETTER_BYTE.get(kind_s)
+            if kind is None:
+                raise ValueError(f"{kind_s!r} is not a valid RecordKind")
+            node_id, rnd, digest = int(node_s), int(round_s), bytes.fromhex(digest_hex)
+            if len(digest) != 32:
+                raise ValueError(_DIGEST_LENGTH)
+            try:
+                records.append(_RECORD_HEAD.pack(kind, node_id, rnd) + digest)
+            except struct.error:  # named below, once every field has parsed
+                fits = False
         block_hash = bytes.fromhex(parts[4])
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise ValueError(f"dump line {lineno}: {exc}") from exc
     if len(prev_hash) != 32 or len(block_hash) != 32:
         raise ValueError(f"dump line {lineno}: hash fields must be 32 bytes")
-    try:
-        body = serialize_block_body(index, prev_hash, records, timestamp_ms)
-    except struct.error:  # an integer field is negative or >= 2**64, outside its u64
+    if not (fits and 0 <= index < 1 << 64 and 0 <= timestamp_ms < 1 << 64):
+        # an integer field is negative or >= 2**64, outside its u64
         fields = [("index", index), ("timestamp_ms", timestamp_ms)]
-        for j, r in enumerate(records):
-            fields += [(f"record {j} node_id", r.node_id), (f"record {j} round", r.round)]
+        for j, item in enumerate(parts[3].split(";")):
+            _, node_s, round_s, _ = item.split(",")
+            fields += [(f"record {j} node_id", int(node_s)), (f"record {j} round", int(round_s))]
         name, value = next((k, v) for k, v in fields if not 0 <= v < 1 << 64)
         raise ValueError(f"dump line {lineno}: {name} {value} does not fit an unsigned "
-                         f"64-bit field") from None
+                         f"64-bit field")
+    body = _block_body(index, prev_hash, b"".join(records), timestamp_ms)
     return index, prev_hash, body, block_hash
 
 

@@ -204,10 +204,27 @@ def _dump(tp, value):
             for name, (_, hint) in _schema(tp).items()}
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """SafeLoader that rejects a mapping repeating a key; safe_load keeps the last silently."""
+
+    def compose_mapping_node(self, anchor):
+        node = super().compose_mapping_node(anchor)
+        first = {}
+        for key, _ in node.value:
+            if not isinstance(key, yaml.ScalarNode) or key.tag == "tag:yaml.org,2002:merge":
+                continue  # a merged mapping's keys may be overridden
+            seen = first.setdefault((key.tag, key.value), key)
+            if seen is not key:
+                raise ValueError(f"duplicate key {key.value!r} on line "
+                                 f"{key.start_mark.line + 1} (first on line "
+                                 f"{seen.start_mark.line + 1})")
+        return node
+
+
 def load_scenario(path: str) -> ScenarioConfig:
     """Parse and validate a scenario file, merged onto the stock scenario."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = _as_mapping(yaml.safe_load(fh), "", _schema(ScenarioConfig))
+        data = _as_mapping(yaml.load(fh, Loader=_UniqueKeyLoader), "", _schema(ScenarioConfig))
     stock = default_scenario(Strategy.dbafl())
     # a node dataset's classes default to data.classes, so data loads first
     spec = _load(DataSpec, data.get("data"), stock.data, "data", None)

@@ -111,12 +111,18 @@ def generate_synthetic_dataset(seed: int, n: int, f: int, classes: int, separati
     return Dataset(features=features[perm], labels=labels[perm], classes=classes)
 
 
+def holdout_rows(n: int, test_fraction: float) -> int:
+    """Rows of n that split_dataset holds out for testing; ValueError if a split is empty."""
+    n_test = int(round(n * test_fraction))
+    if n_test < 1 or n_test >= n:
+        raise ValueError(f"test_fraction {test_fraction} leaves an empty train or test "
+                         f"split of {n} rows")
+    return n_test
+
+
 def split_dataset(data: Dataset, test_fraction: float) -> tuple[Dataset, Dataset]:
     """Head/tail split; callers pass pre-shuffled data (generate_synthetic_dataset shuffles)."""
-    n_test = int(round(data.n * test_fraction))
-    if n_test < 1 or n_test >= data.n:
-        raise ValueError("test_fraction leaves an empty split")
-    cut = data.n - n_test
+    cut = data.n - holdout_rows(data.n, test_fraction)
     train = Dataset(data.features[:cut], data.labels[:cut], data.classes, data.indices[:cut])
     test = Dataset(data.features[cut:], data.labels[cut:], data.classes, data.indices[cut:])
     return train, test
@@ -239,19 +245,26 @@ def loss_gradient(params: ModelParams, data: Dataset) -> ModelParams:
     return p.step(data.n)(weights, biases, p.x, p.onehot).copy()
 
 
-def local_train(start: ModelParams, data: Dataset, cfg: TrainConfig, rng_seed: int) -> ModelParams:
+def draws_batches(cfg: TrainConfig, data: Dataset) -> bool:
+    """True when local_train shuffles data into mini-batches, the only time it reads its seed."""
+    return cfg.batch_size < data.n
+
+
+def local_train(start: ModelParams, data: Dataset, cfg: TrainConfig,
+                rng_seed: int | None) -> ModelParams:
     """cfg.epochs passes of mini-batch gradient descent; full batch when batch_size >= n.
 
     Deterministic given (start, data, cfg, rng_seed); start is not mutated.
+    rng_seed is read only when draws_batches(cfg, data).
     """
     w = np.array(start, dtype=float, copy=True)
     weights, biases = _check(w, data)  # views: updating them updates w
     p = _prepare(data)
     x, onehot = p.x, p.onehot
-    n, size = data.n, min(cfg.batch_size, data.n)
-    rng = np.random.default_rng(rng_seed) if size < n else None  # full batches never draw
+    n, size = data.n, cfg.batch_size
+    rng = np.random.default_rng(rng_seed) if draws_batches(cfg, data) else None
     for _ in range(cfg.epochs):
-        if size == n:
+        if rng is None:
             batches = [(x, onehot)]
         else:
             order = rng.permutation(n)

@@ -24,9 +24,9 @@ from .aggregation import (DefenseMode, DefensePolicy, Verdict, aggregate_async,
                           aggregate_fedavg, defense_filter, scaling_factor)
 from .chain import (Chain, CommitteeState, BlockCutPolicy, HashRecord, RecordKind,
                     VerifyResult, hash_model, verify_record)
-from .model import (Dataset, ModelParams, TrainConfig, evaluate_accuracy,
-                    generate_synthetic_dataset, global_objective, init_params,
-                    local_loss, local_train, split_dataset)
+from .model import (Dataset, ModelParams, TrainConfig, draws_batches, evaluate_accuracy,
+                    generate_synthetic_dataset, global_objective, holdout_rows,
+                    init_params, local_loss, local_train, split_dataset)
 from .netsim import (DdosConfig, EventQueue, LinkParams, PayloadSizes,
                      ddos_effective_rate, shannon_rate, tx_time)
 
@@ -174,6 +174,7 @@ class DataSpec:
             raise ValueError("separation must be non-negative")
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError("test_fraction must lie strictly between 0 and 1")
+        holdout_rows(self.samples_per_node, self.test_fraction)  # raises on an empty split
 
 
 @dataclass(frozen=True)
@@ -249,6 +250,10 @@ def _check_node_dataset(ds: Dataset, spec: DataSpec, where: str) -> None:
     if labels.size and (labels.min() < 0 or labels.max() >= ds.classes):
         raise ValueError(f"{where}labels must lie in [0, {ds.classes}), got "
                          f"{labels.min()}..{labels.max()}")
+    try:
+        holdout_rows(len(x), spec.test_fraction)
+    except ValueError as exc:
+        raise ValueError(f"{where.rstrip('.')}: data.{exc}") from None
 
 
 @dataclass(frozen=True)
@@ -486,6 +491,7 @@ class _NodeRT:
         self.last_eps = 1.0
         self.train_time = cfg.compute_time_multiplier * train_cfg.epochs \
             * train_data.n / 1000.0
+        self.draws_batches = draws_batches(train_cfg, train_data)  # only then is a seed read
         self.test_time = cfg.compute_time_multiplier * test_data.n / 1000.0
         self.stage = "waiting"
         self.since = 0.0
@@ -678,9 +684,10 @@ class _Simulation:
         self.q.schedule(now + node.train_time, ("train", node))
 
     def _on_train(self, now: float, node: _NodeRT) -> None:
-        node.params = local_train(
-            node.params, node.train_data, self.cfg.train,
-            derive_seed(self.cfg.master_seed, "train", node.cfg.id, node.round))
+        seed = None
+        if node.draws_batches:
+            seed = derive_seed(self.cfg.master_seed, "train", node.cfg.id, node.round)
+        node.params = local_train(node.params, node.train_data, self.cfg.train, seed)
         node.marks["train"] = now
         node.switch(now, "testing")
         self.q.schedule(now + node.test_time, ("test", node))

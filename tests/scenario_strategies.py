@@ -42,11 +42,12 @@ ddos_configs = st.builds(net.DdosConfig, attack_fraction=floats(0.0, 0.9),
 
 @st.composite
 def datasets(draw, spec: orch.DataSpec) -> mdl.Dataset:
-    """A node's own dataset that fits spec: 5-8 rows of finite features.
+    """A node's own dataset that fits spec: 6-8 rows of finite features.
 
-    Five rows leave a non-empty split at any drawn test_fraction.
+    Six rows leave a non-empty split at any drawn test_fraction; five would
+    not at 0.1, since round(0.5) is 0.
     """
-    n = draw(st.integers(5, 8))
+    n = draw(st.integers(6, 8))
     row = st.lists(floats(-10.0, 10.0), min_size=spec.features, max_size=spec.features)
     features = draw(st.lists(row, min_size=n, max_size=n))
     labels = draw(st.lists(st.integers(0, spec.classes - 1), min_size=n, max_size=n))

@@ -1,6 +1,8 @@
 """Tests for dbafl.chain: ledger, block cutting, elections, fairness, tampering."""
 
 import hashlib
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -439,3 +441,123 @@ def test_audit_dump_of_a_mutated_dump_reports_or_raises_value_error(op, i, char)
     else:
         text = _DUMP[:i] + _DUMP[i + 1:]
     _audit_reports_or_raises_value_error(text)
+
+
+# --- differential audit: the record-object parser as the oracle ---
+
+
+def _reference_parse_dump_line(line: str, lineno: int):
+    """Builds a HashRecord per record and serializes it back; the parser's oracle."""
+    parts = line.split("|")
+    if len(parts) != 5:
+        raise ValueError(f"dump line {lineno}: expected 5 fields, got {len(parts)}")
+    try:
+        index = int(parts[0])
+        prev_hash = bytes.fromhex(parts[1])
+        timestamp_ms = int(parts[2])
+        records = []
+        for item in parts[3].split(";"):
+            kind_s, node_s, round_s, digest_hex = item.split(",")
+            records.append(ch.HashRecord(ch.RecordKind(kind_s), int(node_s), int(round_s),
+                                         bytes.fromhex(digest_hex)))
+        block_hash = bytes.fromhex(parts[4])
+    except (ValueError, KeyError) as exc:
+        raise ValueError(f"dump line {lineno}: {exc}") from exc
+    if len(prev_hash) != 32 or len(block_hash) != 32:
+        raise ValueError(f"dump line {lineno}: hash fields must be 32 bytes")
+    try:
+        body = ch.serialize_block_body(index, prev_hash, records, timestamp_ms)
+    except struct.error:
+        fields = [("index", index), ("timestamp_ms", timestamp_ms)]
+        for j, r in enumerate(records):
+            fields += [(f"record {j} node_id", r.node_id), (f"record {j} round", r.round)]
+        name, value = next((k, v) for k, v in fields if not 0 <= v < 1 << 64)
+        raise ValueError(f"dump line {lineno}: {name} {value} does not fit an unsigned "
+                         f"64-bit field") from None
+    return index, prev_hash, body, block_hash
+
+
+def _reference_audit_dump(text: str) -> ch.AuditReport:
+    lines = text.splitlines()
+    while lines and not lines[-1].strip():
+        lines.pop()
+    if not lines:
+        raise ValueError("empty chain dump")
+    prev = ch.ZERO_HASH
+    for i, line in enumerate(lines):
+        index, prev_hash, body, block_hash = _reference_parse_dump_line(line, i)
+        if index != i or prev_hash != prev or ch.hash_bytes(body) != block_hash:
+            return ch.AuditReport(ok=False, first_bad_block=i)
+        prev = block_hash
+    return ch.AuditReport(ok=True)
+
+
+def _outcome(audit, text: str):
+    """audit's report, or the type and message of the error it raised."""
+    try:
+        return audit(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_audits_agree(text: str) -> None:
+    assert _outcome(ch.audit_dump, text) == _outcome(_reference_audit_dump, text)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.text(alphabet=_DUMP_CHARS))
+def test_audit_dump_matches_the_reference_on_arbitrary_text(text):
+    _assert_audits_agree(text)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(("replace", "insert", "delete")),
+       st.integers(0, len(_DUMP) - 1), _DUMP_CHARS)
+def test_audit_dump_matches_the_reference_on_a_mutated_dump(op, i, char):
+    if op == "replace":
+        text = _DUMP[:i] + char + _DUMP[i + 1:]
+    elif op == "insert":
+        text = _DUMP[:i] + char + _DUMP[i:]
+    else:
+        text = _DUMP[:i] + _DUMP[i + 1:]
+    _assert_audits_agree(text)
+
+
+# each line of a dump split into field values (even positions) and separators
+_LINE_TOKENS = [re.split(r"([|;,])", line) for line in _DUMP.splitlines()]
+_FIELD_VALUES = st.sampled_from(
+    ["X", "l", "", "LG", "-1", "+5", str(2**64), str(2**64 - 1), "0", "7",
+     "00" * 31, "00" * 33, "ab" * 32])
+_EXTRA_SEPARATORS = st.sampled_from(["", ",", ";", "|"])
+
+
+def _field_edit(line: int):
+    return st.tuples(st.just(line), st.sampled_from(range(0, len(_LINE_TOKENS[line]), 2)),
+                     _FIELD_VALUES, _EXTRA_SEPARATORS)
+
+
+# one to three edits in one line, where check order decides which error is
+# raised, plus up to one edit anywhere, which the audit must not reach when
+# an earlier line is bad
+_FIELD_EDITS = st.builds(
+    lambda same_line, anywhere: same_line + anywhere,
+    st.integers(0, len(_LINE_TOKENS) - 1).flatmap(
+        lambda line: st.lists(_field_edit(line), min_size=1, max_size=3)),
+    st.lists(st.integers(0, len(_LINE_TOKENS) - 1).flatmap(_field_edit), max_size=1))
+
+
+# block 1's fields: 0 index, 2 prev_hash, 4 timestamp_ms, then its two
+# records' kind, node id, round and digest at 6-12 and 14-20, block_hash 22
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_FIELD_EDITS)
+@example([(1, 6, "l", ""), (1, 10, "", "")])  # a bad kind, then a round that is no integer
+@example([(1, 8, "LG", ""), (1, 12, "00" * 33, "")])  # a bad node id, then a long digest
+@example([(1, 8, str(2**64), ""), (1, 14, "X", "")])  # node id out of range, then a bad kind
+@example([(1, 8, "-1", ""), (1, 20, "00" * 31, "")])  # ... then a short digest
+@example([(1, 2, "00" * 31, ""), (1, 22, "7", "")])  # a short prev_hash, then bad hex
+@example([(0, 4, "7", ""), (1, 6, "X", "")])  # block 0 fails its hash before block 1 parses
+def test_audit_dump_matches_the_reference_on_field_edits(edits):
+    lines = [list(tokens) for tokens in _LINE_TOKENS]
+    for line, at, value, extra in edits:
+        lines[line][at] = value + extra
+    _assert_audits_agree("".join("".join(tokens) + "\n" for tokens in lines))

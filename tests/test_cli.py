@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import re
 from pathlib import Path
 
@@ -270,6 +271,29 @@ def test_non_finite_bool_or_fractional_values_are_named_config_errors(tmp_path, 
         cli.load_scenario(_write(tmp_path, "bad.yaml", text))
 
 
+def test_test_fraction_that_empties_a_split_is_a_config_error(tmp_path, capsys):
+    path = _write(tmp_path, "split.yaml", "data: {samples_per_node: 10, test_fraction: 0.01}\n")
+    assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
+    assert "config error: data.test_fraction 0.01 leaves an empty" in capsys.readouterr().err
+
+
+def test_repeated_section_is_a_config_error_naming_key_and_line(tmp_path, capsys):
+    text = "train: {epochs: 5}\nduration_s: 10\ntrain: {epochs: 7}\n"
+    path = _write(tmp_path, "dup.yaml", text)
+    assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
+    assert "duplicate key 'train' on line 3 (first on line 1)" in capsys.readouterr().err
+
+
+def test_repeated_nested_field_is_rejected_naming_key_and_line(tmp_path):
+    text = "nodes:\n  - {id: 0, role: RSU}\n  - id: 1\n    role: RSU\n    id: 2\n"
+    with pytest.raises(ValueError, match=r"^duplicate key 'id' on line 5 \(first on line 3\)"):
+        cli.load_scenario(_write(tmp_path, "dup.yaml", text))
+    # a merged mapping's keys may still be overridden
+    text = "nodes:\n  - &rsu {id: 0, role: RSU}\n  - {<<: *rsu, id: 1}\n"
+    cfg = cli.load_scenario(_write(tmp_path, "merge.yaml", text))
+    assert [(n.id, n.role) for n in cfg.nodes] == [(0, orch.Role.RSU), (1, orch.Role.RSU)]
+
+
 def test_exponent_numbers_without_a_dot_still_load(tmp_path):
     # PyYAML reads 8e7 (no dot) as a string, not a float
     text = "payload: {model_bits: 8e7}\nchain_policy: {max_block_bytes: 1e6}\n"
@@ -355,6 +379,33 @@ def test_rerun_is_byte_identical(tmp_path):
                          "--seed", "5"]) == 0
     for name in ("metrics_DBAFL_5.csv", "chain_DBAFL_5.txt"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+# No workload with golden digests draws mini-batches, so these digests, from
+# before training seeds were derived only for runs that use them, pin the draws.
+MINI_BATCH_CONFIG = """\
+nodes:
+  - {id: 0, role: RSU}
+  - {id: 1, role: RSU}
+  - {id: 2, role: Bus, compute_time_multiplier: 4.0}
+train: {epochs: 2, batch_size: 16}
+data: {samples_per_node: 60}
+duration_s: 60
+metrics_interval_s: 20
+master_seed: 5
+"""
+MINI_BATCH_SHA256 = {
+    "metrics_DBAFL_5.csv": "ca61c2ad46239d8f0767cb125d91c4297091ac556bf341f13ea716b73f25babb",
+    "chain_DBAFL_5.txt": "c2fb77731c217917cddd618da7b0caee8072d6365f1d52db0601f38a0488b7c4",
+}
+
+
+def test_mini_batch_run_matches_its_recorded_digests(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", _write(tmp_path, "mini.yaml", MINI_BATCH_CONFIG),
+                     "--out", str(out)]) == 0
+    for name, digest in MINI_BATCH_SHA256.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_run_strategy_and_attack_overrides(tmp_path):

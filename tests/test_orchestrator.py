@@ -520,3 +520,31 @@ def test_strategy_labels_round_trip():
         assert orch.Strategy.parse(s.label) == s
     with pytest.raises(ValueError):
         orch.Strategy.parse("Gossip")
+
+
+def test_full_batch_runs_derive_no_training_seed(monkeypatch):
+    purposes = []
+    derive_seed = orch.derive_seed
+
+    def spy(master, purpose, *indices):
+        purposes.append(purpose)
+        return derive_seed(master, purpose, *indices)
+
+    monkeypatch.setattr(orch, "derive_seed", spy)
+    cfg = small_scenario(orch.Strategy.dbafl(), duration=30.0)
+    assert cfg.train.batch_size >= cfg.data.samples_per_node  # full batches
+    result = orch.run_scenario(cfg)
+    assert result.round_logs  # nodes did train
+    assert "data" in purposes and "train" not in purposes
+
+
+def test_test_fraction_that_empties_a_split_is_rejected():
+    with pytest.raises(ValueError, match=r"^test_fraction 0\.01 leaves an empty "):
+        orch.DataSpec(samples_per_node=10, test_fraction=0.01)
+    with pytest.raises(ValueError, match=r"^test_fraction 0\.96 leaves an empty "):
+        orch.DataSpec(samples_per_node=10, test_fraction=0.96)  # no training rows
+    two_rows = mdl.Dataset(np.zeros((2, 2)), np.array([0, 1]), 2)
+    nodes = (orch.NodeConfig(id=0, role=orch.Role.RSU),
+             orch.NodeConfig(id=1, role=orch.Role.RSU, dataset=two_rows))
+    with pytest.raises(ValueError, match=r"^nodes\[1\]\.dataset: data\.test_fraction "):
+        small_scenario(orch.Strategy.dbafl(), nodes=nodes)
