@@ -55,10 +55,10 @@ class HashRecord:
             raise ValueError(_DIGEST_LENGTH)
 
 
-_RECORD_HEAD = struct.Struct("<BQQ")
+_RECORD = struct.Struct("<BQQ32s")  # the digest is always 32 bytes
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
-RECORD_BYTES = _RECORD_HEAD.size + 32  # every serialized record has this length
+RECORD_BYTES = _RECORD.size  # every serialized record has this length
 BLOCK_HEADER_BYTES = struct.calcsize("<Q32sIQ")  # index, prev_hash, count, timestamp
 _KIND_BYTE = {RecordKind.LOCAL: 0, RecordKind.GLOBAL: 1}
 _LETTER_BYTE = {kind.value: byte for kind, byte in _KIND_BYTE.items()}  # dump_chain's letters
@@ -70,7 +70,7 @@ def block_bytes(records: int) -> int:
 
 
 def serialize_record(record: HashRecord) -> bytes:
-    return _RECORD_HEAD.pack(_KIND_BYTE[record.kind], record.node_id, record.round) + record.digest
+    return _RECORD.pack(_KIND_BYTE[record.kind], record.node_id, record.round, record.digest)
 
 
 def _block_body(index: int, prev_hash: bytes, records: bytes, timestamp_ms: int) -> bytes:
@@ -280,16 +280,58 @@ def dump_chain(c: Chain) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+# The characters dump_chain writes, and "-" so that a negative field is
+# still named by the unsigned 64-bit check.
+_DUMP_CHARS = "0123456789abcdef|,;LG\n-"
+_DUMP_BYTES = _DUMP_CHARS.encode()
+
+
+def _check_dump_chars(text: str) -> None:
+    """Raise ValueError naming the line of the first character dump_chain never writes.
+
+    So int() and bytes.fromhex() see no plus sign, underscore, whitespace,
+    non-ASCII digit or upper-case hex.
+    """
+    step = 1 << 16  # pieces that stay in cache run faster than one pass
+    if text.isascii() and not any(text[lo:lo + step].encode().translate(None, _DUMP_BYTES)
+                                  for lo in range(0, len(text), step)):
+        return
+    at = next(i for i, char in enumerate(text) if char not in _DUMP_CHARS)
+    lineno = text.count("\n", 0, at)
+    raise ValueError(f"dump line {lineno}: unexpected character {text[at]!r}")
+
+
+def _padded(decimal: str) -> bool:
+    """True for a decimal that int() read with a leading zero or a sign; dump_chain writes neither."""
+    return decimal < "1" and decimal != "0"
+
+
+def _raise_bad_integer(parts: list, lineno: int):
+    """Name the first integer field of a parsed line outside u64, else the first _padded one."""
+    fields = [("index", parts[0]), ("timestamp_ms", parts[2])]
+    for j, item in enumerate(parts[3].split(";")):
+        _, node_s, round_s, _ = item.split(",")
+        fields += [(f"record {j} node_id", node_s), (f"record {j} round", round_s)]
+    for name, decimal in fields:
+        if not 0 <= int(decimal) < 1 << 64:
+            raise ValueError(f"dump line {lineno}: {name} {int(decimal)} does not fit an "
+                             f"unsigned 64-bit field")
+    name, decimal = next((k, s) for k, s in fields if _padded(s))
+    raise ValueError(f"dump line {lineno}: {name} {decimal!r} is not a plain decimal "
+                     f"(no sign, no leading zero)")
+
+
 def _parse_dump_line(line: str, lineno: int):
     """(index, prev_hash, serialized block body, block_hash) of one dump line.
 
     Each record is packed straight from its fields, with HashRecord's checks
-    and messages, so no record object is built.
+    and messages, so no record object is built. The line holds only
+    _DUMP_CHARS (audit_dump checks them first).
     """
     parts = line.split("|")
     if len(parts) != 5:
         raise ValueError(f"dump line {lineno}: expected 5 fields, got {len(parts)}")
-    records, fits = [], True
+    records, fits, plain = [], True, True
     try:
         index = int(parts[0])
         prev_hash = bytes.fromhex(parts[1])
@@ -300,26 +342,22 @@ def _parse_dump_line(line: str, lineno: int):
             if kind is None:
                 raise ValueError(f"{kind_s!r} is not a valid RecordKind")
             node_id, rnd, digest = int(node_s), int(round_s), bytes.fromhex(digest_hex)
+            if node_s < "1" and node_s != "0" or round_s < "1" and round_s != "0":
+                plain = False  # _padded, inlined; named once every field has parsed
             if len(digest) != 32:
                 raise ValueError(_DIGEST_LENGTH)
             try:
-                records.append(_RECORD_HEAD.pack(kind, node_id, rnd) + digest)
-            except struct.error:  # named below, once every field has parsed
+                records.append(_RECORD.pack(kind, node_id, rnd, digest))
+            except struct.error:  # named once every field has parsed
                 fits = False
         block_hash = bytes.fromhex(parts[4])
     except ValueError as exc:
         raise ValueError(f"dump line {lineno}: {exc}") from exc
     if len(prev_hash) != 32 or len(block_hash) != 32:
         raise ValueError(f"dump line {lineno}: hash fields must be 32 bytes")
-    if not (fits and 0 <= index < 1 << 64 and 0 <= timestamp_ms < 1 << 64):
-        # an integer field is negative or >= 2**64, outside its u64
-        fields = [("index", index), ("timestamp_ms", timestamp_ms)]
-        for j, item in enumerate(parts[3].split(";")):
-            _, node_s, round_s, _ = item.split(",")
-            fields += [(f"record {j} node_id", int(node_s)), (f"record {j} round", int(round_s))]
-        name, value = next((k, v) for k, v in fields if not 0 <= v < 1 << 64)
-        raise ValueError(f"dump line {lineno}: {name} {value} does not fit an unsigned "
-                         f"64-bit field")
+    if not (fits and plain and 0 <= index < 1 << 64 and 0 <= timestamp_ms < 1 << 64) \
+            or _padded(parts[0]) or _padded(parts[2]):
+        _raise_bad_integer(parts, lineno)
     body = _block_body(index, prev_hash, b"".join(records), timestamp_ms)
     return index, prev_hash, body, block_hash
 
@@ -327,11 +365,13 @@ def _parse_dump_line(line: str, lineno: int):
 def audit_dump(text: str) -> AuditReport:
     """Recompute every block hash and link from a dump; report the first inconsistency.
 
-    Structural problems (truncation, unparseable fields) raise ValueError; only a
-    well-formed dump gets an integrity verdict.
+    Structural problems (truncation, unparseable fields, spellings dump_chain
+    never writes) raise ValueError; only a well-formed dump gets an integrity
+    verdict.
     """
+    _check_dump_chars(text)
     lines = text.splitlines()
-    while lines and not lines[-1].strip():
+    while lines and not lines[-1]:
         lines.pop()
     if not lines:
         raise ValueError("empty chain dump")

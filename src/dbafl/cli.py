@@ -42,16 +42,17 @@ class RunManifest:
 
     scenario: str
     out_dir: str
-    seeds: tuple
+    seeds: Optional[tuple]          # None runs the scenario's own master_seed
     strategies: tuple = ()          # empty keeps the scenario's own strategy
     attack: Optional[str] = None    # "poisoning" or "ddos:<fraction>"
     defense: Optional[float] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "seeds", tuple(self.seeds))
+        if self.seeds is not None:
+            object.__setattr__(self, "seeds", tuple(self.seeds))
+            if not self.seeds:
+                raise ValueError("seeds: need at least one seed")
         object.__setattr__(self, "strategies", tuple(self.strategies))
-        if not self.seeds:
-            raise ValueError("seeds: need at least one seed")
 
 
 # ------------------------------------------------------------- config schema
@@ -298,7 +299,8 @@ def _metrics_csv(result: RunResult) -> str:
 def _write_atomic(path: Path, text: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        # newline="": the same bytes on every platform, with no "\r\n"
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -319,6 +321,7 @@ def run_manifest(manifest: RunManifest) -> int:
                               defense=manifest.defense)
         variants = [dataclasses.replace(cfg, strategy=s)
                     for s in manifest.strategies] or [cfg]
+        seeds = manifest.seeds or (cfg.master_seed,)
         out = Path(manifest.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         if not os.access(out, os.W_OK):
@@ -329,7 +332,7 @@ def run_manifest(manifest: RunManifest) -> int:
     try:
         for variant in variants:
             label = _file_label(variant.strategy)
-            for seed in manifest.seeds:
+            for seed in seeds:
                 result = run_scenario(dataclasses.replace(variant,
                                                           master_seed=seed))
                 target = out / f"metrics_{label}_{seed}.csv"
@@ -347,7 +350,9 @@ def run_manifest(manifest: RunManifest) -> int:
 
 def audit_chain(path: str) -> AuditReport:
     """Re-verify a chain dump file; raises ValueError on a malformed dump."""
-    with open(path, "r", encoding="utf-8") as fh:
+    # newline="" lets a "\r" reach the audit, and an undecodable byte reads as
+    # U+FFFD, which the audit names with its line
+    with open(path, "r", encoding="utf-8", errors="replace", newline="") as fh:
         return audit_dump(fh.read())
 
 
@@ -413,11 +418,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             strategies = ()
             if args.strategy is not None:
                 strategies = (Strategy.parse(args.strategy),)
-            seeds = tuple(args.seed) if args.seed else None
-            if seeds is None:
-                seeds = (load_scenario(args.config).master_seed,)
             manifest = RunManifest(scenario=args.config, out_dir=args.out,
-                                   seeds=seeds, strategies=strategies,
+                                   seeds=args.seed, strategies=strategies,
                                    attack=args.attack, defense=args.defense)
         else:
             manifest = RunManifest(

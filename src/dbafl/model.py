@@ -182,6 +182,32 @@ def _prepare(data: Dataset) -> _Prepared:
     return p
 
 
+def _pair_columns(a: np.ndarray) -> list:
+    """Columns of 2-D a, each adjacent pair 2k, 2k+1 as one complex128 column view.
+
+    An odd last column stays a real column view. Pairing needs numpy >= 1.23,
+    which views the non-contiguous a[:, :even] as complex.
+    """
+    even = a.shape[1] - a.shape[1] % 2
+    pairs = a[:, :even].view(complex)
+    return [pairs[:, k] for k in range(even // 2)] + [a[:, j] for j in range(even, a.shape[1])]
+
+
+def _pair_values(v: np.ndarray) -> list:
+    """Entries of 1-D v paired as _pair_columns pairs columns: complex(v[2k], v[2k+1]), ..."""
+    v = v.tolist()  # values, never a view of the caller's array
+    pairs = iter(v)  # map draws each complex's two parts from it in turn
+    return [*map(complex, pairs, pairs), *v[len(v) - len(v) % 2:]]
+
+
+def _fold(ufunc, cols: list, out: np.ndarray) -> np.ndarray:
+    """ufunc folded over cols from the left into out; a lone column is returned as it is."""
+    acc = cols[0]
+    for col in cols[1:]:
+        acc = ufunc(acc, col, out=out)
+    return acc
+
+
 class _GradientStep:
     """Mean cross-entropy gradient of m-row batches, computed in preallocated buffers.
 
@@ -190,6 +216,15 @@ class _GradientStep:
     column sums) in the same order, so its results are bit-identical to it.
     Row-wise broadcasts run one column at a time, which is exact and avoids
     numpy's slow short inner loops.
+
+    Where the same operation runs on every column, adjacent class columns
+    2k, 2k+1 run as one complex128 column (`_pair_columns`), which halves the
+    numpy calls and is still exact: complex addition is the two float
+    additions of its parts, so adding complex(b[2k], b[2k+1]) adds each bias
+    to its own column, and `np.add.accumulate` of a complex column keeps two
+    running sums that add the rows in order, as `sum(axis=0)` of a C-ordered
+    matrix does. The row max and sum folds start from the first two columns
+    (`_fold`), so they skip the copy of the first.
     """
 
     def __init__(self, m: int, f: int, classes: int):
@@ -200,41 +235,40 @@ class _GradientStep:
         self.gw, self.gb = _unpack(self.grad, f, classes)  # views of grad
         self.logit_cols = [self.logits[:, j] for j in range(classes)]
         self.prob_cols = [self.probs[:, j] for j in range(classes)]
+        self.logit_pairs = _pair_columns(self.logits)
+        self.prob_pairs = _pair_columns(self.probs)
+        self.gb_pairs = _pair_columns(self.gb[None, :])  # one-entry views of gb
 
     def log_softmax(self, weights, biases, x):
         """Log-softmax of x @ weights + biases, left in this step's logits buffer."""
         z, p, row = self.logits, self.probs, self.row
         np.matmul(x, weights, out=z)
-        for col, b in zip(self.logit_cols, biases):
+        for col, b in zip(self.logit_pairs, _pair_values(biases)):
             col += b
-        np.copyto(row, self.logit_cols[0])
-        for col in self.logit_cols[1:]:
-            np.maximum(row, col, out=row)
+        top = _fold(np.maximum, self.logit_cols, row)
         for col in self.logit_cols:
-            col -= row
+            col -= top
         np.exp(z, out=p)
         # numpy sums rows pairwise from 8 elements on: fold columns only below 8.
         if len(self.prob_cols) < 8:
-            np.copyto(row, self.prob_cols[0])
-            for col in self.prob_cols[1:]:
-                row += col
+            total = _fold(np.add, self.prob_cols, row)
         else:
-            p.sum(axis=1, out=row)
-        np.log(row, out=row)
+            total = p.sum(axis=1, out=row)
+        np.log(total, out=row)
         for col in self.logit_cols:
             col -= row
         return z
 
     def __call__(self, weights, biases, x, onehot):
         """Flat gradient on batch (x, onehot), left in this step's grad buffer."""
-        p, row = self.probs, self.row
+        p = self.probs
         np.exp(self.log_softmax(weights, biases, x), out=p)
         p -= onehot  # equals probs[rows, labels] -= 1.0, since x - 0.0 == x
         p /= len(p)
         np.matmul(x.T, p, out=self.gw)
-        # sum(axis=0) of a C-ordered matrix adds rows in order; so does accumulate.
-        for j, col in enumerate(self.prob_cols):
-            self.gb[j] = np.add.accumulate(col, out=row)[-1]
+        # The logits are spent, so each column's running sums go into its logits column.
+        for gb, col, sums in zip(self.gb_pairs, self.prob_pairs, self.logit_pairs):
+            gb[0] = np.add.accumulate(col, out=sums)[-1]
         return self.grad
 
 

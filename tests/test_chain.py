@@ -474,10 +474,27 @@ def _reference_parse_dump_line(line: str, lineno: int):
         name, value = next((k, v) for k, v in fields if not 0 <= v < 1 << 64)
         raise ValueError(f"dump line {lineno}: {name} {value} does not fit an unsigned "
                          f"64-bit field") from None
+    decimals = [("index", parts[0]), ("timestamp_ms", parts[2])]
+    for j, item in enumerate(parts[3].split(";")):
+        _, node_s, round_s, _ = item.split(",")
+        decimals += [(f"record {j} node_id", node_s), (f"record {j} round", round_s)]
+    for name, spelt in decimals:
+        if str(int(spelt)) != spelt:  # dump_chain writes str(value)
+            raise ValueError(f"dump line {lineno}: {name} {spelt!r} is not a plain decimal "
+                             f"(no sign, no leading zero)")
     return index, prev_hash, body, block_hash
 
 
+# what dump_chain writes: lower-case hex, decimals, separators, kind letters;
+# "-" lets a negative field reach the u64 check
+_REFERENCE_DUMP_CHARS = set("0123456789abcdef|,;LG\n-")
+
+
 def _reference_audit_dump(text: str) -> ch.AuditReport:
+    for lineno, line in enumerate(text.split("\n")):
+        stray = [char for char in line if char not in _REFERENCE_DUMP_CHARS]
+        if stray:
+            raise ValueError(f"dump line {lineno}: unexpected character {stray[0]!r}")
     lines = text.splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
@@ -561,3 +578,32 @@ def test_audit_dump_matches_the_reference_on_field_edits(edits):
     for line, at, value, extra in edits:
         lines[line][at] = value + extra
     _assert_audits_agree("".join("".join(tokens) + "\n" for tokens in lines))
+
+
+# block 1 of _DUMP, split at its field separators (see _LINE_TOKENS)
+@pytest.mark.parametrize("at, spelt, error", [
+    (0, "+0_1", "unexpected character '+'"),
+    (0, "١", "unexpected character '١'"),  # ARABIC-INDIC DIGIT ONE
+    (0, "01", "index '01' is not a plain decimal"),
+    (2, " " + _LINE_TOKENS[1][2], "unexpected character ' '"),
+    (2, _LINE_TOKENS[1][2].upper(), "unexpected character '"),
+    (4, "0" + _LINE_TOKENS[1][4], "timestamp_ms '02000' is not a plain decimal"),
+    (8, "-0" + _LINE_TOKENS[1][8], "record 0 node_id -1 does not fit"),  # u64 check first
+    (10, "00" + _LINE_TOKENS[1][10], "record 0 round '001' is not a plain decimal"),
+    (16, "-0", "record 1 node_id '-0' is not a plain decimal"),  # fits u64, still a sign
+    (20, _LINE_TOKENS[1][20] + "\t", "unexpected character '\\t'"),
+])
+def test_audit_rejects_spellings_dump_chain_never_writes(at, spelt, error):
+    tokens = list(_LINE_TOKENS[1])
+    tokens[at] = spelt
+    lines = _DUMP.splitlines()
+    lines[1] = "".join(tokens)
+    with pytest.raises(ValueError, match="^dump line 1: " + re.escape(error)):
+        ch.audit_dump("\n".join(lines) + "\n")
+
+
+def test_audit_rejects_carriage_returns_and_space_only_trailing_lines():
+    for text in (_DUMP.replace("\n", "\r\n"), _DUMP + " \n", _DUMP + "\t"):
+        with pytest.raises(ValueError, match="^dump line [03]: unexpected character"):
+            ch.audit_dump(text)
+    assert ch.audit_dump(_DUMP + "\n\n") == ch.AuditReport(ok=True)  # blank lines still end it

@@ -343,6 +343,38 @@ def test_manifest_requires_seeds(tmp_path):
 # ----------------------------------------------------------------------- run
 
 
+def _count_loads(monkeypatch) -> list:
+    """Record each cli.load_scenario call's path."""
+    calls, load = [], cli.load_scenario
+
+    def counted(path):
+        calls.append(path)
+        return load(path)
+
+    monkeypatch.setattr(cli, "load_scenario", counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed_args, written", [([], 3), (["--seed", "4"], 4)])
+def test_run_loads_the_scenario_once(tmp_path, monkeypatch, seed_args, written):
+    cfg_path = _write(tmp_path, "small.yaml", SMALL_CONFIG + "master_seed: 3\n")
+    calls = _count_loads(monkeypatch)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg_path, "--out", str(out)] + seed_args) == 0
+    assert calls == [cfg_path]
+    assert sorted(p.name for p in out.iterdir()) == [f"chain_DBAFL_{written}.txt",
+                                                      f"metrics_DBAFL_{written}.csv"]
+
+
+def test_run_without_a_seed_on_a_bad_file_is_one_config_error(tmp_path, monkeypatch, capsys):
+    cfg_path = _write(tmp_path, "bad.yaml", "duration_s: .nan\n")
+    calls = _count_loads(monkeypatch)
+    assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
+    assert calls == [cfg_path]
+    assert "config error: duration_s" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_writes_metrics_on_the_sampling_grid(tmp_path, capsys):
     cfg_path = _write(tmp_path, "small.yaml", SMALL_CONFIG)
     out = tmp_path / "out"
@@ -562,3 +594,46 @@ def test_audit_timestamp_beyond_u64_is_a_format_error(tmp_path, capsys):
     assert _audit_text(tmp_path, "\n".join(lines) + "\n") == 3
     err = capsys.readouterr().err
     assert "format error" in err and f"dump line 1: timestamp_ms {2**70}" in err
+
+
+def _respell_line(text: str, line: int, field: int, respell) -> str:
+    """text with one |-separated field of one line passed through respell."""
+    lines = text.splitlines()
+    parts = lines[line].split("|")
+    parts[field] = respell(parts[field])
+    lines[line] = "|".join(parts)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("field, respell, named", [
+    (0, lambda s: "+0_" + s, "unexpected character '+'"),  # int() reads +0_1 as 1
+    (2, lambda s: " " + s, "unexpected character ' '"),
+    (4, str.upper, "unexpected character '"),  # bytes.fromhex reads upper case
+    (0, lambda s: "00" + s, "index '002' is not a plain decimal"),
+])
+def test_audit_rejects_spellings_dump_chain_never_writes(tmp_path, capsys, field, respell,
+                                                         named):
+    text = _run_small(tmp_path).read_text()
+    assert text.count("\n") >= 3
+    assert _audit_text(tmp_path, _respell_line(text, 2, field, respell)) == 3
+    err = capsys.readouterr().err
+    assert f"format error: dump line 2: {named}" in err
+
+
+def test_audit_reads_carriage_returns_as_written(tmp_path, capsys):
+    # a text-mode read would turn "\r\n" into "\n" before the audit saw it
+    text = _run_small(tmp_path).read_text()
+    dump = tmp_path / "crlf.txt"
+    dump.write_bytes(text.replace("\n", "\r\n").encode())
+    assert cli.main(["audit", "--chain", str(dump)]) == 3
+    assert "format error: dump line 0: unexpected character '\\r'" in capsys.readouterr().err
+
+
+def test_audit_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, capsys):
+    lines = _run_small(tmp_path).read_bytes().split(b"\n")
+    lines[1] = lines[1][:5] + b"\xff" + lines[1][6:]
+    dump = tmp_path / "bad.txt"
+    dump.write_bytes(b"\n".join(lines))
+    assert cli.main(["audit", "--chain", str(dump)]) == 3
+    assert "format error: dump line 1: unexpected character '\ufffd'" \
+        in capsys.readouterr().err

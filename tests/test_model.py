@@ -419,3 +419,78 @@ def test_interleaved_model_calls_match_calls_on_fresh_datasets(classes):
     for kind, params, got in done:
         want = _call(kind, params, model.Dataset(data.features, data.labels, classes))
         assert got.tobytes() == want.tobytes(), kind
+
+
+def _assert_model_calls_match_the_references(params, data, cfg, rng_seed):
+    """local_loss, loss_gradient, local_train and evaluate_accuracy against the textbook forms."""
+    assert np.float64(model.local_loss(params, data)).tobytes() \
+        == np.float64(_reference_loss(params, data)).tobytes()
+    assert model.loss_gradient(params, data).tobytes() \
+        == _reference_gradient(params, data).tobytes()
+    assert model.local_train(params, data, cfg, rng_seed).tobytes() \
+        == _reference_train(params, data, cfg, rng_seed).tobytes()
+    weights, biases = model._check(params, data)
+    want = np.mean((data.features @ weights + biases).argmax(axis=1) == data.labels)
+    assert model.evaluate_accuracy(params, data) == want
+
+
+@pytest.mark.parametrize("classes", [1, 3, 9])
+def test_paired_columns_are_bit_identical_with_no_pair_or_an_odd_last_column(classes):
+    # One class leaves no column pair; 3 and 9 leave a real last column,
+    # and 9 also takes numpy's pairwise row sum.
+    rng = np.random.default_rng(classes)
+    for trial in range(12):
+        f = int(rng.integers(1, 5))
+        n = int(rng.integers(classes + 2, 50))
+        data = model.generate_synthetic_dataset(
+            seed=int(rng.integers(1 << 30)), n=n, f=f, classes=classes,
+            separation=float(rng.uniform(0.0, 3.0)))
+        cfg = model.TrainConfig(epochs=2, learning_rate=float(rng.uniform(0.05, 1.0)),
+                                batch_size=(1, 7, n)[trial % 3])
+        params = rng.normal(scale=(0.5, 4.0)[trial % 2], size=model.param_dim(f, classes))
+        _assert_model_calls_match_the_references(params, data, cfg, rng_seed=trial)
+        _assert_model_calls_match_the_references(model.init_params(f, classes), data, cfg,
+                                                 rng_seed=trial)
+
+
+@pytest.mark.parametrize("classes", [2, 3])
+def test_non_contiguous_and_unaligned_params_give_the_same_results(classes):
+    data = model.generate_synthetic_dataset(seed=51, n=45, f=3, classes=classes, separation=1.5)
+    dim = model.param_dim(3, classes)
+    params = np.random.default_rng(52).normal(size=dim)
+    strided = np.zeros(2 * dim)[::2]  # every other entry of a larger array
+    strided[:] = params
+    raw = bytearray(8 * dim + 1)
+    unaligned = np.frombuffer(raw, dtype=float, count=dim, offset=1)  # one byte off
+    unaligned[:] = params
+    assert not strided.flags.c_contiguous and not unaligned.flags.aligned
+    cfg = model.TrainConfig(epochs=3, learning_rate=0.4, batch_size=8)
+    for view in (strided, unaligned):
+        _assert_model_calls_match_the_references(view, data, cfg, rng_seed=3)
+        for kind in _KINDS:
+            assert _call(kind, view, data).tobytes() == _call(kind, params, data).tobytes(), kind
+        assert view.tobytes() == params.tobytes()  # not written to
+
+
+def test_one_datasets_steps_are_reused_across_two_batch_sizes():
+    # 30 rows in batches of 7 need a 7-row and a 2-row step; the full-batch
+    # loss and gradient need a 30-row one. Each is built once and reused.
+    data = model.generate_synthetic_dataset(seed=61, n=30, f=2, classes=5, separation=1.0)
+    cfg = model.TrainConfig(epochs=2, learning_rate=0.5, batch_size=7)
+    rng = np.random.default_rng(62)
+    steps = None
+    for trial in range(4):
+        params = rng.normal(size=model.param_dim(2, 5))
+        _assert_model_calls_match_the_references(params, data, cfg, rng_seed=trial)
+        cached = model._prepare(data)._steps
+        assert sorted(cached) == [2, 7, 30]
+        if steps is not None:
+            assert all(cached[m] is steps[m] for m in steps)
+        steps = dict(cached)
+    # the two mini-batch steps, called in turn on their own batches
+    prepared = model._prepare(data)
+    weights, biases = model._unpack(params, 2, 5)
+    for rows in (np.arange(7), np.arange(28, 30), np.arange(7, 14), np.arange(0, 30, 15)):
+        batch = model.Dataset(data.features[rows], data.labels[rows], 5)
+        got = steps[len(rows)](weights, biases, prepared.x[rows], prepared.onehot[rows])
+        assert got.tobytes() == _reference_gradient(params, batch).tobytes()
