@@ -7,6 +7,8 @@ All operations are pure and deterministic given their arguments and seeds.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,7 +72,16 @@ def _unpack(params: ModelParams, f: int, classes: int):
         raise ValueError(
             f"parameter vector of length {len(params)} does not match dimension {param_dim(f, classes)}"
         )
-    return params[: f * classes].reshape(f, classes), params[f * classes :]
+    return _split(params, f, classes)
+
+
+def _split(params: np.ndarray, f: int, classes: int):
+    """Views of the weights (... x f x classes) and biases (... x classes) of flat params.
+
+    params may have leading axes, one flat vector per entry.
+    """
+    weights = params[..., : f * classes].reshape(params.shape[:-1] + (f, classes))
+    return weights, params[..., f * classes :]
 
 
 def _check(params: ModelParams, data: Dataset):
@@ -153,7 +164,8 @@ class _Prepared:
     """A dataset's per-call constants, built once and shared by every model call on it.
 
     Holds the C-contiguous float64 features, the one-hot labels, the flat
-    indices of logp[rows, labels], and one _GradientStep per batch size.
+    indices of logp[rows, labels], one one-item _GradientStep per batch
+    size, and the _Stacks it shares with the datasets it has trained beside.
     The steps' buffers are scratch space: no model function returns a view
     of them.
     """
@@ -165,11 +177,36 @@ class _Prepared:
         # logp[rows, labels] through flat indices, which numpy gathers faster
         self.label_at = np.arange(0, len(labels) * classes, classes) + labels
         self._steps = {}
+        self.stacks = None
 
     def step(self, m: int) -> _GradientStep:
         step = self._steps.get(m)
         if step is None:
-            step = self._steps[m] = _GradientStep(m, self.x.shape[1], self.classes)
+            step = self._steps[m] = _GradientStep(1, m, self.x.shape[1], self.classes)
+        return step
+
+
+class _Stacks:
+    """The k-item _GradientSteps of datasets of one shape, all on one scratch buffer.
+
+    Training runs one step at a time and spends its results before the next
+    step runs, so the steps of every (k, m) can share the memory of the
+    largest: a stack of many items costs its buffers once, not once per k.
+    """
+
+    def __init__(self, f: int, classes: int):
+        self.f, self.classes = f, classes
+        self.buffer = np.empty(0)
+        self.steps = {}
+
+    def step(self, k: int, m: int) -> _GradientStep:
+        step = self.steps.get((k, m))
+        if step is None:
+            size = sum(map(math.prod, _GradientStep.shapes(k, m, self.f, self.classes)))
+            if size > self.buffer.size:
+                self.buffer = np.empty(size)
+                self.steps.clear()  # they view the old buffer
+            step = self.steps[k, m] = _GradientStep(k, m, self.f, self.classes, self.buffer)
         return step
 
 
@@ -183,21 +220,14 @@ def _prepare(data: Dataset) -> _Prepared:
 
 
 def _pair_columns(a: np.ndarray) -> list:
-    """Columns of 2-D a, each adjacent pair 2k, 2k+1 as one complex128 column view.
+    """Columns of a along its last axis, each adjacent pair 2k, 2k+1 as one complex128 view.
 
     An odd last column stays a real column view. Pairing needs numpy >= 1.23,
-    which views the non-contiguous a[:, :even] as complex.
+    which views the non-contiguous a[..., :even] as complex.
     """
-    even = a.shape[1] - a.shape[1] % 2
-    pairs = a[:, :even].view(complex)
-    return [pairs[:, k] for k in range(even // 2)] + [a[:, j] for j in range(even, a.shape[1])]
-
-
-def _pair_values(v: np.ndarray) -> list:
-    """Entries of 1-D v paired as _pair_columns pairs columns: complex(v[2k], v[2k+1]), ..."""
-    v = v.tolist()  # values, never a view of the caller's array
-    pairs = iter(v)  # map draws each complex's two parts from it in turn
-    return [*map(complex, pairs, pairs), *v[len(v) - len(v) % 2:]]
+    even = a.shape[-1] - a.shape[-1] % 2
+    pairs = a[..., :even].view(complex)
+    return [pairs[..., k] for k in range(even // 2)] + [a[..., j] for j in range(even, a.shape[-1])]
 
 
 def _fold(ufunc, cols: list, out: np.ndarray) -> np.ndarray:
@@ -209,41 +239,66 @@ def _fold(ufunc, cols: list, out: np.ndarray) -> np.ndarray:
 
 
 class _GradientStep:
-    """Mean cross-entropy gradient of m-row batches, computed in preallocated buffers.
+    """Mean cross-entropy gradients of k stacked m-row batches, computed in preallocated buffers.
+
+    A step for k > 1 items has a leading item axis on every argument and
+    buffer: item i's batch is x[i], onehot[i] and its parameters weights[i],
+    biases[i]. A one-item step has none: it takes one batch x of shape
+    (m, f), weights (f, classes) and biases (classes,), as before stacking.
 
     Performs the floating-point operations of the textbook form (logits,
     log-softmax, exp, subtract the one-hot labels, divide by m, X^T @ probs,
-    column sums) in the same order, so its results are bit-identical to it.
-    Row-wise broadcasts run one column at a time, which is exact and avoids
-    numpy's slow short inner loops.
+    column sums) in the same order, so each item's results are bit-identical
+    to it. Elementwise operations run over the whole stack, np.matmul runs
+    per item (a stacked matmul calls the same kernel once per item), and
+    nothing mixes two items, so a diverging item leaves its neighbours
+    untouched. Row-wise broadcasts run one column at a time, which is exact
+    and avoids numpy's slow short inner loops.
 
     Where the same operation runs on every column, adjacent class columns
     2k, 2k+1 run as one complex128 column (`_pair_columns`), which halves the
     numpy calls and is still exact: complex addition is the two float
     additions of its parts, so adding complex(b[2k], b[2k+1]) adds each bias
-    to its own column, and `np.add.accumulate` of a complex column keeps two
-    running sums that add the rows in order, as `sum(axis=0)` of a C-ordered
-    matrix does. The row max and sum folds start from the first two columns
-    (`_fold`), so they skip the copy of the first.
+    to its own column, and `np.add.accumulate` of a complex column along the
+    rows keeps two running sums that add the rows in order, as `sum(axis=0)`
+    of a C-ordered matrix does. The row max and sum folds start from the
+    first two columns (`_fold`), so they skip the copy of the first.
     """
 
-    def __init__(self, m: int, f: int, classes: int):
-        self.logits = np.empty((m, classes))
-        self.probs = np.empty((m, classes))
-        self.row = np.empty(m)
-        self.grad = np.empty(param_dim(f, classes))
-        self.gw, self.gb = _unpack(self.grad, f, classes)  # views of grad
-        self.logit_cols = [self.logits[:, j] for j in range(classes)]
-        self.prob_cols = [self.probs[:, j] for j in range(classes)]
+    @staticmethod
+    def shapes(k: int, m: int, f: int, classes: int) -> tuple:
+        """Shapes of the logits, probs, row, bias and grad buffers; one item has no item axis."""
+        lead = (k,) if k > 1 else ()
+        return (lead + (m, classes), lead + (m, classes), (k * m,), lead + (classes,),
+                lead + (param_dim(f, classes),))
+
+    def __init__(self, k: int, m: int, f: int, classes: int, buffer: np.ndarray = None):
+        """Buffers are carved from the front of buffer, or allocated when it is None."""
+        shapes = self.shapes(k, m, f, classes)
+        if buffer is None:
+            buffer = np.empty(sum(map(math.prod, shapes)))
+        views, at = [], 0
+        for shape in shapes:
+            views.append(buffer[at : at + math.prod(shape)].reshape(shape))
+            at += math.prod(shape)
+        self.logits, self.probs, self.row, self.bias, self.grad = views
+        self.gw, self.gb = _split(self.grad, f, classes)  # views of grad
+        # Row-wise operations see each class column of all k * m rows as one
+        # 1-D view, which numpy loops over fastest; per-item ones keep the axis.
+        self.logit_cols = list(self.logits.reshape(k * m, classes).T)
+        self.prob_cols = list(self.probs.reshape(k * m, classes).T)
         self.logit_pairs = _pair_columns(self.logits)
         self.prob_pairs = _pair_columns(self.probs)
-        self.gb_pairs = _pair_columns(self.gb[None, :])  # one-entry views of gb
+        # the biases are copied into bias, so that they can be paired
+        self.bias_pairs = _pair_columns(self.bias[:, None] if k > 1 else self.bias)
+        self.gb_pairs = _pair_columns(self.gb)  # views of gb, one entry per item
 
     def log_softmax(self, weights, biases, x):
         """Log-softmax of x @ weights + biases, left in this step's logits buffer."""
         z, p, row = self.logits, self.probs, self.row
         np.matmul(x, weights, out=z)
-        for col, b in zip(self.logit_pairs, _pair_values(biases)):
+        self.bias[...] = biases
+        for col, b in zip(self.logit_pairs, self.bias_pairs):
             col += b
         top = _fold(np.maximum, self.logit_cols, row)
         for col in self.logit_cols:
@@ -253,22 +308,22 @@ class _GradientStep:
         if len(self.prob_cols) < 8:
             total = _fold(np.add, self.prob_cols, row)
         else:
-            total = p.sum(axis=1, out=row)
+            total = p.reshape(row.size, -1).sum(axis=1, out=row)
         np.log(total, out=row)
         for col in self.logit_cols:
             col -= row
         return z
 
     def __call__(self, weights, biases, x, onehot):
-        """Flat gradient on batch (x, onehot), left in this step's grad buffer."""
+        """Flat gradients on batches (x, onehot), one row per item, left in this step's grad buffer."""
         p = self.probs
         np.exp(self.log_softmax(weights, biases, x), out=p)
         p -= onehot  # equals probs[rows, labels] -= 1.0, since x - 0.0 == x
-        p /= len(p)
-        np.matmul(x.T, p, out=self.gw)
+        p /= p.shape[-2]  # m
+        np.matmul(x.swapaxes(-1, -2), p, out=self.gw)
         # The logits are spent, so each column's running sums go into its logits column.
         for gb, col, sums in zip(self.gb_pairs, self.prob_pairs, self.logit_pairs):
-            gb[0] = np.add.accumulate(col, out=sums)[-1]
+            gb[...] = np.add.accumulate(col, axis=-1, out=sums)[..., -1]
         return self.grad
 
 
@@ -289,28 +344,83 @@ def local_train(start: ModelParams, data: Dataset, cfg: TrainConfig,
     """cfg.epochs passes of mini-batch gradient descent; full batch when batch_size >= n.
 
     Deterministic given (start, data, cfg, rng_seed); start is not mutated.
-    rng_seed is read only when draws_batches(cfg, data).
+    rng_seed is read only when draws_batches(cfg, data), and must then be an
+    int. The one-item call of train_batch.
     """
-    w = np.array(start, dtype=float, copy=True)
-    weights, biases = _check(w, data)  # views: updating them updates w
-    p = _prepare(data)
-    x, onehot = p.x, p.onehot
-    n, size = data.n, cfg.batch_size
-    rng = np.random.default_rng(rng_seed) if draws_batches(cfg, data) else None
+    (out,) = train_batch([start], [data], cfg, [rng_seed])
+    if isinstance(out, ArithmeticError):
+        raise out
+    return out
+
+
+def train_batch(starts, datas, cfg: TrainConfig, seeds) -> list:
+    """Item i trained as local_train(starts[i], datas[i], cfg, seeds[i]) trains it, bit for bit.
+
+    Items whose datasets share a shape (n, f, classes) train together as one
+    stack, each with its own mini-batch order drawn from its own seed.
+    Returns one entry per item: its trained parameters, or the
+    ArithmeticError local_train raises for it when they diverged to
+    non-finite values. ValueError if an item's arguments are invalid.
+    """
+    if not len(starts) == len(datas) == len(seeds):
+        raise ValueError("train_batch needs one start, dataset and seed per item")
+    groups = {}
+    for i, data in enumerate(datas):
+        groups.setdefault((data.n, data.features.shape[1], data.classes), []).append(i)
+    out = [None] * len(datas)
+    for (n, f, classes), items in groups.items():
+        if n == 0:
+            raise ValueError("empty dataset")
+        group_seeds = [seeds[i] for i in items]
+        if cfg.batch_size < n and None in group_seeds:
+            raise ValueError(f"rng_seed is None, but batch_size {cfg.batch_size} < {n} rows "
+                             f"draws mini-batches, which needs an int rng_seed")
+        w = np.array([starts[i] for i in items], dtype=float)  # a copy: no start is written to
+        if w.shape != (len(items), param_dim(f, classes)):
+            raise ValueError(f"parameter vector of length {w.shape[-1]} does not match "
+                             f"dimension {param_dim(f, classes)}")
+        _train_stack(w, [datas[i] for i in items], cfg, group_seeds)
+        for i, params, finite in zip(items, w, np.isfinite(w).all(axis=1).tolist()):
+            out[i] = params if finite else \
+                ArithmeticError("training diverged to non-finite parameters")
+    return out
+
+
+def _train_stack(w: np.ndarray, datas, cfg: TrainConfig, seeds) -> None:
+    """Trains the k x dim parameters w in place, item i on datas[i]; the datas share one shape."""
+    k, data = len(datas), datas[0]
+    n, f, classes = data.n, data.features.shape[1], data.classes
+    lead = (k,) if k > 1 else ()  # as in _GradientStep.shapes
+    params = w.reshape(lead + w.shape[1:])
+    weights, biases = _split(params, f, classes)  # views: updating params updates them
+    prepared = [_prepare(d) for d in datas]
+    if k == 1:  # a lone item trains on its dataset's own arrays and steps
+        step, x, onehot = prepared[0].step, prepared[0].x, prepared[0].onehot
+    else:
+        stacks = prepared[0].stacks or _Stacks(f, classes)
+        for p in prepared:
+            p.stacks = stacks
+        step = functools.partial(stacks.step, k)
+        x = np.concatenate([p.x for p in prepared]).reshape(k, n, f)
+        onehot = np.concatenate([p.onehot for p in prepared]).reshape(k, n, classes)
+    rngs = None
+    if draws_batches(cfg, data):
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        first_row = np.arange(0, k * n, n).reshape(lead + (1,))  # item i's rows start at i * n
+        x, onehot = x.reshape(k * n, f), onehot.reshape(k * n, classes)
+    size = cfg.batch_size
     for _ in range(cfg.epochs):
-        if rng is None:
+        if rngs is None:
             batches = [(x, onehot)]
         else:
-            order = rng.permutation(n)
+            order = np.concatenate([rng.permutation(n) for rng in rngs]).reshape(lead + (n,))
+            order += first_row
             batches = [(x[rows], onehot[rows])
-                       for rows in (order[lo : lo + size] for lo in range(0, n, size))]
+                       for rows in (order[..., lo : lo + size] for lo in range(0, n, size))]
         for xb, yb in batches:
-            grad = p.step(len(xb))(weights, biases, xb, yb)
+            grad = step(xb.shape[-2])(weights, biases, xb, yb)
             grad *= cfg.learning_rate
-            w -= grad
-    if not np.isfinite(w).all():
-        raise ArithmeticError("training diverged to non-finite parameters")
-    return w
+            params -= grad
 
 
 def global_objective(epsilons, losses, K: int) -> float:

@@ -24,9 +24,10 @@ from .aggregation import (DefenseMode, DefensePolicy, Verdict, aggregate_async,
                           aggregate_fedavg, defense_filter, scaling_factor)
 from .chain import (Chain, CommitteeState, BlockCutPolicy, HashRecord, RecordKind,
                     VerifyResult, hash_model, verify_record)
-from .model import (Dataset, ModelParams, TrainConfig, draws_batches, evaluate_accuracy,
+# local_train is not called here, but perfbench/layertrace.py times this module's name for it
+from .model import (Dataset, ModelParams, TrainConfig, draws_batches, evaluate_accuracy,  # noqa: F401
                     generate_synthetic_dataset, global_objective, holdout_rows,
-                    init_params, local_loss, local_train, split_dataset)
+                    init_params, local_loss, local_train, split_dataset, train_batch)
 from .netsim import (DdosConfig, EventQueue, LinkParams, PayloadSizes,
                      ddos_effective_rate, shannon_rate, tx_time)
 
@@ -516,7 +517,7 @@ def _memoized(memo: tuple, params: ModelParams, fn, data: Dataset) -> tuple:
     """(params, fn(params, data)), reusing memo when it holds this very array.
 
     Identity is enough because no params array is mutated after it is
-    created: local_train copies its start and aggregation returns new arrays.
+    created: training copies its start and aggregation returns new arrays.
     """
     if memo[0] is not params:
         memo = (params, fn(params, data))
@@ -559,6 +560,10 @@ class _Simulation:
         self.decisions: list = []
         self.round_logs: list = []
         self.sync_rounds: list = []
+        # trainings due within the horizon: (node, start params, seed) until
+        # trained, then node -> trained params or the error training raised
+        self.untrained: list = []
+        self.trained: dict = {}
         if self.strategy.kind is StrategyKind.FEDAVG:
             total = sum(n.train_data.n for n in self.nodes)
             for n in self.nodes:
@@ -651,6 +656,23 @@ class _Simulation:
         record = HashRecord(RecordKind.LOCAL, node.cfg.id, node.round, hash_model(params))
         return IncomingModel(node.cfg.id, node.round, params, record)
 
+    def _schedule_train(self, now: float, node: _NodeRT) -> None:
+        """Start node's training at now; its inputs are fixed from here on.
+
+        A training due within the horizon is registered, so that the first
+        train event to need a result trains every registered node in one
+        train_batch call.
+        """
+        node.marks["dl"] = now
+        node.switch(now, "training")
+        due = now + node.train_time
+        if due <= self.cfg.duration_s:  # run() processes exactly the events due by then
+            seed = None
+            if node.draws_batches:
+                seed = derive_seed(self.cfg.master_seed, "train", node.cfg.id, node.round)
+            self.untrained.append((node, node.params, seed))
+        self.q.schedule(due, ("train", node))
+
     def _finish_round(self, node: _NodeRT, now: float, upload_done: float,
                       decision: float) -> None:
         m = node.marks
@@ -671,23 +693,24 @@ class _Simulation:
             self.q.schedule(now + self._download_duration(node),
                             ("dl", node, self.global_version, snapshot))
             return
-        node.marks["dl"] = now
-        node.switch(now, "training")
-        self.q.schedule(now + node.train_time, ("train", node))
+        self._schedule_train(now, node)
 
     def _on_dl(self, now: float, node: _NodeRT, version: int,
                snapshot: ModelParams) -> None:
         node.params = snapshot
         node.base_version = version
-        node.marks["dl"] = now
-        node.switch(now, "training")
-        self.q.schedule(now + node.train_time, ("train", node))
+        self._schedule_train(now, node)
 
     def _on_train(self, now: float, node: _NodeRT) -> None:
-        seed = None
-        if node.draws_batches:
-            seed = derive_seed(self.cfg.master_seed, "train", node.cfg.id, node.round)
-        node.params = local_train(node.params, node.train_data, self.cfg.train, seed)
+        if node not in self.trained:
+            nodes, starts, seeds = zip(*self.untrained)
+            results = train_batch(starts, [n.train_data for n in nodes], self.cfg.train, seeds)
+            self.trained.update(zip(nodes, results))
+            self.untrained.clear()
+        params = self.trained.pop(node)
+        if isinstance(params, ArithmeticError):
+            raise params
+        node.params = params
         node.marks["train"] = now
         node.switch(now, "testing")
         self.q.schedule(now + node.test_time, ("test", node))

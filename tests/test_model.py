@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from dbafl import model
@@ -133,6 +135,19 @@ def test_local_train_does_not_mutate_start_and_is_deterministic():
     assert a.tobytes() == b.tobytes()
     c = model.local_train(start, data, cfg, rng_seed=12)
     assert a.tobytes() != c.tobytes()
+
+
+def test_local_train_needs_a_seed_only_to_draw_mini_batches():
+    data = model.generate_synthetic_dataset(seed=2, n=40, f=2, classes=3, separation=2.0)
+    start = model.init_params(2, 3)
+    mini = model.TrainConfig(epochs=2, learning_rate=0.1, batch_size=16)
+    with pytest.raises(ValueError, match="rng_seed"):
+        model.local_train(start, data, mini, rng_seed=None)
+    with pytest.raises(ValueError, match="rng_seed"):  # one unseeded item among seeded ones
+        model.train_batch([start, start], [data, data], mini, [3, None])
+    full = model.TrainConfig(epochs=2, learning_rate=0.1, batch_size=40)
+    assert model.local_train(start, data, full, rng_seed=None).tobytes() \
+        == model.local_train(start, data, full, rng_seed=5).tobytes()
 
 
 def test_local_train_dimension_mismatch():
@@ -494,3 +509,52 @@ def test_one_datasets_steps_are_reused_across_two_batch_sizes():
         batch = model.Dataset(data.features[rows], data.labels[rows], 5)
         got = steps[len(rows)](weights, biases, prepared.x[rows], prepared.onehot[rows])
         assert got.tobytes() == _reference_gradient(params, batch).tobytes()
+
+
+def _oracle_items(draw_int, k, n, f, classes):
+    """k items on datasets of n rows, and sometimes a second shape of n + 3 rows."""
+    datas = [model.generate_synthetic_dataset(seed=draw_int(), n=n + 3 * (i % 3 == 2), f=f,
+                                              classes=classes, separation=2.0)
+             for i in range(k)]
+    rng = np.random.default_rng(draw_int())
+    starts = [rng.normal(scale=2.0, size=model.param_dim(f, classes)) if i % 2
+              else model.init_params(f, classes) for i in range(k)]
+    return starts, datas, [draw_int() for _ in range(k)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(k=st.integers(1, 6), classes=st.integers(2, 10), f=st.integers(1, 5),
+       n=st.integers(11, 40), batch=st.sampled_from(["1", "ragged", "n", "n+5"]),
+       epochs=st.integers(1, 3), lr=st.floats(0.01, 2.0), seed=st.integers(0, 2**30))
+def test_stacked_training_is_bit_identical_to_the_reference_loop(k, classes, f, n, batch,
+                                                                 epochs, lr, seed):
+    # Every third item has n + 3 rows, so k >= 3 trains two stacks in one call.
+    size = {"1": 1, "ragged": n // 2 + 1, "n": n, "n+5": n + 5}[batch]
+    cfg = model.TrainConfig(epochs=epochs, learning_rate=lr, batch_size=size)
+    draws = iter(np.random.default_rng(seed).integers(1 << 30, size=2 * k + 1).tolist())
+    starts, datas, seeds = _oracle_items(lambda: next(draws), k, n, f, classes)
+    got = model.train_batch(starts, datas, cfg, seeds)
+    assert len(got) == k
+    for start, data, item_seed, params in zip(starts, datas, seeds, got):
+        want = _reference_train(start, data, cfg, item_seed)
+        assert params.tobytes() == want.tobytes(), (k, classes, f, data.n, size)
+
+
+@pytest.mark.parametrize("batch_size", [8, 1500])  # mini-batch and full batch
+@pytest.mark.parametrize("classes", [2, 9])
+def test_a_diverging_item_fails_alone(batch_size, classes):
+    datas = [model.generate_synthetic_dataset(seed=70 + i, n=40, f=2, classes=classes,
+                                              separation=1.0) for i in range(4)]
+    rng = np.random.default_rng(71)
+    starts = [rng.normal(size=model.param_dim(2, classes)) for _ in range(4)]
+    starts[1] = np.full(model.param_dim(2, classes), 1e308)  # its logits overflow
+    cfg = model.TrainConfig(epochs=3, learning_rate=0.5, batch_size=batch_size)
+    seeds = [72, 73, 74, 75]
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = model.train_batch(starts, datas, cfg, seeds)
+        with pytest.raises(ArithmeticError, match="diverged"):
+            model.local_train(starts[1], datas[1], cfg, seeds[1])
+    assert isinstance(got[1], ArithmeticError) and "diverged" in str(got[1])
+    for i in (0, 2, 3):
+        solo = model.local_train(starts[i], datas[i], cfg, seeds[i])
+        assert got[i].tobytes() == solo.tobytes(), i

@@ -1,5 +1,6 @@
 """Tests for dbafl.orchestrator: node scheduling, aggregation service, attacks, metrics."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from dbafl import aggregation as agg
 from dbafl import chain as ch
+from dbafl import cli
 from dbafl import model as mdl
 from dbafl import orchestrator as orch
 
@@ -548,3 +550,91 @@ def test_test_fraction_that_empties_a_split_is_rejected():
              orch.NodeConfig(id=1, role=orch.Role.RSU, dataset=two_rows))
     with pytest.raises(ValueError, match=r"^nodes\[1\]\.dataset: data\.test_fraction "):
         small_scenario(orch.Strategy.dbafl(), nodes=nodes)
+
+
+# ------------------------------------------------------- batched training
+
+
+def _run_with_trainer(monkeypatch, cfg, one_at_a_time=False):
+    """run_scenario(cfg) and the dataset shapes of each train_batch call it made.
+
+    With one_at_a_time, the trainer trains each item in a call of its own.
+    """
+    calls = []
+    batched = orch.train_batch
+
+    def trainer(starts, datas, train_cfg, seeds):
+        calls.append([(d.n, d.features.shape[1], d.classes) for d in datas])
+        if one_at_a_time:
+            return [batched([s], [d], train_cfg, [seed])[0]
+                    for s, d, seed in zip(starts, datas, seeds)]
+        return batched(starts, datas, train_cfg, seeds)
+
+    with monkeypatch.context() as m:
+        m.setattr(orch, "train_batch", trainer)
+        return orch.run_scenario(cfg), calls
+
+
+def _two_dataset_sizes():
+    """The stock nodes, where nodes 1 and 3 bring 150 rows of their own, not 200."""
+    nodes = list(orch.default_nodes())
+    for i in (1, 3):
+        own = mdl.generate_synthetic_dataset(seed=80 + i, n=150, f=2, classes=2, separation=4.0)
+        nodes[i] = dataclasses.replace(nodes[i], dataset=own)
+    return nodes
+
+
+_BATCHED = {
+    "DBAFL": small_scenario(orch.Strategy.dbafl()),
+    "FedAVG": small_scenario(orch.Strategy.fedavg()),
+    "LocalOnly": small_scenario(orch.Strategy.local_only()),
+    "mini-batch": small_scenario(orch.Strategy.dbafl(), duration=40.0, train=mdl.TrainConfig(
+        epochs=3, learning_rate=0.05, batch_size=32)),
+    "two-sizes": small_scenario(orch.Strategy.dbafl(), nodes=_two_dataset_sizes()),
+}
+
+
+@pytest.mark.parametrize("name", list(_BATCHED))
+def test_batched_training_equals_training_one_node_per_call(monkeypatch, name):
+    cfg = _BATCHED[name]
+    batched, calls = _run_with_trainer(monkeypatch, cfg)
+    alone, _ = _run_with_trainer(monkeypatch, cfg, one_at_a_time=True)
+    assert max(map(len, calls)) > 1  # some call did stack several nodes
+    if name == "two-sizes":
+        assert max(len(set(shapes)) for shapes in calls) == 2
+    assert cli._metrics_csv(batched) == cli._metrics_csv(alone)
+    if cfg.strategy.uses_chain:
+        assert ch.dump_chain(batched.chain) == ch.dump_chain(alone.chain)
+    assert batched.decisions == alone.decisions
+    assert batched.round_logs == alone.round_logs
+    assert batched.sync_rounds == alone.sync_rounds
+    assert batched.stage_totals == alone.stage_totals
+
+
+def test_trainer_gets_one_item_per_processed_train_event(monkeypatch):
+    counts = dict.fromkeys(("items", "scheduled", "processed"), 0)
+    batched, on_train, schedule = orch.train_batch, orch._Simulation._on_train, \
+        orch.EventQueue.schedule
+
+    def trainer(starts, datas, train_cfg, seeds):
+        counts["items"] += len(starts)
+        return batched(starts, datas, train_cfg, seeds)
+
+    def processed(self, now, node):
+        counts["processed"] += 1
+        on_train(self, now, node)
+
+    def scheduled(self, time_s, event):
+        counts["scheduled"] += event[0] == "train"
+        schedule(self, time_s, event)
+
+    monkeypatch.setattr(orch, "train_batch", trainer)
+    monkeypatch.setattr(orch._Simulation, "_on_train", processed)
+    monkeypatch.setattr(orch.EventQueue, "schedule", scheduled)
+    orch.run_scenario(small_scenario(orch.Strategy.dbafl(), duration=100.0))
+    assert counts["items"] == counts["processed"] > 0
+    assert counts["scheduled"] > counts["processed"]  # some trainings end past the horizon
+    # the server's first training ends at 8 s, past this horizon: nothing trains
+    counts.update(dict.fromkeys(counts, 0))
+    orch.run_scenario(small_scenario(orch.Strategy.dbafl(), duration=5.0))
+    assert counts == {"items": 0, "scheduled": 1, "processed": 0}
