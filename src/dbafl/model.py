@@ -7,7 +7,6 @@ All operations are pure and deterministic given their arguments and seeds.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -143,14 +142,14 @@ def evaluate_accuracy(params: ModelParams, data: Dataset) -> float:
     """Fraction of samples whose argmax logit matches the label."""
     weights, biases = _check(params, data)
     logits = _prepare(data).x @ weights + biases
-    return np.count_nonzero(logits.argmax(axis=1) == data.labels) / data.n
+    return np.count_nonzero(logits.argmax(axis=-1) == data.labels) / data.n
 
 
 def local_loss(params: ModelParams, data: Dataset) -> float:
     """Mean cross-entropy over the dataset (log-sum-exp stable)."""
     weights, biases = _check(params, data)
     p = _prepare(data)
-    logp = p.step(data.n).log_softmax(weights, biases, p.x)
+    logp = p.stacks.step(1, data.n).log_softmax(weights, biases, p.x)
     return float(-logp.take(p.label_at).mean())
 
 
@@ -163,35 +162,28 @@ def _one_hot(labels: np.ndarray, classes: int) -> np.ndarray:
 class _Prepared:
     """A dataset's per-call constants, built once and shared by every model call on it.
 
-    Holds the C-contiguous float64 features, the one-hot labels, the flat
-    indices of logp[rows, labels], one one-item _GradientStep per batch
-    size, and the _Stacks it shares with the datasets it has trained beside.
-    The steps' buffers are scratch space: no model function returns a view
-    of them.
+    Holds the C-contiguous float64 features and the one-hot labels, each as
+    a one-item stack (1 x n x ...), the flat indices of logp[rows, labels],
+    and the _Stacks whose steps run every model call on the dataset, shared
+    with the datasets it has trained beside.
     """
 
     def __init__(self, features: np.ndarray, labels: np.ndarray, classes: int):
         self.features, self.labels, self.classes = features, labels, classes  # the cache key
-        self.x = np.ascontiguousarray(features, dtype=float)
-        self.onehot = _one_hot(labels, classes)
+        self.x = np.ascontiguousarray(features, dtype=float)[None]
+        self.onehot = _one_hot(labels, classes)[None]
         # logp[rows, labels] through flat indices, which numpy gathers faster
         self.label_at = np.arange(0, len(labels) * classes, classes) + labels
-        self._steps = {}
-        self.stacks = None
-
-    def step(self, m: int) -> _GradientStep:
-        step = self._steps.get(m)
-        if step is None:
-            step = self._steps[m] = _GradientStep(1, m, self.x.shape[1], self.classes)
-        return step
+        self.stacks = _Stacks(features.shape[1], classes)
 
 
 class _Stacks:
-    """The k-item _GradientSteps of datasets of one shape, all on one scratch buffer.
+    """The _GradientSteps of datasets of one shape, one per (k items, m rows), on one buffer.
 
-    Training runs one step at a time and spends its results before the next
-    step runs, so the steps of every (k, m) can share the memory of the
-    largest: a stack of many items costs its buffers once, not once per k.
+    Each model call runs one step at a time and spends its results before
+    the next step runs, so the steps can share the memory of the largest:
+    a stack of many items costs its buffers once, not once per k. The buffer
+    is scratch space: no model function returns a view of it.
     """
 
     def __init__(self, f: int, classes: int):
@@ -241,10 +233,9 @@ def _fold(ufunc, cols: list, out: np.ndarray) -> np.ndarray:
 class _GradientStep:
     """Mean cross-entropy gradients of k stacked m-row batches, computed in preallocated buffers.
 
-    A step for k > 1 items has a leading item axis on every argument and
-    buffer: item i's batch is x[i], onehot[i] and its parameters weights[i],
-    biases[i]. A one-item step has none: it takes one batch x of shape
-    (m, f), weights (f, classes) and biases (classes,), as before stacking.
+    Every buffer, and the batches x and onehot, has a leading item axis:
+    item i's batch is x[i], onehot[i] and its parameters weights[i],
+    biases[i]. One item's parameters may also come without the axis.
 
     Performs the floating-point operations of the textbook form (logits,
     log-softmax, exp, subtract the one-hot labels, divide by m, X^T @ probs,
@@ -267,10 +258,8 @@ class _GradientStep:
 
     @staticmethod
     def shapes(k: int, m: int, f: int, classes: int) -> tuple:
-        """Shapes of the logits, probs, row, bias and grad buffers; one item has no item axis."""
-        lead = (k,) if k > 1 else ()
-        return (lead + (m, classes), lead + (m, classes), (k * m,), lead + (classes,),
-                lead + (param_dim(f, classes),))
+        """Shapes of the logits, probs, row, bias and grad buffers."""
+        return (k, m, classes), (k, m, classes), (k * m,), (k, classes), (k, param_dim(f, classes))
 
     def __init__(self, k: int, m: int, f: int, classes: int, buffer: np.ndarray = None):
         """Buffers are carved from the front of buffer, or allocated when it is None."""
@@ -290,7 +279,7 @@ class _GradientStep:
         self.logit_pairs = _pair_columns(self.logits)
         self.prob_pairs = _pair_columns(self.probs)
         # the biases are copied into bias, so that they can be paired
-        self.bias_pairs = _pair_columns(self.bias[:, None] if k > 1 else self.bias)
+        self.bias_pairs = _pair_columns(self.bias[:, None])
         self.gb_pairs = _pair_columns(self.gb)  # views of gb, one entry per item
 
     def log_softmax(self, weights, biases, x):
@@ -331,7 +320,7 @@ def loss_gradient(params: ModelParams, data: Dataset) -> ModelParams:
     """Analytic gradient of local_loss with respect to the flat parameter vector."""
     weights, biases = _check(params, data)
     p = _prepare(data)
-    return p.step(data.n)(weights, biases, p.x, p.onehot).copy()
+    return p.stacks.step(1, data.n)(weights, biases, p.x, p.onehot)[0].copy()
 
 
 def draws_batches(cfg: TrainConfig, data: Dataset) -> bool:
@@ -368,18 +357,10 @@ def train_batch(starts, datas, cfg: TrainConfig, seeds) -> list:
     for i, data in enumerate(datas):
         groups.setdefault((data.n, data.features.shape[1], data.classes), []).append(i)
     out = [None] * len(datas)
-    for (n, f, classes), items in groups.items():
-        if n == 0:
-            raise ValueError("empty dataset")
-        group_seeds = [seeds[i] for i in items]
-        if cfg.batch_size < n and None in group_seeds:
-            raise ValueError(f"rng_seed is None, but batch_size {cfg.batch_size} < {n} rows "
-                             f"draws mini-batches, which needs an int rng_seed")
+    for items in groups.values():
         w = np.array([starts[i] for i in items], dtype=float)  # a copy: no start is written to
-        if w.shape != (len(items), param_dim(f, classes)):
-            raise ValueError(f"parameter vector of length {w.shape[-1]} does not match "
-                             f"dimension {param_dim(f, classes)}")
-        _train_stack(w, [datas[i] for i in items], cfg, group_seeds)
+        _check(w[0], datas[items[0]])  # w is rectangular, so this checks every item
+        _train_stack(w, [datas[i] for i in items], cfg, [seeds[i] for i in items])
         for i, params, finite in zip(items, w, np.isfinite(w).all(axis=1).tolist()):
             out[i] = params if finite else \
                 ArithmeticError("training diverged to non-finite parameters")
@@ -390,37 +371,34 @@ def _train_stack(w: np.ndarray, datas, cfg: TrainConfig, seeds) -> None:
     """Trains the k x dim parameters w in place, item i on datas[i]; the datas share one shape."""
     k, data = len(datas), datas[0]
     n, f, classes = data.n, data.features.shape[1], data.classes
-    lead = (k,) if k > 1 else ()  # as in _GradientStep.shapes
-    params = w.reshape(lead + w.shape[1:])
-    weights, biases = _split(params, f, classes)  # views: updating params updates them
+    weights, biases = _split(w, f, classes)  # views: updating w updates them
     prepared = [_prepare(d) for d in datas]
-    if k == 1:  # a lone item trains on its dataset's own arrays and steps
-        step, x, onehot = prepared[0].step, prepared[0].x, prepared[0].onehot
-    else:
-        stacks = prepared[0].stacks or _Stacks(f, classes)
-        for p in prepared:
-            p.stacks = stacks
-        step = functools.partial(stacks.step, k)
-        x = np.concatenate([p.x for p in prepared]).reshape(k, n, f)
-        onehot = np.concatenate([p.onehot for p in prepared]).reshape(k, n, classes)
+    stacks = prepared[0].stacks
+    for p in prepared[1:]:
+        p.stacks = stacks
+    x = np.concatenate([p.x for p in prepared])  # k x n x f
+    onehot = np.concatenate([p.onehot for p in prepared])
     rngs = None
     if draws_batches(cfg, data):
+        if None in seeds:
+            raise ValueError(f"rng_seed is None, but batch_size {cfg.batch_size} < {n} rows "
+                             f"draws mini-batches, which needs an int rng_seed")
         rngs = [np.random.default_rng(seed) for seed in seeds]
-        first_row = np.arange(0, k * n, n).reshape(lead + (1,))  # item i's rows start at i * n
+        first_row = np.arange(0, k * n, n)[:, None]  # item i's rows start at i * n
         x, onehot = x.reshape(k * n, f), onehot.reshape(k * n, classes)
     size = cfg.batch_size
     for _ in range(cfg.epochs):
         if rngs is None:
             batches = [(x, onehot)]
         else:
-            order = np.concatenate([rng.permutation(n) for rng in rngs]).reshape(lead + (n,))
+            order = np.concatenate([rng.permutation(n) for rng in rngs]).reshape(k, n)
             order += first_row
             batches = [(x[rows], onehot[rows])
-                       for rows in (order[..., lo : lo + size] for lo in range(0, n, size))]
+                       for rows in (order[:, lo : lo + size] for lo in range(0, n, size))]
         for xb, yb in batches:
-            grad = step(xb.shape[-2])(weights, biases, xb, yb)
+            grad = stacks.step(k, xb.shape[1])(weights, biases, xb, yb)
             grad *= cfg.learning_rate
-            params -= grad
+            w -= grad
 
 
 def global_objective(epsilons, losses, K: int) -> float:

@@ -24,10 +24,12 @@ from .aggregation import (DefenseMode, DefensePolicy, Verdict, aggregate_async,
                           aggregate_fedavg, defense_filter, scaling_factor)
 from .chain import (Chain, CommitteeState, BlockCutPolicy, HashRecord, RecordKind,
                     VerifyResult, hash_model, verify_record)
-# local_train is not called here, but perfbench/layertrace.py times this module's name for it
-from .model import (Dataset, ModelParams, TrainConfig, draws_batches, evaluate_accuracy,  # noqa: F401
+from .model import (Dataset, ModelParams, TrainConfig, draws_batches, evaluate_accuracy,
                     generate_synthetic_dataset, global_objective, holdout_rows,
-                    init_params, local_loss, local_train, split_dataset, train_batch)
+                    init_params, local_loss, split_dataset)
+# The simulation's one training entry point: each call trains a batch of nodes.
+# perfbench/layertrace.py times this name as the model's training layer.
+from .model import train_batch as local_train
 from .netsim import (DdosConfig, EventQueue, LinkParams, PayloadSizes,
                      ddos_effective_rate, shannon_rate, tx_time)
 
@@ -661,7 +663,7 @@ class _Simulation:
 
         A training due within the horizon is registered, so that the first
         train event to need a result trains every registered node in one
-        train_batch call.
+        local_train (model.train_batch) call.
         """
         node.marks["dl"] = now
         node.switch(now, "training")
@@ -704,7 +706,7 @@ class _Simulation:
     def _on_train(self, now: float, node: _NodeRT) -> None:
         if node not in self.trained:
             nodes, starts, seeds = zip(*self.untrained)
-            results = train_batch(starts, [n.train_data for n in nodes], self.cfg.train, seeds)
+            results = local_train(starts, [n.train_data for n in nodes], self.cfg.train, seeds)
             self.trained.update(zip(nodes, results))
             self.untrained.clear()
         params = self.trained.pop(node)

@@ -497,8 +497,8 @@ def test_one_datasets_steps_are_reused_across_two_batch_sizes():
     for trial in range(4):
         params = rng.normal(size=model.param_dim(2, 5))
         _assert_model_calls_match_the_references(params, data, cfg, rng_seed=trial)
-        cached = model._prepare(data)._steps
-        assert sorted(cached) == [2, 7, 30]
+        cached = model._prepare(data).stacks.steps  # keyed by (items, rows)
+        assert sorted(cached) == [(1, 2), (1, 7), (1, 30)]
         if steps is not None:
             assert all(cached[m] is steps[m] for m in steps)
         steps = dict(cached)
@@ -507,8 +507,8 @@ def test_one_datasets_steps_are_reused_across_two_batch_sizes():
     weights, biases = model._unpack(params, 2, 5)
     for rows in (np.arange(7), np.arange(28, 30), np.arange(7, 14), np.arange(0, 30, 15)):
         batch = model.Dataset(data.features[rows], data.labels[rows], 5)
-        got = steps[len(rows)](weights, biases, prepared.x[rows], prepared.onehot[rows])
-        assert got.tobytes() == _reference_gradient(params, batch).tobytes()
+        got = steps[1, len(rows)](weights, biases, prepared.x[:, rows], prepared.onehot[:, rows])
+        assert got[0].tobytes() == _reference_gradient(params, batch).tobytes()
 
 
 def _oracle_items(draw_int, k, n, f, classes):

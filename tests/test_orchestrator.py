@@ -556,12 +556,12 @@ def test_test_fraction_that_empties_a_split_is_rejected():
 
 
 def _run_with_trainer(monkeypatch, cfg, one_at_a_time=False):
-    """run_scenario(cfg) and the dataset shapes of each train_batch call it made.
+    """run_scenario(cfg) and the dataset shapes of each training call it made.
 
     With one_at_a_time, the trainer trains each item in a call of its own.
     """
     calls = []
-    batched = orch.train_batch
+    batched = orch.local_train
 
     def trainer(starts, datas, train_cfg, seeds):
         calls.append([(d.n, d.features.shape[1], d.classes) for d in datas])
@@ -571,7 +571,7 @@ def _run_with_trainer(monkeypatch, cfg, one_at_a_time=False):
         return batched(starts, datas, train_cfg, seeds)
 
     with monkeypatch.context() as m:
-        m.setattr(orch, "train_batch", trainer)
+        m.setattr(orch, "local_train", trainer)
         return orch.run_scenario(cfg), calls
 
 
@@ -613,7 +613,7 @@ def test_batched_training_equals_training_one_node_per_call(monkeypatch, name):
 
 def test_trainer_gets_one_item_per_processed_train_event(monkeypatch):
     counts = dict.fromkeys(("items", "scheduled", "processed"), 0)
-    batched, on_train, schedule = orch.train_batch, orch._Simulation._on_train, \
+    batched, on_train, schedule = orch.local_train, orch._Simulation._on_train, \
         orch.EventQueue.schedule
 
     def trainer(starts, datas, train_cfg, seeds):
@@ -628,7 +628,7 @@ def test_trainer_gets_one_item_per_processed_train_event(monkeypatch):
         counts["scheduled"] += event[0] == "train"
         schedule(self, time_s, event)
 
-    monkeypatch.setattr(orch, "train_batch", trainer)
+    monkeypatch.setattr(orch, "local_train", trainer)
     monkeypatch.setattr(orch._Simulation, "_on_train", processed)
     monkeypatch.setattr(orch.EventQueue, "schedule", scheduled)
     orch.run_scenario(small_scenario(orch.Strategy.dbafl(), duration=100.0))
