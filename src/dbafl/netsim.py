@@ -189,9 +189,13 @@ class EventQueue:
         heapq.heappush(self._heap, (time_s, self._seq, event))
         self._seq += 1
 
-    def pop(self) -> Optional[tuple[float, Any]]:
-        """Next (time, event) pair, advancing the clock; None when empty."""
-        if not self._heap:
+    def pop(self, until: Optional[float] = None) -> Optional[tuple[float, Any]]:
+        """Next (time, event) pair, advancing the clock; None when empty.
+
+        With until, an event later than until stays queued and pop returns
+        None without moving the clock.
+        """
+        if not self._heap or (until is not None and self._heap[0][0] > until):
             return None
         time_s, _, event = heapq.heappop(self._heap)
         self.now = time_s

@@ -496,6 +496,7 @@ class _NodeRT:
             * train_data.n / 1000.0
         self.draws_batches = draws_batches(train_cfg, train_data)  # only then is a seed read
         self.test_time = cfg.compute_time_multiplier * test_data.n / 1000.0
+        self.unread = False  # from a train event until its result is read or discarded
         self.stage = "waiting"
         self.since = 0.0
         self.committed = dict.fromkeys(STAGES, 0.0)
@@ -562,9 +563,9 @@ class _Simulation:
         self.decisions: list = []
         self.round_logs: list = []
         self.sync_rounds: list = []
-        # trainings due within the horizon: (node, start params, seed) until
+        # trainings due within the horizon: node -> (start params, seed) until
         # trained, then node -> trained params or the error training raised
-        self.untrained: list = []
+        self.untrained: dict = {}
         self.trained: dict = {}
         if self.strategy.kind is StrategyKind.FEDAVG:
             total = sum(n.train_data.n for n in self.nodes)
@@ -577,6 +578,12 @@ class _Simulation:
         if self.chain is not None:
             return self.chain.committee.leader
         return self.server_id
+
+    def _keeps_model(self, node: _NodeRT) -> bool:
+        """True while node serves an asynchronous strategy: it uploads no model."""
+        return not self.strategy.is_synchronous and \
+            self.strategy.kind is not StrategyKind.LOCAL_ONLY and \
+            node.cfg.id == self._aggregator()
 
     def _flood_target(self) -> Optional[int]:
         ddos = self.cfg.attack.ddos
@@ -650,7 +657,7 @@ class _Simulation:
         self.global_version += 1
 
     def _upload_payload(self, node: _NodeRT) -> IncomingModel:
-        params = node.params.copy()
+        params = self._model(node).copy()
         if node.cfg.id in self.cfg.attack.poisoners:
             params = poison(params, self.cfg.attack.poison_magnitude,
                             derive_seed(self.cfg.master_seed, "poison",
@@ -661,10 +668,10 @@ class _Simulation:
     def _schedule_train(self, now: float, node: _NodeRT) -> None:
         """Start node's training at now; its inputs are fixed from here on.
 
-        A training due within the horizon is registered, so that the first
-        train event to need a result trains every registered node in one
-        local_train (model.train_batch) call.
+        A training due within the horizon is registered; it is computed only
+        when _model first reads its result.
         """
+        start = self._model(node)
         node.marks["dl"] = now
         node.switch(now, "training")
         due = now + node.train_time
@@ -672,8 +679,30 @@ class _Simulation:
             seed = None
             if node.draws_batches:
                 seed = derive_seed(self.cfg.master_seed, "train", node.cfg.id, node.round)
-            self.untrained.append((node, node.params, seed))
+            self.untrained[node] = (start, seed)
         self.q.schedule(due, ("train", node))
+
+    def _model(self, node: _NodeRT) -> ModelParams:
+        """node's current params, computing its finished training at the first read.
+
+        That read trains every registered training in one local_train
+        (model.train_batch) call, but for the serving node's, which is left
+        out unless it is the one read.  A training that diverged raises its
+        ArithmeticError here.
+        """
+        if node.unread:
+            node.unread = False
+            if node not in self.trained:
+                batch = [n for n in self.untrained if n is node or not self._keeps_model(n)]
+                starts, seeds = zip(*map(self.untrained.pop, batch))
+                results = local_train(starts, [n.train_data for n in batch],
+                                      self.cfg.train, seeds)
+                self.trained.update(zip(batch, results))
+            params = self.trained.pop(node)
+            if isinstance(params, ArithmeticError):
+                raise params
+            node.params = params
+        return node.params
 
     def _finish_round(self, node: _NodeRT, now: float, upload_done: float,
                       decision: float) -> None:
@@ -699,20 +728,16 @@ class _Simulation:
 
     def _on_dl(self, now: float, node: _NodeRT, version: int,
                snapshot: ModelParams) -> None:
+        if node.unread:  # the download replaces a result nobody read: never compute it
+            node.unread = False
+            self.untrained.pop(node, None)
+            self.trained.pop(node, None)
         node.params = snapshot
         node.base_version = version
         self._schedule_train(now, node)
 
     def _on_train(self, now: float, node: _NodeRT) -> None:
-        if node not in self.trained:
-            nodes, starts, seeds = zip(*self.untrained)
-            results = local_train(starts, [n.train_data for n in nodes], self.cfg.train, seeds)
-            self.trained.update(zip(nodes, results))
-            self.untrained.clear()
-        params = self.trained.pop(node)
-        if isinstance(params, ArithmeticError):
-            raise params
-        node.params = params
+        node.unread = True  # from now on, node's model is its training's result
         node.marks["train"] = now
         node.switch(now, "testing")
         self.q.schedule(now + node.test_time, ("test", node))
@@ -722,12 +747,12 @@ class _Simulation:
         if self.bootstrap_pending and node.cfg.id == self.server_id:
             node.switch(now, "communication")
             self.q.schedule(now + self._upload_duration(node),
-                            ("boot_up", node, node.params.copy()))
+                            ("boot_up", node, self._model(node).copy()))
             return
         if self.strategy.kind is StrategyKind.LOCAL_ONLY:
             self._finish_round(node, now, now, now)
             return
-        if self.strategy.is_synchronous or node.cfg.id != self._aggregator():
+        if not self._keeps_model(node):
             incoming = self._upload_payload(node)
             node.switch(now, "communication")
             self.q.schedule(now + self._upload_duration(node), ("up", node, incoming))
@@ -842,10 +867,10 @@ class _Simulation:
     def _on_sample(self, now: float) -> None:
         local_model = self.strategy.kind is StrategyKind.LOCAL_ONLY
         for n in self.nodes:
-            n.sampled_acc = _memoized(n.sampled_acc, n.params, evaluate_accuracy,
-                                      n.test_data)
+            params = self._model(n)
+            n.sampled_acc = _memoized(n.sampled_acc, params, evaluate_accuracy, n.test_data)
             n.sampled_loss = _memoized(
-                n.sampled_loss, n.params if local_model else self.global_params,
+                n.sampled_loss, params if local_model else self.global_params,
                 local_loss, n.train_data)
         accs = tuple(n.sampled_acc[1] for n in self.nodes)
         losses = [n.sampled_loss[1] for n in self.nodes]
@@ -891,10 +916,7 @@ class _Simulation:
             "boot_up": self._on_boot_up, "up": self._on_up, "svc": self._on_svc,
             "svc_done": self._on_svc_done, "sync_done": self._on_sync_done,
             "cut": self._on_cut}
-        while True:
-            item = self.q.pop()
-            if item is None or item[0] > self.cfg.duration_s:
-                break
+        while (item := self.q.pop(until=self.cfg.duration_s)) is not None:
             now, event = item
             handlers[event[0]](now, *event[1:])
         for node in self.nodes:

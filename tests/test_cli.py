@@ -6,6 +6,7 @@ import hashlib
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from scenario_strategies import scenarios
@@ -308,6 +309,15 @@ def test_node_dataset_non_finite_features_are_a_config_error(tmp_path, capsys, b
     rc = _run_with_node_dataset(tmp_path, rows, [0, 1] * 10)
     assert rc == 1
     assert "nodes[1].dataset.features" in capsys.readouterr().err
+
+
+def test_node_dataset_whose_training_diverges_is_a_runtime_error(tmp_path, capsys):
+    # finite, but too large to train on; node 1 uploads, so its result is read
+    rows = [[(1.0 + 0.1 * i) * 1e200, 1e200] for i in range(20)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = _run_with_node_dataset(tmp_path, rows, [0, 1] * 10)
+    assert rc == 2
+    assert "runtime error: training diverged" in capsys.readouterr().err
 
 
 # No shrinking: a failure names its first differing line, and shrinking

@@ -113,6 +113,17 @@ def test_event_queue_ordering_and_sentinel():
     assert q.now == 1.0
 
 
+def test_event_queue_pop_until_leaves_later_events_queued():
+    q = ns.EventQueue()
+    q.schedule(1.0, "a")
+    q.schedule(2.0, "b")
+    assert q.pop(until=1.5) == (1.0, "a")
+    assert q.pop(until=1.5) is None
+    assert q.now == 1.0 and len(q) == 1  # neither the clock nor the queue moved
+    assert q.pop(until=2.0) == (2.0, "b")  # an event due at until itself pops
+    assert q.pop(until=5.0) is None and q.now == 2.0
+
+
 def test_event_queue_rejects_past_and_keeps_clock_monotone():
     q = ns.EventQueue()
     q.schedule(1.0, "a")

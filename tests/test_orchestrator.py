@@ -611,10 +611,23 @@ def test_batched_training_equals_training_one_node_per_call(monkeypatch, name):
     assert batched.stage_totals == alone.stage_totals
 
 
+def _read_at_train_event(monkeypatch):
+    """Make every run eager: each node's result is read at its own train event."""
+    on_train = orch._Simulation._on_train
+
+    def eager(self, now, node):
+        on_train(self, now, node)
+        self._model(node)
+
+    monkeypatch.setattr(orch._Simulation, "_on_train", eager)
+
+
 def test_trainer_gets_one_item_per_processed_train_event(monkeypatch):
     counts = dict.fromkeys(("items", "scheduled", "processed"), 0)
+    discarded = []  # nodes whose download replaced a result nobody had read
     batched, on_train, schedule = orch.local_train, orch._Simulation._on_train, \
         orch.EventQueue.schedule
+    on_dl = orch._Simulation._on_dl
 
     def trainer(starts, datas, train_cfg, seeds):
         counts["items"] += len(starts)
@@ -628,13 +641,98 @@ def test_trainer_gets_one_item_per_processed_train_event(monkeypatch):
         counts["scheduled"] += event[0] == "train"
         schedule(self, time_s, event)
 
+    def downloaded(self, now, node, version, snapshot):
+        if node.unread:
+            discarded.append(node.cfg.id)
+        on_dl(self, now, node, version, snapshot)
+
     monkeypatch.setattr(orch, "local_train", trainer)
     monkeypatch.setattr(orch._Simulation, "_on_train", processed)
     monkeypatch.setattr(orch.EventQueue, "schedule", scheduled)
-    orch.run_scenario(small_scenario(orch.Strategy.dbafl(), duration=100.0))
-    assert counts["items"] == counts["processed"] > 0
-    assert counts["scheduled"] > counts["processed"]  # some trainings end past the horizon
+    monkeypatch.setattr(orch._Simulation, "_on_dl", downloaded)
+    serving_discards = {orch.StrategyKind.DBAFL, orch.StrategyKind.STATIC_EPS,
+                        orch.StrategyKind.AFL}
+    for strategy in (orch.Strategy.dbafl(), orch.Strategy.bsfl(), orch.Strategy.fedavg(),
+                     orch.Strategy.static_eps(1.0), orch.Strategy.afl(),
+                     orch.Strategy.local_only()):
+        cfg = small_scenario(strategy, duration=100.0)
+        with monkeypatch.context() as m:
+            _read_at_train_event(m)
+            counts.update(dict.fromkeys(counts, 0))
+            orch.run_scenario(cfg)
+        eager = dict(counts)
+        assert eager["items"] == eager["processed"] > 0, strategy.label
+        assert eager["scheduled"] > eager["processed"], strategy.label  # some end past the horizon
+        assert discarded == [], strategy.label
+        counts.update(dict.fromkeys(counts, 0))
+        orch.run_scenario(cfg)
+        assert counts["processed"] == eager["processed"], strategy.label
+        if strategy.kind in serving_discards:  # the serving node's results go unread
+            assert counts["items"] < counts["processed"], strategy.label
+        else:
+            assert counts["items"] == counts["processed"], strategy.label
+            assert discarded == [], strategy.label
+        # a result is either computed or discarded unread, never both
+        assert counts["items"] + len(discarded) == counts["processed"], strategy.label
+        discarded.clear()
     # the server's first training ends at 8 s, past this horizon: nothing trains
     counts.update(dict.fromkeys(counts, 0))
     orch.run_scenario(small_scenario(orch.Strategy.dbafl(), duration=5.0))
     assert counts == {"items": 0, "scheduled": 1, "processed": 0}
+
+
+_ON_DEMAND = {
+    **_BATCHED,
+    "BSFL": small_scenario(orch.Strategy.bsfl()),
+    "StaticEps": small_scenario(orch.Strategy.static_eps(1.0)),
+    "AFL": small_scenario(orch.Strategy.afl()),
+    # samples land between train events and the reads that follow them, and
+    # overlapping classes make a trained model's accuracy differ from its start's
+    "dense-samples": small_scenario(
+        orch.Strategy.dbafl(), metrics_interval_s=0.25,
+        data=orch.DataSpec(samples_per_node=200, separation=1.0)),
+}
+
+
+@pytest.mark.parametrize("name", list(_ON_DEMAND))
+def test_on_demand_training_equals_eager_training(monkeypatch, name):
+    cfg = _ON_DEMAND[name]
+    on_demand = orch.run_scenario(cfg)
+    with monkeypatch.context() as m:
+        _read_at_train_event(m)
+        eager = orch.run_scenario(cfg)
+    assert cli._metrics_csv(on_demand) == cli._metrics_csv(eager)
+    if cfg.strategy.uses_chain:
+        assert ch.dump_chain(on_demand.chain) == ch.dump_chain(eager.chain)
+    assert on_demand.decisions == eager.decisions
+    assert on_demand.round_logs == eager.round_logs
+    assert on_demand.sync_rounds == eager.sync_rounds
+    assert on_demand.stage_totals == eager.stage_totals
+
+
+def _diverging_nodes():
+    """The stock nodes, where node 1, an RSU that does not serve first, brings huge features.
+
+    Its classes overlap, so no model fits them and every step moves the params.
+    """
+    nodes = list(orch.default_nodes())
+    own = mdl.generate_synthetic_dataset(seed=81, n=200, f=2, classes=2, separation=0.0)
+    nodes[1] = dataclasses.replace(
+        nodes[1], dataset=mdl.Dataset(own.features * 1e200, own.labels, own.classes))
+    return nodes
+
+
+def test_diverged_training_of_a_node_that_uploads_fails_the_run():
+    cfg = small_scenario(orch.Strategy.dbafl(), nodes=_diverging_nodes())
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ArithmeticError, match="diverged"):
+        orch.run_scenario(cfg)
+
+
+def test_run_leaves_the_first_event_past_the_horizon_queued():
+    cfg = small_scenario(orch.Strategy.dbafl(), duration=100.0)
+    sim = orch._Simulation(cfg)
+    sim.run()
+    assert sim.q.now <= cfg.duration_s
+    time_s, _ = sim.q.pop()
+    assert time_s > cfg.duration_s
