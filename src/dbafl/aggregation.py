@@ -15,11 +15,6 @@ EPS_MIN = 0.01
 EPS_MAX = 100.0
 
 
-class Verdict(enum.Enum):
-    ACCEPT = "accept"
-    DISCARD = "discard"
-
-
 class DefenseMode(enum.Enum):
     OFF = "off"
     THRESHOLD_FRACTION = "threshold"
@@ -62,13 +57,9 @@ def aggregate_async(w_global_prev: ModelParams, w_local: ModelParams, eps: float
     return (w_global_prev + eps * w_local) / (1.0 + eps)
 
 
-def defense_filter(acc_local: float, acc_global_prev: float, policy: DefensePolicy) -> Verdict:
-    """Discard strictly below theta * acc_global_prev; Off accepts everything."""
-    if policy.mode is DefenseMode.OFF:
-        return Verdict.ACCEPT
-    if acc_local >= policy.theta * acc_global_prev:
-        return Verdict.ACCEPT
-    return Verdict.DISCARD
+def defense_filter(acc_local: float, acc_global_prev: float, policy: DefensePolicy) -> bool:
+    """Accept (True) unless strictly below theta * acc_global_prev; Off accepts everything."""
+    return policy.mode is DefenseMode.OFF or bool(acc_local >= policy.theta * acc_global_prev)
 
 
 def aggregate_fedavg(models, sizes) -> ModelParams:

@@ -240,12 +240,9 @@ def serialize_scenario(cfg: ScenarioConfig) -> str:
 # -------------------------------------------------------------- run plumbing
 
 
-def apply_overrides(cfg: ScenarioConfig, strategy: Optional[str] = None,
-                    attack: Optional[str] = None,
+def apply_overrides(cfg: ScenarioConfig, attack: Optional[str] = None,
                     defense: Optional[float] = None) -> ScenarioConfig:
     """Command-line overrides on top of a loaded scenario."""
-    if strategy is not None:
-        cfg = dataclasses.replace(cfg, strategy=Strategy.parse(strategy))
     if attack is not None:
         if attack == "poisoning":
             new = dataclasses.replace(
@@ -417,7 +414,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "run":
             strategies = ()
             if args.strategy is not None:
-                strategies = (Strategy.parse(args.strategy),)
+                strategies = (_load_strategy(args.strategy, "--strategy"),)
             manifest = RunManifest(scenario=args.config, out_dir=args.out,
                                    seeds=args.seed, strategies=strategies,
                                    attack=args.attack, defense=args.defense)
@@ -425,7 +422,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             manifest = RunManifest(
                 scenario=args.config, out_dir=args.out,
                 seeds=parse_seed_range(args.seeds),
-                strategies=tuple(Strategy.parse(s.strip())
+                strategies=tuple(_load_strategy(s.strip(), "--strategies")
                                  for s in args.strategies.split(",")))
     except (OSError, ValueError, yaml.YAMLError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

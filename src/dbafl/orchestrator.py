@@ -2,10 +2,10 @@
 
 Every node cycles through download, train, self-test, upload, and a wait
 for the aggregation decision; which of those legs exist, and who serves
-the aggregation, depends on the strategy.  Asynchronous strategies
-aggregate each arrival as it lands, synchronous ones hold a barrier for
-all K fresh models.  The simulation is fully deterministic: all
-randomness flows from the master seed through derive_seed, and
+the aggregation, depends on the strategy's row in TRAITS.  Asynchronous
+strategies aggregate each arrival as it lands, synchronous ones hold a
+barrier for all K fresh models.  The simulation is fully deterministic:
+all randomness flows from the master seed through derive_seed, and
 simultaneous events replay in insertion order.
 """
 
@@ -20,8 +20,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .aggregation import (DefenseMode, DefensePolicy, Verdict, aggregate_async,
-                          aggregate_fedavg, defense_filter, scaling_factor)
+from .aggregation import (DefenseMode, DefensePolicy, aggregate_async, aggregate_fedavg,
+                          defense_filter, scaling_factor)
 from .chain import (Chain, CommitteeState, BlockCutPolicy, HashRecord, RecordKind,
                     VerifyResult, hash_model, verify_record)
 from .model import (Dataset, ModelParams, TrainConfig, draws_batches, evaluate_accuracy,
@@ -62,16 +62,39 @@ class StrategyKind(enum.Enum):
 
 
 @dataclass(frozen=True)
+class StrategyTraits:
+    """The decisions that set one strategy apart; the simulator reads only these."""
+
+    serves: bool = True          # some node aggregates uploads; else each keeps its own
+    chain: bool = False          # digests go on the committee's chain
+    barrier: bool = False        # one aggregation once all K fresh models have arrived
+    bootstrap: bool = False      # the serving node trains the first global alone
+    size_weighted: bool = False  # barrier mean and objective weights by sample count
+    dynamic_eps: bool = False    # arrival-time epsilon from the accuracy ratio
+    takes_epsilon: bool = False  # arrival-time epsilon from the label; otherwise 1.0
+
+
+TRAITS = {
+    StrategyKind.DBAFL: StrategyTraits(chain=True, bootstrap=True, dynamic_eps=True),
+    StrategyKind.BSFL: StrategyTraits(chain=True, barrier=True, bootstrap=True),
+    StrategyKind.FEDAVG: StrategyTraits(barrier=True, size_weighted=True),
+    StrategyKind.STATIC_EPS: StrategyTraits(chain=True, bootstrap=True, takes_epsilon=True),
+    StrategyKind.LOCAL_ONLY: StrategyTraits(serves=False),
+    StrategyKind.AFL: StrategyTraits(bootstrap=True),
+}
+
+
+@dataclass(frozen=True)
 class Strategy:
-    """Aggregation discipline; STATIC_EPS carries its fixed scaling factor."""
+    """Aggregation discipline; a kind that takes an epsilon carries it."""
 
     kind: StrategyKind
     epsilon: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.kind is StrategyKind.STATIC_EPS:
+        if self.traits.takes_epsilon:
             if self.epsilon is None or not 0 < self.epsilon < math.inf:
-                raise ValueError("StaticEps needs a positive finite epsilon")
+                raise ValueError(f"{self.kind.value} needs a positive finite epsilon")
         elif self.epsilon is not None:
             raise ValueError(f"{self.kind.value} does not take an epsilon")
 
@@ -100,47 +123,40 @@ class Strategy:
         return cls(StrategyKind.AFL)
 
     @property
+    def traits(self) -> StrategyTraits:
+        return TRAITS[self.kind]
+
+    @property
     def label(self) -> str:
-        if self.kind is StrategyKind.STATIC_EPS:
+        if self.traits.takes_epsilon:
             return f"{self.kind.value}:{self.epsilon!r}"
         return self.kind.value
 
     @classmethod
     def parse(cls, text: str) -> "Strategy":
         name, sep, eps = text.partition(":")
-        for kind in StrategyKind:
-            if kind.value == name:
-                if sep:
-                    if kind is not StrategyKind.STATIC_EPS:
-                        raise ValueError(f"{name} does not take an epsilon")
-                    return cls(kind, float(eps))
-                if kind is StrategyKind.STATIC_EPS:
-                    raise ValueError("StaticEps needs an epsilon, e.g. StaticEps:1.0")
-                return cls(kind)
-        raise ValueError(f"unknown strategy {text!r}")
-
-    @property
-    def uses_chain(self) -> bool:
-        return self.kind in (StrategyKind.DBAFL, StrategyKind.STATIC_EPS,
-                             StrategyKind.BSFL)
-
-    @property
-    def is_synchronous(self) -> bool:
-        return self.kind in (StrategyKind.FEDAVG, StrategyKind.BSFL)
-
-    @property
-    def has_bootstrap(self) -> bool:
-        # the serving node trains the initial global before anyone else moves
-        return self.uses_chain or self.kind is StrategyKind.AFL
+        try:
+            kind = StrategyKind(name)
+        except ValueError:
+            raise ValueError(f"unknown strategy {text!r}") from None
+        if not TRAITS[kind].takes_epsilon:
+            if sep:
+                raise ValueError(f"{name} does not take an epsilon")
+            return cls(kind)
+        if not sep:
+            raise ValueError(f"{name} needs an epsilon, e.g. {name}:1.0")
+        try:
+            epsilon = float(eps)
+        except ValueError:
+            raise ValueError(f"{name} epsilon must be a number, got {eps!r}") from None
+        return cls(kind, epsilon)
 
     @property
     def service_epsilon(self) -> Optional[float]:
         """Fixed scaling factor for arrival-time aggregation; None means dynamic."""
-        if self.kind is StrategyKind.DBAFL:
+        if self.traits.dynamic_eps:
             return None
-        if self.kind is StrategyKind.STATIC_EPS:
-            return self.epsilon
-        return 1.0
+        return self.epsilon if self.traits.takes_epsilon else 1.0
 
 
 @dataclass(frozen=True)
@@ -192,10 +208,6 @@ class AttackConfig:
             raise ValueError("poison_magnitude must be positive")
         object.__setattr__(self, "poisoners", frozenset(self.poisoners))
 
-    @classmethod
-    def none(cls) -> "AttackConfig":
-        return cls()
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -218,8 +230,7 @@ class ScenarioConfig:
         ids = [n.id for n in self.nodes]
         if len(set(ids)) != len(ids):
             raise ValueError("nodes: ids must be unique")
-        if self.strategy.kind is not StrategyKind.LOCAL_ONLY and \
-                not any(n.role is Role.RSU for n in self.nodes):
+        if self.strategy.traits.serves and not any(n.role is Role.RSU for n in self.nodes):
             raise ValueError(
                 f"nodes: {self.strategy.label} needs at least one RSU to serve")
         # a non-finite horizon or sampling interval would never end a run
@@ -405,14 +416,14 @@ def synchronous_round(strategy: Strategy, w_global_prev: ModelParams,
     variant folds the models into the previous global in arrival order
     with a unit scaling factor each.
     """
-    if strategy.kind is StrategyKind.FEDAVG:
+    if not strategy.traits.barrier:
+        raise ValueError(f"{strategy.label} does not aggregate on a barrier")
+    if strategy.traits.size_weighted:
         return aggregate_fedavg(models, sizes)
-    if strategy.kind is StrategyKind.BSFL:
-        out = w_global_prev
-        for m in models:
-            out = aggregate_async(out, m, 1.0)
-        return out
-    raise ValueError(f"{strategy.label} does not aggregate on a barrier")
+    out = w_global_prev
+    for m in models:
+        out = aggregate_async(out, m, 1.0)
+    return out
 
 
 @dataclass
@@ -466,7 +477,7 @@ def leader_aggregation_step(leader: LeaderState, incoming: IncomingModel,
     if defense.mode is not DefenseMode.OFF or leader.eps_static is None:
         acc_l = evaluate_accuracy(incoming.params, leader.test_data)
         acc_g = evaluate_accuracy(leader.global_params, leader.test_data)
-        if defense_filter(acc_l, acc_g, defense) is Verdict.DISCARD:
+        if not defense_filter(acc_l, acc_g, defense):
             return StepOutcome(StepVerdict.DISCARDED, None, acc_l, acc_g)
     eps = leader.eps_static if leader.eps_static is not None else scaling_factor(acc_l, acc_g)
     leader.global_params = aggregate_async(leader.global_params, incoming.params, eps)
@@ -530,7 +541,7 @@ def _memoized(memo: tuple, params: ModelParams, fn, data: Dataset) -> tuple:
 class _Simulation:
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
-        self.strategy = cfg.strategy
+        self.traits = traits = cfg.strategy.traits
         datasets = node_datasets(cfg)
         self.nodes = [
             _NodeRT(nc, tr, te, cfg.train, tr.features.shape[1], tr.classes)
@@ -542,21 +553,21 @@ class _Simulation:
         self.global_digest: Optional[bytes] = None  # of global_params once published
         self.global_version = 0
         rsu_ids = tuple(n.id for n in cfg.nodes if n.role is Role.RSU)
-        self.server_id = rsu_ids[0] if rsu_ids else -1
+        self.server_id = rsu_ids[0] if traits.serves else -1  # -1: no node serves
         self.chain: Optional[Chain] = None
-        if self.strategy.uses_chain:
+        if traits.chain:
             committee = CommitteeState(members=rsu_ids, term_blocks=cfg.term_blocks)
             self.chain = Chain(policy=cfg.chain_policy, committee=committee)
         self.block_epoch = 0  # blocks opened so far; a "cut" timer seals only its own
         # the serving node's view; _on_svc points it at the current leader
         self.leader_view = LeaderState(self.server_id, first.test_data, self.global_params,
-                                       eps_static=self.strategy.service_epsilon)
+                                       eps_static=cfg.strategy.service_epsilon)
         self.svc: deque = deque()
         self.svc_busy = False
         self.arrivals: list = []
         self.sync_index = 0
         self.sync_started = 0.0
-        self.bootstrap_pending = self.strategy.has_bootstrap
+        self.bootstrap_pending = traits.bootstrap
         self.q = EventQueue()
         self.rows: list = []
         self.node_accuracies: list = []
@@ -567,7 +578,7 @@ class _Simulation:
         # trained, then node -> trained params or the error training raised
         self.untrained: dict = {}
         self.trained: dict = {}
-        if self.strategy.kind is StrategyKind.FEDAVG:
+        if traits.size_weighted:
             total = sum(n.train_data.n for n in self.nodes)
             for n in self.nodes:
                 n.last_eps = len(self.nodes) * n.train_data.n / total
@@ -581,15 +592,11 @@ class _Simulation:
 
     def _keeps_model(self, node: _NodeRT) -> bool:
         """True while node serves an asynchronous strategy: it uploads no model."""
-        return not self.strategy.is_synchronous and \
-            self.strategy.kind is not StrategyKind.LOCAL_ONLY and \
-            node.cfg.id == self._aggregator()
+        return not self.traits.barrier and node.cfg.id == self._aggregator()
 
     def _flood_target(self) -> Optional[int]:
         ddos = self.cfg.attack.ddos
         if ddos is None or ddos.attack_fraction == 0.0:
-            return None
-        if self.strategy.kind is StrategyKind.LOCAL_ONLY:
             return None
         if self.chain is None:
             return self.server_id  # a static server is trivially tracked
@@ -717,8 +724,7 @@ class _Simulation:
 
     def _on_start(self, now: float, node: _NodeRT) -> None:
         node.marks = {"start": now}
-        stale = node.base_version != self.global_version
-        if self.strategy.kind is not StrategyKind.LOCAL_ONLY and stale:
+        if node.base_version != self.global_version:
             snapshot = self.global_params.copy()
             node.switch(now, "communication")
             self.q.schedule(now + self._download_duration(node),
@@ -749,15 +755,12 @@ class _Simulation:
             self.q.schedule(now + self._upload_duration(node),
                             ("boot_up", node, self._model(node).copy()))
             return
-        if self.strategy.kind is StrategyKind.LOCAL_ONLY:
-            self._finish_round(node, now, now, now)
-            return
-        if not self._keeps_model(node):
+        if self.traits.serves and not self._keeps_model(node):
             incoming = self._upload_payload(node)
             node.switch(now, "communication")
             self.q.schedule(now + self._upload_duration(node), ("up", node, incoming))
             return
-        # the serving node keeps training instead of feeding itself models
+        # the serving node, or any node when none serves, keeps its model and trains on
         self._finish_round(node, now, now, now)
 
     def _on_boot_up(self, now: float, node: _NodeRT, params: ModelParams) -> None:
@@ -774,7 +777,7 @@ class _Simulation:
             node.cfg.id, 0, node.marks["start"], node.marks["dl"],
             node.marks["train"], node.marks["test"], now, now))
         node.round = 1
-        if self.strategy.is_synchronous:
+        if self.traits.barrier:
             self._begin_sync_round(now)
             return
         for other in self.nodes:
@@ -791,7 +794,7 @@ class _Simulation:
         if self.chain is not None:
             self._submit(incoming.record, now)
         node.switch(now, "waiting")
-        if self.strategy.is_synchronous:
+        if self.traits.barrier:
             self.arrivals.append((now, node, incoming.params))
             if len(self.arrivals) == len(self.nodes):
                 dur = 0.0
@@ -842,15 +845,13 @@ class _Simulation:
     def _on_sync_done(self, now: float) -> None:
         models = [params for _, _, params in self.arrivals]
         sizes = [node.train_data.n for _, node, _ in self.arrivals]
-        new_global = synchronous_round(self.strategy, self.global_params, models, sizes)
+        new_global = synchronous_round(self.cfg.strategy, self.global_params, models, sizes)
         self._publish(new_global, hash_model(new_global))
         if self.chain is not None:
             view = self.leader_view
             self._submit(HashRecord(RecordKind.GLOBAL, self._aggregator(),
                                     view.global_round, self.global_digest), now)
             view.global_round += 1
-            for n in self.nodes:
-                n.last_eps = 1.0
         fired = self.arrivals[-1][0]
         self.sync_rounds.append(SyncRoundLog(
             self.sync_index, self.sync_started,
@@ -865,7 +866,7 @@ class _Simulation:
             self.chain.seal(now)
 
     def _on_sample(self, now: float) -> None:
-        local_model = self.strategy.kind is StrategyKind.LOCAL_ONLY
+        local_model = not self.traits.serves
         for n in self.nodes:
             params = self._model(n)
             n.sampled_acc = _memoized(n.sampled_acc, params, evaluate_accuracy, n.test_data)
@@ -880,14 +881,11 @@ class _Simulation:
         for n in self.nodes:
             for stage, sec in n.totals_at(now).items():
                 sums[stage] += sec
+        leader, blocks = self.server_id, 0
         if self.chain is not None:
             leader = self.chain.committee.leader
             leader = -1 if leader is None else leader
             blocks = len(self.chain)
-        else:
-            leader = self.server_id if self.strategy.kind is not \
-                StrategyKind.LOCAL_ONLY else -1
-            blocks = 0
         self.rows.append(MetricsRow(
             now, average_test_accuracy(accs), objective, sums["training"],
             sums["testing"], sums["communication"], sums["waiting"], blocks, leader))
@@ -903,7 +901,7 @@ class _Simulation:
                 break
             self.q.schedule(min(t, self.cfg.duration_s), ("sample",))
             i += 1
-        if self.strategy.kind in (StrategyKind.LOCAL_ONLY, StrategyKind.FEDAVG):
+        if not self.traits.bootstrap:
             for node in self.nodes:
                 node.switch(0.0, "waiting")
                 self.q.schedule(0.0, ("start", node))

@@ -80,7 +80,7 @@ def attacks(draw, ids: list) -> orch.AttackConfig:
 def scenarios(draw) -> orch.ScenarioConfig:
     strategy = draw(strategies)
     spec = draw(data_specs)
-    nodes = draw(node_tuples(spec, strategy.kind is not orch.StrategyKind.LOCAL_ONLY))
+    nodes = draw(node_tuples(spec, strategy.traits.serves))
     model_bits = draw(floats(1e4, 1e9))
     return orch.ScenarioConfig(
         nodes=nodes, strategy=strategy,

@@ -96,17 +96,17 @@ def test_aggregate_async_limits():
 
 def test_defense_filter():
     on = agg.DefensePolicy.threshold(0.9)
-    assert agg.defense_filter(0.50, 0.50, on) is agg.Verdict.ACCEPT
-    assert agg.defense_filter(0.40, 0.50, on) is agg.Verdict.DISCARD
+    assert agg.defense_filter(0.50, 0.50, on) is True
+    assert agg.defense_filter(0.40, 0.50, on) is False
     # exact tie accepts: "below the threshold" discards strictly
-    assert agg.defense_filter(0.45, 0.50, on) is agg.Verdict.ACCEPT
+    assert agg.defense_filter(0.45, 0.50, on) is True
     zero = agg.DefensePolicy.threshold(0.0)
     off = agg.DefensePolicy.off()
     rng = np.random.default_rng(13)
     for _ in range(50):
         a, g = rng.uniform(0, 1, size=2)
-        assert agg.defense_filter(a, g, zero) is agg.Verdict.ACCEPT
-        assert agg.defense_filter(a, g, off) is agg.Verdict.ACCEPT
+        assert agg.defense_filter(a, g, zero) is True
+        assert agg.defense_filter(a, g, off) is True
     with pytest.raises(ValueError):
         agg.DefensePolicy.threshold(1.5)
 

@@ -66,7 +66,7 @@ def test_empty_config_gives_experiment_defaults(tmp_path):
     assert cfg.chain_policy.max_block_bytes == 10_000_000
     assert cfg.term_blocks == 10
     assert cfg.payload.model_bits == 8e7
-    assert cfg.attack == orch.AttackConfig.none()
+    assert cfg.attack == orch.AttackConfig()
     assert cfg.duration_s == 600.0
 
 
@@ -487,6 +487,30 @@ def test_run_bad_strategy_is_a_config_error(tmp_path):
     rc = cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "o"),
                    "--strategy", "Gossip"])
     assert rc == 1
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["run", "--strategy", "StaticEps:abc"],
+     "--strategy: StaticEps epsilon must be a number, got 'abc'"),
+    (["sweep", "--seeds", "1", "--strategies", "DBAFL,StaticEps:x"],
+     "--strategies: StaticEps epsilon must be a number, got 'x'"),
+    (["sweep", "--seeds", "1", "--strategies", "DBAFL, StaticEps"],
+     "--strategies: StaticEps needs an epsilon, e.g. StaticEps:1.0"),
+    (["run", "--strategy", "AFL:1.0"], "--strategy: AFL does not take an epsilon"),
+])
+def test_bad_strategy_flag_names_the_flag_and_the_field(tmp_path, capsys, argv, expected):
+    out = tmp_path / "o"
+    rc = cli.main(argv[:1] + ["--config", _write(tmp_path, "small.yaml", SMALL_CONFIG),
+                              "--out", str(out)] + argv[1:])
+    assert rc == 1
+    assert capsys.readouterr().err == f"config error: {expected}\n"
+    assert not out.exists()
+
+
+def test_bad_strategy_in_a_config_names_the_field(tmp_path):
+    path = _write(tmp_path, "eps.yaml", "strategy: StaticEps:abc\n")
+    with pytest.raises(ValueError, match="^strategy: StaticEps epsilon must be a number"):
+        cli.load_scenario(path)
 
 
 def test_runtime_failure_exits_2_and_leaves_no_partial_files(tmp_path):

@@ -440,6 +440,30 @@ def test_bsfl_consumes_exactly_k_fresh_models_per_round():
     assert ch.audit_dump(ch.dump_chain(res.chain)).ok
 
 
+@pytest.mark.parametrize("strategy", [
+    orch.Strategy.dbafl(), orch.Strategy.bsfl(), orch.Strategy.fedavg(),
+    orch.Strategy.static_eps(1.0), orch.Strategy.afl(), orch.Strategy.local_only()],
+    ids=lambda s: s.label)
+def test_each_strategy_trait_shows_in_a_run(strategy):
+    traits = strategy.traits
+    cfg = small_scenario(strategy)
+    res = orch.run_scenario(cfg)
+    assert (res.chain is not None) == traits.chain
+    assert bool(res.sync_rounds) == traits.barrier
+    assert bool(res.decisions) == (traits.serves and not traits.barrier)
+    assert all(r.current_leader == -1 for r in res.rows) == (not traits.serves)
+    # a bootstrap is the first RSU's round 0, decided before any other round starts
+    server = next(n.id for n in cfg.nodes if n.role is orch.Role.RSU)
+    logs = res.round_logs
+    bootstrapped = bool(logs) and (logs[0].node_id, logs[0].round_index) == (server, 0) \
+        and all(r.start_s >= logs[0].decision_s > 0.0 for r in logs[1:])
+    assert bootstrapped == traits.bootstrap
+    if res.sync_rounds:
+        assert (res.sync_rounds[0].started_s > 0.0) == traits.bootstrap
+    if not traits.serves:  # nothing is ever published, so no node downloads
+        assert logs and all(r.download_done_s == r.start_s for r in logs)
+
+
 def test_scenario_validation():
     with pytest.raises(ValueError):
         small_scenario(orch.Strategy.dbafl(), duration=0.0)
@@ -603,7 +627,7 @@ def test_batched_training_equals_training_one_node_per_call(monkeypatch, name):
     if name == "two-sizes":
         assert max(len(set(shapes)) for shapes in calls) == 2
     assert cli._metrics_csv(batched) == cli._metrics_csv(alone)
-    if cfg.strategy.uses_chain:
+    if cfg.strategy.traits.chain:
         assert ch.dump_chain(batched.chain) == ch.dump_chain(alone.chain)
     assert batched.decisions == alone.decisions
     assert batched.round_logs == alone.round_logs
@@ -702,7 +726,7 @@ def test_on_demand_training_equals_eager_training(monkeypatch, name):
         _read_at_train_event(m)
         eager = orch.run_scenario(cfg)
     assert cli._metrics_csv(on_demand) == cli._metrics_csv(eager)
-    if cfg.strategy.uses_chain:
+    if cfg.strategy.traits.chain:
         assert ch.dump_chain(on_demand.chain) == ch.dump_chain(eager.chain)
     assert on_demand.decisions == eager.decisions
     assert on_demand.round_logs == eager.round_logs
