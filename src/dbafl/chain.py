@@ -35,11 +35,6 @@ class RecordKind(enum.Enum):
     GLOBAL = "G"
 
 
-class VerifyResult(enum.Enum):
-    VALID = "valid"
-    TAMPERED_AND_BLACKLISTED = "tampered_and_blacklisted"
-
-
 _DIGEST_LENGTH = "digest must be exactly 32 bytes"
 
 
@@ -237,17 +232,17 @@ def gini(probabilities) -> float:
     return float(num / den)
 
 
-def verify_record(c: Chain, claimed_model, record: HashRecord, committee: CommitteeState) -> VerifyResult:
-    """Valid iff the model hashes to the recorded digest, sealed or in the open block.
+def verify_record(c: Chain, claimed_model, record: HashRecord) -> bool:
+    """True iff the model hashes to the recorded digest, sealed or in the open block.
 
-    A mismatch blacklists the node.
+    A mismatch adds the node to the blacklist of c's committee.
     """
     if not c.has_record(record):
         raise ValueError("record not found on chain")
     if hash_model(claimed_model) == record.digest:
-        return VerifyResult.VALID
-    committee.blacklist.add(record.node_id)
-    return VerifyResult.TAMPERED_AND_BLACKLISTED
+        return True
+    c.committee.blacklist.add(record.node_id)
+    return False
 
 
 def verify_chain(c: Chain) -> bool:
@@ -367,14 +362,12 @@ def audit_dump(text: str) -> AuditReport:
 
     Structural problems (truncation, unparseable fields, spellings dump_chain
     never writes) raise ValueError; only a well-formed dump gets an integrity
-    verdict.
+    verdict. An empty dump is the dump of an empty chain, so it is Ok.
     """
     _check_dump_chars(text)
     lines = text.splitlines()
     while lines and not lines[-1]:
         lines.pop()
-    if not lines:
-        raise ValueError("empty chain dump")
     prev = ZERO_HASH
     for i, line in enumerate(lines):
         index, prev_hash, body, block_hash = _parse_dump_line(line, i)

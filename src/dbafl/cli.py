@@ -32,7 +32,7 @@ from .aggregation import DefensePolicy
 from .chain import AuditReport, audit_dump, dump_chain
 from .model import Dataset
 from .netsim import DdosConfig
-from .orchestrator import (AttackConfig, DataSpec, MetricsRow, RunResult,
+from .orchestrator import (PLAIN_NUMBER, AttackConfig, DataSpec, MetricsRow, RunResult,
                            ScenarioConfig, Strategy, default_scenario, run_scenario)
 
 
@@ -68,9 +68,11 @@ def _finite(value) -> Optional[float]:
     """value as a finite float, or None; PyYAML reads 8e7 (no dot) as a string."""
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         return None
+    if isinstance(value, str) and not PLAIN_NUMBER.fullmatch(value):
+        return None
     try:
         number = float(value)
-    except (ValueError, OverflowError):
+    except OverflowError:  # an int too large for a float
         return None
     return number if math.isfinite(number) else None
 

@@ -7,6 +7,7 @@ All operations are pure and deterministic given their arguments and seeds.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -149,7 +150,7 @@ def local_loss(params: ModelParams, data: Dataset) -> float:
     """Mean cross-entropy over the dataset (log-sum-exp stable)."""
     weights, biases = _check(params, data)
     p = _prepare(data)
-    logp = p.stacks.step(1, data.n).log_softmax(weights, biases, p.x)
+    logp = _stacks(*weights.shape).step(1, data.n).log_softmax(weights, biases, p.x)
     return float(-logp.take(p.label_at).mean())
 
 
@@ -163,9 +164,7 @@ class _Prepared:
     """A dataset's per-call constants, built once and shared by every model call on it.
 
     Holds the C-contiguous float64 features and the one-hot labels, each as
-    a one-item stack (1 x n x ...), the flat indices of logp[rows, labels],
-    and the _Stacks whose steps run every model call on the dataset, shared
-    with the datasets it has trained beside.
+    a one-item stack (1 x n x ...), and the flat indices of logp[rows, labels].
     """
 
     def __init__(self, features: np.ndarray, labels: np.ndarray, classes: int):
@@ -174,16 +173,16 @@ class _Prepared:
         self.onehot = _one_hot(labels, classes)[None]
         # logp[rows, labels] through flat indices, which numpy gathers faster
         self.label_at = np.arange(0, len(labels) * classes, classes) + labels
-        self.stacks = _Stacks(features.shape[1], classes)
 
 
 class _Stacks:
-    """The _GradientSteps of datasets of one shape, one per (k items, m rows), on one buffer.
+    """The _GradientSteps of datasets of one (f, classes), one per (k items, m rows), on one buffer.
 
     Each model call runs one step at a time and spends its results before
     the next step runs, so the steps can share the memory of the largest:
     a stack of many items costs its buffers once, not once per k. The buffer
-    is scratch space: no model function returns a view of it.
+    is scratch space: no model function returns a view of it. So every
+    dataset of a shape shares that shape's one _Stacks (`_stacks`).
     """
 
     def __init__(self, f: int, classes: int):
@@ -200,6 +199,9 @@ class _Stacks:
                 self.steps.clear()  # they view the old buffer
             step = self.steps[k, m] = _GradientStep(k, m, self.f, self.classes, self.buffer)
         return step
+
+
+_stacks = functools.cache(_Stacks)  # _stacks(f, classes): one per shape, for the process
 
 
 def _prepare(data: Dataset) -> _Prepared:
@@ -261,11 +263,9 @@ class _GradientStep:
         """Shapes of the logits, probs, row, bias and grad buffers."""
         return (k, m, classes), (k, m, classes), (k * m,), (k, classes), (k, param_dim(f, classes))
 
-    def __init__(self, k: int, m: int, f: int, classes: int, buffer: np.ndarray = None):
-        """Buffers are carved from the front of buffer, or allocated when it is None."""
+    def __init__(self, k: int, m: int, f: int, classes: int, buffer: np.ndarray):
+        """Buffers are carved from the front of buffer."""
         shapes = self.shapes(k, m, f, classes)
-        if buffer is None:
-            buffer = np.empty(sum(map(math.prod, shapes)))
         views, at = [], 0
         for shape in shapes:
             views.append(buffer[at : at + math.prod(shape)].reshape(shape))
@@ -320,7 +320,7 @@ def loss_gradient(params: ModelParams, data: Dataset) -> ModelParams:
     """Analytic gradient of local_loss with respect to the flat parameter vector."""
     weights, biases = _check(params, data)
     p = _prepare(data)
-    return p.stacks.step(1, data.n)(weights, biases, p.x, p.onehot)[0].copy()
+    return _stacks(*weights.shape).step(1, data.n)(weights, biases, p.x, p.onehot)[0].copy()
 
 
 def draws_batches(cfg: TrainConfig, data: Dataset) -> bool:
@@ -373,9 +373,7 @@ def _train_stack(w: np.ndarray, datas, cfg: TrainConfig, seeds) -> None:
     n, f, classes = data.n, data.features.shape[1], data.classes
     weights, biases = _split(w, f, classes)  # views: updating w updates them
     prepared = [_prepare(d) for d in datas]
-    stacks = prepared[0].stacks
-    for p in prepared[1:]:
-        p.stacks = stacks
+    stacks = _stacks(f, classes)
     x = np.concatenate([p.x for p in prepared])  # k x n x f
     onehot = np.concatenate([p.onehot for p in prepared])
     rngs = None

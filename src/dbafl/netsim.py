@@ -70,7 +70,7 @@ class LatencyBreakdown:
     t_bp: float
     t_dn: float
     t_bc: float
-    # individual terms, reused by the scheduler for finer-grained events
+    # the transfer terms the stage sums are built from
     t_up_model: float
     t_up_hash: float
     t_sync_model: float

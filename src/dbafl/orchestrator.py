@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import math
+import re
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -23,7 +24,7 @@ import numpy as np
 from .aggregation import (DefenseMode, DefensePolicy, aggregate_async, aggregate_fedavg,
                           defense_filter, scaling_factor)
 from .chain import (Chain, CommitteeState, BlockCutPolicy, HashRecord, RecordKind,
-                    VerifyResult, hash_model, verify_record)
+                    hash_model, verify_record)
 from .model import (Dataset, ModelParams, TrainConfig, draws_batches, evaluate_accuracy,
                     generate_synthetic_dataset, global_objective, holdout_rows,
                     init_params, local_loss, split_dataset)
@@ -59,6 +60,12 @@ class StrategyKind(enum.Enum):
     STATIC_EPS = "StaticEps"
     LOCAL_ONLY = "LocalOnly"
     AFL = "AFL"
+
+
+# The one spelling of a number in text (fullmatch): plain decimal or exponent
+# digits, not "1_0", " 2" or non-ASCII digits, which float() also reads. The
+# words inf and nan pass, for the caller's finiteness check to name them.
+PLAIN_NUMBER = re.compile(r"(?i)[+-]?(([0-9]+\.?[0-9]*|\.[0-9]+)(e[+-]?[0-9]+)?|inf(inity)?|nan)")
 
 
 @dataclass(frozen=True)
@@ -145,11 +152,9 @@ class Strategy:
             return cls(kind)
         if not sep:
             raise ValueError(f"{name} needs an epsilon, e.g. {name}:1.0")
-        try:
-            epsilon = float(eps)
-        except ValueError:
-            raise ValueError(f"{name} epsilon must be a number, got {eps!r}") from None
-        return cls(kind, epsilon)
+        if not PLAIN_NUMBER.fullmatch(eps):
+            raise ValueError(f"{name} epsilon must be a number, got {eps!r}")
+        return cls(kind, float(eps))
 
     @property
     def service_epsilon(self) -> Optional[float]:
@@ -470,8 +475,7 @@ def leader_aggregation_step(leader: LeaderState, incoming: IncomingModel,
             raise ValueError("chain has no committee attached")
         if incoming.node_id in c.committee.blacklist:
             return StepOutcome(StepVerdict.IGNORED, None, None, None)
-        result = verify_record(c, incoming.params, incoming.record, c.committee)
-        if result is VerifyResult.TAMPERED_AND_BLACKLISTED:
+        if not verify_record(c, incoming.params, incoming.record):
             return StepOutcome(StepVerdict.TAMPERED, None, None, None)
     acc_l = acc_g = None
     if defense.mode is not DefenseMode.OFF or leader.eps_static is None:

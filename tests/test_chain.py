@@ -164,15 +164,15 @@ def test_verify_record_paths():
     params = np.array([1.0, 2.0, 3.0])
     record = ch.HashRecord(ch.RecordKind.LOCAL, node_id=1, round=0, digest=ch.hash_model(params))
     c.append_block([record], timestamp_ms=0)
-    assert ch.verify_record(c, params, record, committee) is ch.VerifyResult.VALID
+    assert ch.verify_record(c, params, record) is True
     assert committee.blacklist == set()
     tampered = params.copy()
     tampered[0] = np.nextafter(tampered[0], 2.0)
-    assert ch.verify_record(c, tampered, record, committee) is ch.VerifyResult.TAMPERED_AND_BLACKLISTED
+    assert ch.verify_record(c, tampered, record) is False
     assert committee.blacklist == {1}
     ghost = ch.HashRecord(ch.RecordKind.LOCAL, node_id=1, round=9, digest=ch.hash_bytes(b"?"))
     with pytest.raises(ValueError):
-        ch.verify_record(c, params, ghost, committee)
+        ch.verify_record(c, params, ghost)
 
 
 def test_submit_opens_blocks_and_seals_on_count_and_elapsed_wait():
@@ -249,11 +249,11 @@ def test_verify_record_accepts_a_digest_in_the_open_block():
     record = ch.HashRecord(ch.RecordKind.LOCAL, node_id=1, round=0, digest=ch.hash_model(params))
     c.submit(record, 0.0)
     assert len(c) == 0 and c.has_record(record)
-    assert ch.verify_record(c, params, record, committee) is ch.VerifyResult.VALID
+    assert ch.verify_record(c, params, record) is True
     ghost = ch.HashRecord(ch.RecordKind.LOCAL, node_id=1, round=9, digest=ch.hash_bytes(b"?"))
     assert not c.has_record(ghost)
     with pytest.raises(ValueError):
-        ch.verify_record(c, params, ghost, committee)
+        ch.verify_record(c, params, ghost)
 
 
 class _ReferenceOpenBlock:
@@ -343,6 +343,7 @@ def test_record_digest_must_be_32_bytes():
 
 def test_dump_and_audit_roundtrip():
     c = ch.Chain()
+    assert ch.dump_chain(c) == "" and ch.audit_dump("") == ch.AuditReport(ok=True)
     c.append_block([_rec(0, 0, b"g", ch.RecordKind.GLOBAL)], timestamp_ms=0)
     c.append_block([_rec(1, 1, b"a"), _rec(2, 1, b"b")], timestamp_ms=2000)
     c.append_block([_rec(0, 2, b"z", ch.RecordKind.GLOBAL)], timestamp_ms=4100)
@@ -375,8 +376,6 @@ def test_audit_rejects_malformed_dump():
     text = ch.dump_chain(c)
     with pytest.raises(ValueError):
         ch.audit_dump(text[: len(text) // 2])  # truncated line
-    with pytest.raises(ValueError):
-        ch.audit_dump("")
 
 
 def test_hash_model_rejects_infinities():
@@ -498,8 +497,6 @@ def _reference_audit_dump(text: str) -> ch.AuditReport:
     lines = text.splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
-    if not lines:
-        raise ValueError("empty chain dump")
     prev = ch.ZERO_HASH
     for i, line in enumerate(lines):
         index, prev_hash, body, block_hash = _reference_parse_dump_line(line, i)

@@ -303,6 +303,18 @@ def test_exponent_numbers_without_a_dot_still_load(tmp_path):
     assert cfg.chain_policy.max_block_bytes == 1_000_000
 
 
+@pytest.mark.parametrize("text, expected", [
+    ('duration_s: "1_0"\n', "duration_s must be a finite number, got '1_0'"),
+    ("train: {epochs: ' 5'}\n", "train.epochs must be a whole number, got ' 5'"),
+    ("strategy: 'StaticEps: 2'\n", "strategy: StaticEps epsilon must be a number, got ' 2'"),
+], ids=["digit-separator", "leading-space", "strategy-space"])
+def test_a_number_not_spelled_as_plain_digits_is_a_config_error(tmp_path, capsys, text, expected):
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", _write(tmp_path, "n.yaml", text), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {expected}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad", [".inf", "-.inf", ".nan", "null", "1e400"])
 def test_node_dataset_non_finite_features_are_a_config_error(tmp_path, capsys, bad):
     rows = "[" + ", ".join(f"[{0.1 * i}, 1.0]" for i in range(19)) + f", [0.2, {bad}]]"
@@ -497,6 +509,10 @@ def test_run_bad_strategy_is_a_config_error(tmp_path):
     (["sweep", "--seeds", "1", "--strategies", "DBAFL, StaticEps"],
      "--strategies: StaticEps needs an epsilon, e.g. StaticEps:1.0"),
     (["run", "--strategy", "AFL:1.0"], "--strategy: AFL does not take an epsilon"),
+    (["run", "--strategy", "StaticEps:1_0"],
+     "--strategy: StaticEps epsilon must be a number, got '1_0'"),
+    (["sweep", "--seeds", "1", "--strategies", "DBAFL,StaticEps: 2"],
+     "--strategies: StaticEps epsilon must be a number, got ' 2'"),
 ])
 def test_bad_strategy_flag_names_the_flag_and_the_field(tmp_path, capsys, argv, expected):
     out = tmp_path / "o"
@@ -574,6 +590,18 @@ def test_audit_accepts_untouched_dump(tmp_path, capsys):
     dump = _run_small(tmp_path)
     assert cli.main(["audit", "--chain", str(dump)]) == 0
     assert "Ok" in capsys.readouterr().out
+
+
+def test_a_run_that_ends_before_its_first_block_audits_ok(tmp_path, capsys):
+    # its dump is the empty dump of an empty chain
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", _write(tmp_path, "short.yaml", "duration_s: 5\n"),
+                     "--out", str(out)]) == 0
+    dump = out / "chain_DBAFL_1.txt"
+    assert dump.read_bytes() == b""
+    capsys.readouterr()
+    assert cli.main(["audit", "--chain", str(dump)]) == 0
+    assert capsys.readouterr().out == "Ok\n"
 
 
 def test_audit_flags_single_hex_digit_tamper(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Tests for dbafl.model: synthetic data, training, evaluation."""
 
+import functools
 import math
 
 import numpy as np
@@ -487,9 +488,10 @@ def test_non_contiguous_and_unaligned_params_give_the_same_results(classes):
         assert view.tobytes() == params.tobytes()  # not written to
 
 
-def test_one_datasets_steps_are_reused_across_two_batch_sizes():
+def test_one_datasets_steps_are_reused_across_two_batch_sizes(monkeypatch):
     # 30 rows in batches of 7 need a 7-row and a 2-row step; the full-batch
     # loss and gradient need a 30-row one. Each is built once and reused.
+    monkeypatch.setattr(model, "_stacks", functools.cache(model._Stacks))  # no earlier test's steps
     data = model.generate_synthetic_dataset(seed=61, n=30, f=2, classes=5, separation=1.0)
     cfg = model.TrainConfig(epochs=2, learning_rate=0.5, batch_size=7)
     rng = np.random.default_rng(62)
@@ -497,7 +499,7 @@ def test_one_datasets_steps_are_reused_across_two_batch_sizes():
     for trial in range(4):
         params = rng.normal(size=model.param_dim(2, 5))
         _assert_model_calls_match_the_references(params, data, cfg, rng_seed=trial)
-        cached = model._prepare(data).stacks.steps  # keyed by (items, rows)
+        cached = model._stacks(2, 5).steps  # keyed by (items, rows)
         assert sorted(cached) == [(1, 2), (1, 7), (1, 30)]
         if steps is not None:
             assert all(cached[m] is steps[m] for m in steps)
@@ -509,6 +511,28 @@ def test_one_datasets_steps_are_reused_across_two_batch_sizes():
         batch = model.Dataset(data.features[rows], data.labels[rows], 5)
         got = steps[1, len(rows)](weights, biases, prepared.x[:, rows], prepared.onehot[:, rows])
         assert got[0].tobytes() == _reference_gradient(params, batch).tobytes()
+
+
+def test_datasets_of_one_shape_share_their_steps(monkeypatch):
+    # c trains beside a only after [a, b] has built every (items, rows) step
+    # the shape needs, so the second call builds none.
+    monkeypatch.setattr(model, "_stacks", functools.cache(model._Stacks))
+    a, b, c = (model.generate_synthetic_dataset(seed=s, n=24, f=3, classes=4, separation=1.0)
+               for s in (63, 64, 65))
+    built = []
+
+    class CountedStep(model._GradientStep):
+        def __init__(self, k, m, *rest):
+            built.append((k, m))
+            super().__init__(k, m, *rest)
+
+    monkeypatch.setattr(model, "_GradientStep", CountedStep)
+    cfg = model.TrainConfig(epochs=2, learning_rate=0.5, batch_size=10)  # 10, 10 and 4 rows
+    starts = [model.init_params(3, 4)] * 2
+    model.train_batch(starts, [a, b], cfg, [1, 2])
+    assert built == [(2, 10), (2, 4)]
+    model.train_batch(starts, [c, a], cfg, [3, 4])
+    assert built == [(2, 10), (2, 4)]
 
 
 def _oracle_items(draw_int, k, n, f, classes):

@@ -530,6 +530,19 @@ def test_static_eps_needs_a_finite_epsilon(text):
         orch.Strategy.parse(text)
 
 
+def test_an_epsilon_parses_only_from_a_plain_decimal_or_exponent_spelling():
+    for text, want in [("2", 2.0), ("+.25", 0.25), ("3.", 3.0), ("8e7", 8e7), ("1.5E-3", 1.5e-3)]:
+        assert orch.Strategy.parse(f"StaticEps:{text}").epsilon == want, text
+    for text in ["1_0", " 2", "2 ", "\u0662", "0x1", "e5", ".", "1e", "--1", "infinit", ""]:
+        assert not orch.PLAIN_NUMBER.fullmatch(text), text
+        with pytest.raises(ValueError, match=r"^StaticEps epsilon must be a number"):
+            orch.Strategy.parse(f"StaticEps:{text}")
+    for text in ["nan", "-Infinity", "INF", "1e400"]:  # spelled as numbers, but not finite
+        assert orch.PLAIN_NUMBER.fullmatch(text), text
+        with pytest.raises(ValueError, match="positive finite epsilon"):
+            orch.Strategy.parse(f"StaticEps:{text}")
+
+
 def test_node_dataset_that_fits_runs():
     data = mdl.generate_synthetic_dataset(seed=4, n=60, f=2, classes=2, separation=3.0)
     nodes = (orch.NodeConfig(id=0, role=orch.Role.RSU),
