@@ -38,7 +38,9 @@ class RecordKind(enum.Enum):
 _DIGEST_LENGTH = "digest must be exactly 32 bytes"
 
 
-@dataclass(frozen=True)
+# Records and blocks live as long as the chain, one per upload or cut, so they
+# keep their fields in slots rather than a per-instance __dict__.
+@dataclass(frozen=True, slots=True)
 class HashRecord:
     kind: RecordKind
     node_id: int
@@ -78,7 +80,7 @@ def serialize_block_body(index: int, prev_hash: bytes, records, timestamp_ms: in
     return _block_body(index, prev_hash, b"".join(map(serialize_record, records)), timestamp_ms)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     index: int
     prev_hash: bytes

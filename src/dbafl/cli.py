@@ -19,6 +19,7 @@ import functools
 import io
 import math
 import os
+import re
 import sys
 import tempfile
 import typing
@@ -64,8 +65,11 @@ class RunManifest:
 # every default is written once, in its dataclass or in default_scenario.
 
 
+_WHOLE = re.compile(r"[+-]?[0-9]+")  # the whole-number spellings of PLAIN_NUMBER
+
+
 def _finite(value) -> Optional[float]:
-    """value as a finite float, or None; PyYAML reads 8e7 (no dot) as a string."""
+    """value as a finite float, or None; a string counts in a plain-number spelling."""
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         return None
     if isinstance(value, str) and not PLAIN_NUMBER.fullmatch(value):
@@ -85,6 +89,8 @@ def _as_float(value, path: str, spec=None) -> float:
 
 
 def _as_int(value, path: str, spec=None) -> int:
+    if isinstance(value, str) and _WHOLE.fullmatch(value):
+        return int(value)  # float() would round a long one
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     number = _finite(value)
@@ -93,7 +99,21 @@ def _as_int(value, path: str, spec=None) -> int:
     return int(number)
 
 
+def _leaves(value):
+    if isinstance(value, list):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
 def _as_array(value, dtype, path: str) -> np.ndarray:
+    if dtype is float:  # numpy reads "1_0" as 10.0 and True as 1.0
+        for leaf in _leaves(value):
+            if isinstance(leaf, bool) or (isinstance(leaf, str)
+                                          and not PLAIN_NUMBER.fullmatch(leaf)):
+                raise ValueError(f"{path} must be a rectangular array of numbers, "
+                                 f"got {leaf!r}")
     try:
         return np.asarray(value, dtype=dtype)
     except (TypeError, ValueError):  # ragged rows, or an entry that is not a number
@@ -126,11 +146,16 @@ def _load_dataset(value, path: str, spec: DataSpec) -> Dataset:
                    _as_int(value.get("classes", spec.classes), path + ".classes"))
 
 
-def _load_strategy(value, path: str, spec=None) -> Strategy:
+def _named(parse, text: str, name: str):
+    """parse(text), with a ValueError's message prefixed by the field or flag name."""
     try:
-        return Strategy.parse(str(value))
+        return parse(text)
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise ValueError(f"{name}: {exc}") from None
+
+
+def _load_strategy(value, path: str, spec=None) -> Strategy:
+    return _named(Strategy.parse, str(value), path)
 
 
 # (load, dump) of each type that is not walked field by field.  A loader
@@ -207,8 +232,22 @@ def _dump(tp, value):
             for name, (_, hint) in _schema(tp).items()}
 
 
+_INT_TAG, _FLOAT_TAG = "tag:yaml.org,2002:int", "tag:yaml.org,2002:float"
+_YAML_NON_FINITE = re.compile(r"[-+]?\.(inf|Inf|INF)|\.(nan|NaN|NAN)")
+
+
 class _UniqueKeyLoader(yaml.SafeLoader):
-    """SafeLoader that rejects a mapping repeating a key; safe_load keeps the last silently."""
+    """SafeLoader that rejects a mapping repeating a key; safe_load keeps the last silently.
+
+    An unquoted scalar is a number exactly when PLAIN_NUMBER matches its
+    spelling, or when it is YAML's .inf or .nan; see _construct_number.
+    """
+
+    def resolve(self, kind, value, implicit):
+        if kind is yaml.ScalarNode and implicit[0] and PLAIN_NUMBER.fullmatch(value):
+            # PyYAML's own resolvers leave 8e7 and 09 as strings
+            return _INT_TAG if _WHOLE.fullmatch(value) else _FLOAT_TAG
+        return super().resolve(kind, value, implicit)
 
     def compose_mapping_node(self, anchor):
         node = super().compose_mapping_node(anchor)
@@ -222,6 +261,27 @@ class _UniqueKeyLoader(yaml.SafeLoader):
                                  f"{key.start_mark.line + 1} (first on line "
                                  f"{seen.start_mark.line + 1})")
         return node
+
+
+def _construct_number(loader: _UniqueKeyLoader, node: yaml.ScalarNode):
+    """A scalar tagged int or float, read by the plain-number rule.
+
+    YAML 1.1 reads 1_0 as 10, 010 as 8 (octal), 0x10 as 16 and 1:30 as 90.
+    Here a whole number is decimal (010 is 10), and any spelling PLAIN_NUMBER
+    does not match stays a string, which the field's coercer rejects by name.
+    """
+    text = loader.construct_scalar(node)
+    if _WHOLE.fullmatch(text):
+        return int(text)
+    if PLAIN_NUMBER.fullmatch(text):
+        return float(text)
+    if _YAML_NON_FINITE.fullmatch(text):  # kept, so the finiteness errors name them
+        return loader.construct_yaml_float(node)
+    return text
+
+
+_UniqueKeyLoader.add_constructor(_INT_TAG, _construct_number)
+_UniqueKeyLoader.add_constructor(_FLOAT_TAG, _construct_number)
 
 
 def load_scenario(path: str) -> ScenarioConfig:
@@ -264,20 +324,26 @@ def apply_overrides(cfg: ScenarioConfig, attack: Optional[str] = None,
     return cfg
 
 
+def _parse_seed(text: str) -> int:
+    """One seed, in plain decimal digits: int() would also read '1_0' as 10."""
+    if not _WHOLE.fullmatch(text):
+        raise ValueError(f"a seed must be a whole number, got {text!r}")
+    return int(text)
+
+
 def parse_seed_range(text: str) -> tuple:
     """Seed lists as '7', '2,5,9', or an inclusive '1-5'."""
     text = text.strip()
     if not text:
         raise ValueError("empty seed range")
     if "," in text:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(map(_parse_seed, text.split(",")))
     if "-" in text[1:]:  # a leading '-' would be a negative seed, not a range
-        lo_s, hi_s = text.split("-", 1)
-        lo, hi = int(lo_s), int(hi_s)
+        lo, hi = map(_parse_seed, text.split("-", 1))
         if hi < lo:
             raise ValueError(f"seed range {text!r} runs backwards")
         return tuple(range(lo, hi + 1))
-    return (int(text),)
+    return (_parse_seed(text),)
 
 
 def _metrics_csv(result: RunResult) -> str:
@@ -383,13 +449,13 @@ def _build_parser() -> argparse.ArgumentParser:
     runp = sub.add_parser("run", help="execute one scenario")
     runp.add_argument("--config", required=True, help="scenario file")
     runp.add_argument("--out", required=True, help="output directory")
-    runp.add_argument("--seed", action="append", type=int, default=None,
+    runp.add_argument("--seed", action="append", default=None,
                       help="seed to run (repeatable; default: the scenario's)")
     runp.add_argument("--strategy", default=None,
                       help="override the scenario strategy, e.g. StaticEps:1.0")
     runp.add_argument("--attack", default=None,
                       help="'poisoning' or 'ddos:<fraction>'")
-    runp.add_argument("--defense", type=float, default=None,
+    runp.add_argument("--defense", default=None,
                       help="discard threshold theta in [0, 1]")
 
     auditp = sub.add_parser("audit", help="re-verify a chain dump")
@@ -417,13 +483,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             strategies = ()
             if args.strategy is not None:
                 strategies = (_load_strategy(args.strategy, "--strategy"),)
+            seeds = None if args.seed is None else tuple(
+                _named(_parse_seed, text, "--seed") for text in args.seed)
+            defense = None if args.defense is None else _as_float(args.defense, "--defense")
             manifest = RunManifest(scenario=args.config, out_dir=args.out,
-                                   seeds=args.seed, strategies=strategies,
-                                   attack=args.attack, defense=args.defense)
+                                   seeds=seeds, strategies=strategies,
+                                   attack=args.attack, defense=defense)
         else:
             manifest = RunManifest(
                 scenario=args.config, out_dir=args.out,
-                seeds=parse_seed_range(args.seeds),
+                seeds=_named(parse_seed_range, args.seeds, "--seeds"),
                 strategies=tuple(_load_strategy(s.strip(), "--strategies")
                                  for s in args.strategies.split(",")))
     except (OSError, ValueError, yaml.YAMLError) as exc:

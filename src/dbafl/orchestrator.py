@@ -275,7 +275,9 @@ def _check_node_dataset(ds: Dataset, spec: DataSpec, where: str) -> None:
         raise ValueError(f"{where.rstrip('.')}: data.{exc}") from None
 
 
-@dataclass(frozen=True)
+# The records made per sample, round, arrival or decision keep their fields
+# in slots, not a per-instance __dict__: a chain-heavy run holds thousands.
+@dataclass(frozen=True, slots=True)
 class MetricsRow:
     sim_time_s: float
     avg_test_accuracy: float
@@ -288,7 +290,7 @@ class MetricsRow:
     current_leader: int     # -1 when no node serves aggregations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoundLog:
     node_id: int
     round_index: int
@@ -307,7 +309,7 @@ class StepVerdict(enum.Enum):
     IGNORED = "Ignored"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecisionLog:
     time_s: float
     node_id: int
@@ -443,7 +445,7 @@ class LeaderState:
     pending_records: list = field(default_factory=list)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IncomingModel:
     node_id: int
     round: int
@@ -451,7 +453,7 @@ class IncomingModel:
     record: HashRecord
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepOutcome:
     verdict: StepVerdict
     epsilon: Optional[float]

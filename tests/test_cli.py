@@ -296,7 +296,7 @@ def test_repeated_nested_field_is_rejected_naming_key_and_line(tmp_path):
 
 
 def test_exponent_numbers_without_a_dot_still_load(tmp_path):
-    # PyYAML reads 8e7 (no dot) as a string, not a float
+    # PyYAML's own resolver reads 8e7 (no dot) as a string; the scenario loader does not
     text = "payload: {model_bits: 8e7}\nchain_policy: {max_block_bytes: 1e6}\n"
     cfg = cli.load_scenario(_write(tmp_path, "exp.yaml", text))
     assert cfg.payload.model_bits == 8e7
@@ -307,12 +307,44 @@ def test_exponent_numbers_without_a_dot_still_load(tmp_path):
     ('duration_s: "1_0"\n', "duration_s must be a finite number, got '1_0'"),
     ("train: {epochs: ' 5'}\n", "train.epochs must be a whole number, got ' 5'"),
     ("strategy: 'StaticEps: 2'\n", "strategy: StaticEps epsilon must be a number, got ' 2'"),
-], ids=["digit-separator", "leading-space", "strategy-space"])
+    # unquoted, YAML 1.1 reads these as 10, 16, 90, 3 and 1.5
+    ("duration_s: 1_0\n", "duration_s must be a finite number, got '1_0'"),
+    ("train: {epochs: 0x10}\n", "train.epochs must be a whole number, got '0x10'"),
+    ("duration_s: 1:30\n", "duration_s must be a finite number, got '1:30'"),
+    ("train: {epochs: 0b11}\n", "train.epochs must be a whole number, got '0b11'"),
+    ("duration_s: 1_0.5\n", "duration_s must be a finite number, got '1_0.5'"),
+], ids=["digit-separator", "leading-space", "strategy-space", "unquoted-digit-separator",
+        "unquoted-hex", "unquoted-base-60", "unquoted-binary", "unquoted-float-separator"])
 def test_a_number_not_spelled_as_plain_digits_is_a_config_error(tmp_path, capsys, text, expected):
     out = tmp_path / "o"
     assert cli.main(["run", "--config", _write(tmp_path, "n.yaml", text), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"config error: {expected}\n"
     assert not out.exists()
+
+
+def test_unquoted_numbers_with_a_leading_zero_are_decimal(tmp_path):
+    # YAML 1.1 reads 010 as 8 (octal) and 09 as a string
+    text = "train: {epochs: 010}\nterm_blocks: 09\nduration_s: 0100.5\n"
+    cfg = cli.load_scenario(_write(tmp_path, "zero.yaml", text))
+    assert (cfg.train.epochs, cfg.term_blocks, cfg.duration_s) == (10, 9, 100.5)
+
+
+@pytest.mark.parametrize("text", ["master_seed: 12345678901234567891\n",
+                                  "master_seed: '12345678901234567891'\n"])
+def test_a_long_whole_number_loads_exactly(tmp_path, text):
+    # through a float it would load as 12345678901234567168
+    cfg = cli.load_scenario(_write(tmp_path, "seed.yaml", text))
+    assert cfg.master_seed == 12345678901234567891
+
+
+@pytest.mark.parametrize("bad", ["'1_0'", "1_0", "' 1'", "0x10", "true"])
+def test_node_dataset_feature_not_spelled_as_a_plain_number_is_a_config_error(
+        tmp_path, capsys, bad):
+    # numpy reads '1_0' as 10.0, ' 1' as 1.0 and true as 1.0
+    rows = "[" + ", ".join(f"[{0.1 * i}, 1.0]" for i in range(19)) + f", [0.2, {bad}]]"
+    assert _run_with_node_dataset(tmp_path, rows, [0, 1] * 10) == 1
+    assert capsys.readouterr().err.startswith(
+        "config error: nodes[1].dataset.features must be a rectangular array of numbers, got ")
 
 
 @pytest.mark.parametrize("bad", [".inf", "-.inf", ".nan", "null", "1e400"])
@@ -570,10 +602,45 @@ def test_sweep_seed_ranges(tmp_path):
     assert cli.parse_seed_range("1-3") == (1, 2, 3)
     assert cli.parse_seed_range("7") == (7,)
     assert cli.parse_seed_range("2,5,9") == (2, 5, 9)
+    assert cli.parse_seed_range("-4") == (-4,)
     with pytest.raises(ValueError):
         cli.parse_seed_range("5-1")
     with pytest.raises(ValueError):
         cli.parse_seed_range("")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["run", "--seed", "1_0"], "--seed: a seed must be a whole number, got '1_0'"),
+    (["run", "--seed", "2", "--seed", "0x10"],
+     "--seed: a seed must be a whole number, got '0x10'"),
+    (["sweep", "--strategies", "DBAFL", "--seeds", "1_0"],
+     "--seeds: a seed must be a whole number, got '1_0'"),
+    (["sweep", "--strategies", "DBAFL", "--seeds", "1,,2"],
+     "--seeds: a seed must be a whole number, got ''"),
+    (["sweep", "--strategies", "DBAFL", "--seeds", "1-2_0"],
+     "--seeds: a seed must be a whole number, got '2_0'"),
+    (["sweep", "--strategies", "DBAFL", "--seeds", "5-1"], "--seeds: seed range '5-1' runs backwards"),
+    (["run", "--defense", "0_1"], "--defense must be a finite number, got '0_1'"),
+])
+def test_bad_seed_or_defense_flag_is_a_config_error_naming_the_flag(tmp_path, capsys, argv,
+                                                                    expected):
+    # int() and float() read '1_0' as 10 and '0_1' as 1.0
+    out = tmp_path / "o"
+    rc = cli.main(argv[:1] + ["--config", _write(tmp_path, "small.yaml", SMALL_CONFIG),
+                              "--out", str(out)] + argv[1:])
+    assert rc == 1
+    assert capsys.readouterr().err == f"config error: {expected}\n"
+    assert not out.exists()
+
+
+def test_a_negative_seed_flag_still_runs(tmp_path):
+    cfg_path = _write(tmp_path, "small.yaml", SMALL_CONFIG)
+    assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "r"),
+                     "--seed", "-2"]) == 0
+    assert (tmp_path / "r" / "metrics_DBAFL_-2.csv").exists()
+    assert cli.main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "s"),
+                     "--strategies", "DBAFL", "--seeds", "-2"]) == 0
+    assert (tmp_path / "s" / "metrics_DBAFL_-2.csv").exists()
 
 
 # --------------------------------------------------------------------- audit

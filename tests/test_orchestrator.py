@@ -773,3 +773,35 @@ def test_run_leaves_the_first_event_past_the_horizon_queued():
     assert sim.q.now <= cfg.duration_s
     time_s, _ = sim.q.pop()
     assert time_s > cfg.duration_s
+
+
+# ------------------------------------------------------ per-event records
+
+_RECORD = ch.HashRecord(ch.RecordKind.LOCAL, 3, 2, b"\x01" * 32)
+PER_EVENT_RECORDS = (
+    _RECORD,
+    ch.Block(0, b"\x00" * 32, (_RECORD,), 2000, b"\x02" * 32),
+    orch.MetricsRow(60.0, 0.5, 0.7, 10.0, 1.0, 2.0, 3.0, 4, 0),
+    orch.RoundLog(3, 2, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0),
+    orch.DecisionLog(6.0, 3, 2, orch.StepVerdict.ACCEPTED, 1.0, 0.5, 0.5,
+                     b"\x01" * 32, b"\x03" * 32, b"\x04" * 32),
+    orch.IncomingModel(3, 2, np.arange(6.0), _RECORD),
+    orch.StepOutcome(orch.StepVerdict.DISCARDED, None, 0.2, 0.5),
+)
+
+
+@pytest.mark.parametrize("record", PER_EVENT_RECORDS, ids=lambda r: type(r).__name__)
+def test_per_event_records_are_frozen_dataclasses_in_slots(record):
+    # a chain-heavy run keeps thousands of these; a __dict__ each costs ~45 bytes
+    assert "__slots__" in vars(type(record))
+    assert not hasattr(record, "__dict__")
+    first = dataclasses.fields(record)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, first, getattr(record, first))
+    copy = dataclasses.replace(record)
+    assert copy == record and copy is not record
+    # an ndarray is never hashable, so hash a copy that holds its bytes instead
+    arrays = {f.name: getattr(record, f.name).tobytes() for f in dataclasses.fields(record)
+              if isinstance(getattr(record, f.name), np.ndarray)}
+    hashable = dataclasses.replace(record, **arrays)
+    assert hash(hashable) == hash(dataclasses.replace(hashable))
