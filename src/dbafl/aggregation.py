@@ -1,4 +1,4 @@
-"""Dynamic scaling factor, asynchronous aggregation rule, defense filter, baselines."""
+"""Dynamic scaling factor, asynchronous aggregation rule, defense filter, FedAVG baseline."""
 
 from __future__ import annotations
 
@@ -77,7 +77,3 @@ def aggregate_fedavg(models, sizes) -> ModelParams:
         out += (s / total) * m
     return out
 
-
-def aggregate_static(w_global_prev: ModelParams, w_local: ModelParams, eps_static: float) -> ModelParams:
-    """aggregate_async with a configuration-fixed scaling factor."""
-    return aggregate_async(w_global_prev, w_local, eps_static)

@@ -105,14 +105,14 @@ class BlockCutPolicy:
                              f"({block_bytes(1)} bytes), got {self.max_block_bytes}")
 
 
-def should_cut_block(pending_records: int, pending_bytes: int, elapsed_since_first_s: float,
+def should_cut_block(open_records: int, open_bytes: int, elapsed_since_first_s: float,
                      policy: BlockCutPolicy) -> bool:
-    """True when the open block (pending_bytes serialized) is due to be sealed."""
-    if pending_records >= policy.max_records:
+    """True when the open block (open_bytes serialized) is due to be sealed."""
+    if open_records >= policy.max_records:
         return True
-    if pending_bytes >= policy.max_block_bytes:
+    if open_bytes >= policy.max_block_bytes:
         return True
-    return pending_records >= 1 and elapsed_since_first_s >= policy.max_wait_s
+    return open_records >= 1 and elapsed_since_first_s >= policy.max_wait_s
 
 
 @dataclass

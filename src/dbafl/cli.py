@@ -146,7 +146,7 @@ def _load_dataset(value, path: str, spec: DataSpec) -> Dataset:
                    _as_int(value.get("classes", spec.classes), path + ".classes"))
 
 
-def _named(parse, text: str, name: str):
+def _named(parse, text, name: str):
     """parse(text), with a ValueError's message prefixed by the field or flag name."""
     try:
         return parse(text)
@@ -311,16 +311,15 @@ def apply_overrides(cfg: ScenarioConfig, attack: Optional[str] = None,
                 cfg.attack, poisoners=frozenset({max(n.id for n in cfg.nodes)}),
                 poison_magnitude=AttackConfig().poison_magnitude)
         elif attack.startswith("ddos:"):
-            new = dataclasses.replace(
-                cfg.attack, ddos=DdosConfig(attack_fraction=_as_float(attack[5:], "--attack")))
+            fraction = _as_float(attack[5:], "--attack")
+            new = dataclasses.replace(cfg.attack, ddos=_named(DdosConfig, fraction, "--attack"))
         else:
             raise ValueError(
                 f"--attack must be 'poisoning' or 'ddos:<fraction>', got {attack!r}")
         cfg = dataclasses.replace(cfg, attack=new)
     if defense is not None:
-        cfg = dataclasses.replace(
-            cfg, attack=dataclasses.replace(cfg.attack,
-                                            defense=DefensePolicy.threshold(defense)))
+        policy = _named(DefensePolicy.threshold, defense, "--defense")
+        cfg = dataclasses.replace(cfg, attack=dataclasses.replace(cfg.attack, defense=policy))
     return cfg
 
 

@@ -18,7 +18,7 @@ ModelParams = np.ndarray
 
 @dataclass(eq=False)
 class Dataset:
-    """Feature matrix (n x f), integer labels in [0, classes), optional global row ids.
+    """Feature matrix (n x f) and integer labels in [0, classes).
 
     The arrays are never mutated in place: the model calls derive constants
     from them once (`_prepare`) and notice only when a field is reassigned.
@@ -27,12 +27,7 @@ class Dataset:
     features: np.ndarray
     labels: np.ndarray
     classes: int
-    indices: np.ndarray = field(default=None)
     _prepared: _Prepared = field(default=None, init=False, repr=False)
-
-    def __post_init__(self):
-        if self.indices is None:
-            self.indices = np.arange(len(self.labels))
 
     @property
     def n(self) -> int:
@@ -134,8 +129,8 @@ def holdout_rows(n: int, test_fraction: float) -> int:
 def split_dataset(data: Dataset, test_fraction: float) -> tuple[Dataset, Dataset]:
     """Head/tail split; callers pass pre-shuffled data (generate_synthetic_dataset shuffles)."""
     cut = data.n - holdout_rows(data.n, test_fraction)
-    train = Dataset(data.features[:cut], data.labels[:cut], data.classes, data.indices[:cut])
-    test = Dataset(data.features[cut:], data.labels[cut:], data.classes, data.indices[cut:])
+    train = Dataset(data.features[:cut], data.labels[:cut], data.classes)
+    test = Dataset(data.features[cut:], data.labels[cut:], data.classes)
     return train, test
 
 

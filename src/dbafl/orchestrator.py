@@ -16,7 +16,7 @@ import hashlib
 import math
 import re
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -433,18 +433,6 @@ def synchronous_round(strategy: Strategy, w_global_prev: ModelParams,
     return out
 
 
-@dataclass
-class LeaderState:
-    """The serving node's view: its test split and the global model it owns."""
-
-    node_id: int
-    test_data: Dataset
-    global_params: ModelParams
-    eps_static: Optional[float] = None  # None applies the accuracy-ratio rule
-    global_round: int = 0
-    pending_records: list = field(default_factory=list)
-
-
 @dataclass(frozen=True, slots=True)
 class IncomingModel:
     node_id: int
@@ -459,18 +447,22 @@ class StepOutcome:
     epsilon: Optional[float]
     acc_local: Optional[float]
     acc_global: Optional[float]
+    global_params: Optional[ModelParams] = None  # the new global; None unless accepted
 
 
-def leader_aggregation_step(leader: LeaderState, incoming: IncomingModel,
-                            c: Optional[Chain], defense: DefensePolicy) -> StepOutcome:
+def leader_aggregation_step(global_params: ModelParams, test_data: Dataset,
+                            incoming: IncomingModel, c: Optional[Chain],
+                            defense: DefensePolicy,
+                            eps_static: Optional[float] = None) -> StepOutcome:
     """Process one model arrival: verify, filter, weigh, aggregate.
 
     With a chain, the upload must hash to the digest recorded for it, sealed
-    or still in the open block.  Tampering blacklists the sender and leaves
-    the global untouched; a blacklisted sender is ignored outright until the
+    or still in the open block.  Tampering blacklists the sender (the step's
+    one side effect); a blacklisted sender is ignored outright until the
     next election.  Without a chain (AFL) there is nothing to verify against
-    and no blacklist.  An accepted model replaces the leader's global and
-    queues the new global digest for the next block.
+    and no blacklist.  eps_static None applies the accuracy-ratio rule on
+    the leader's test_data.  An accepted model yields a new global array;
+    global_params itself is never mutated, and publishing is the caller's.
     """
     if c is not None:
         if c.committee is None:
@@ -480,18 +472,14 @@ def leader_aggregation_step(leader: LeaderState, incoming: IncomingModel,
         if not verify_record(c, incoming.params, incoming.record):
             return StepOutcome(StepVerdict.TAMPERED, None, None, None)
     acc_l = acc_g = None
-    if defense.mode is not DefenseMode.OFF or leader.eps_static is None:
-        acc_l = evaluate_accuracy(incoming.params, leader.test_data)
-        acc_g = evaluate_accuracy(leader.global_params, leader.test_data)
+    if defense.mode is not DefenseMode.OFF or eps_static is None:
+        acc_l = evaluate_accuracy(incoming.params, test_data)
+        acc_g = evaluate_accuracy(global_params, test_data)
         if not defense_filter(acc_l, acc_g, defense):
             return StepOutcome(StepVerdict.DISCARDED, None, acc_l, acc_g)
-    eps = leader.eps_static if leader.eps_static is not None else scaling_factor(acc_l, acc_g)
-    leader.global_params = aggregate_async(leader.global_params, incoming.params, eps)
-    leader.pending_records.append(HashRecord(
-        RecordKind.GLOBAL, leader.node_id, leader.global_round,
-        hash_model(leader.global_params)))
-    leader.global_round += 1
-    return StepOutcome(StepVerdict.ACCEPTED, eps, acc_l, acc_g)
+    eps = eps_static if eps_static is not None else scaling_factor(acc_l, acc_g)
+    return StepOutcome(StepVerdict.ACCEPTED, eps, acc_l, acc_g,
+                       aggregate_async(global_params, incoming.params, eps))
 
 
 # ------------------------------------------------------------------ simulation
@@ -558,6 +546,7 @@ class _Simulation:
                                          first.train_data.classes)
         self.global_digest: Optional[bytes] = None  # of global_params once published
         self.global_version = 0
+        self.global_round = 0  # aggregations published; the round of the next GLOBAL record
         rsu_ids = tuple(n.id for n in cfg.nodes if n.role is Role.RSU)
         self.server_id = rsu_ids[0] if traits.serves else -1  # -1: no node serves
         self.chain: Optional[Chain] = None
@@ -565,9 +554,6 @@ class _Simulation:
             committee = CommitteeState(members=rsu_ids, term_blocks=cfg.term_blocks)
             self.chain = Chain(policy=cfg.chain_policy, committee=committee)
         self.block_epoch = 0  # blocks opened so far; a "cut" timer seals only its own
-        # the serving node's view; _on_svc points it at the current leader
-        self.leader_view = LeaderState(self.server_id, first.test_data, self.global_params,
-                                       eps_static=cfg.strategy.service_epsilon)
         self.svc: deque = deque()
         self.svc_busy = False
         self.arrivals: list = []
@@ -591,7 +577,7 @@ class _Simulation:
 
     # -------------------------------------------------------------- plumbing
 
-    def _aggregator(self) -> int:
+    def _aggregator(self) -> Optional[int]:
         if self.chain is not None:
             return self.chain.committee.leader
         return self.server_id
@@ -668,6 +654,14 @@ class _Simulation:
         self.global_params = params
         self.global_digest = digest
         self.global_version += 1
+
+    def _publish_aggregate(self, params: ModelParams, server_id: int, now: float) -> None:
+        """Publish an aggregation's new global and record its digest as server_id's."""
+        self._publish(params, hash_model(params))
+        if self.chain is not None:
+            self._submit(HashRecord(RecordKind.GLOBAL, server_id, self.global_round,
+                                    self.global_digest), now)
+        self.global_round += 1
 
     def _upload_payload(self, node: _NodeRT) -> IncomingModel:
         params = self._model(node).copy()
@@ -783,13 +777,10 @@ class _Simulation:
             node.cfg.id, 0, node.marks["start"], node.marks["dl"],
             node.marks["train"], node.marks["test"], now, now))
         node.round = 1
-        if self.traits.barrier:
-            self._begin_sync_round(now)
-            return
-        for other in self.nodes:
-            self.q.schedule(now, ("start", other))
+        self._start_all(now)
 
-    def _begin_sync_round(self, now: float) -> None:
+    def _start_all(self, now: float) -> None:
+        """Start every node at now; a barrier strategy's round opens with them."""
         self.arrivals = []
         self.sync_started = now
         for node in self.nodes:
@@ -816,28 +807,25 @@ class _Simulation:
     def _on_svc(self, now: float) -> None:
         arrived, node, incoming = self.svc.popleft()
         server = self.by_id[self._aggregator()]
-        view = self.leader_view
-        view.node_id, view.test_data = server.cfg.id, server.test_data
-        view.global_params = self.global_params
-        outcome = leader_aggregation_step(view, incoming, self.chain,
-                                          self.cfg.attack.defense)
+        outcome = leader_aggregation_step(
+            self.global_params, server.test_data, incoming, self.chain,
+            self.cfg.attack.defense, self.cfg.strategy.service_epsilon)
         dur = 0.0
         if outcome.acc_local is not None:
             dur += 2.0 * server.test_time  # incoming and current global, both re-tested
         if outcome.verdict is StepVerdict.ACCEPTED:
             dur += self._service_extras(server)
-        self.q.schedule(now + dur, ("svc_done", arrived, node, incoming, outcome))
+        # the leader may change before svc_done, but the record names who served
+        self.q.schedule(now + dur, ("svc_done", arrived, node, incoming, outcome,
+                                    server.cfg.id))
 
     def _on_svc_done(self, now: float, arrived: float, node: _NodeRT,
-                     incoming: IncomingModel, outcome: StepOutcome) -> None:
+                     incoming: IncomingModel, outcome: StepOutcome, server_id: int) -> None:
         # the step's new global goes public only once its service time is charged
         before = self.global_digest
         if outcome.verdict is StepVerdict.ACCEPTED:
-            record = self.leader_view.pending_records.pop()
-            self._publish(self.leader_view.global_params, record.digest)
+            self._publish_aggregate(outcome.global_params, server_id, now)
             node.last_eps = outcome.epsilon
-            if self.chain is not None:
-                self._submit(record, now)
         self.decisions.append(DecisionLog(
             now, node.cfg.id, incoming.round, outcome.verdict, outcome.epsilon,
             outcome.acc_local, outcome.acc_global, incoming.record.digest, before,
@@ -852,12 +840,7 @@ class _Simulation:
         models = [params for _, _, params in self.arrivals]
         sizes = [node.train_data.n for _, node, _ in self.arrivals]
         new_global = synchronous_round(self.cfg.strategy, self.global_params, models, sizes)
-        self._publish(new_global, hash_model(new_global))
-        if self.chain is not None:
-            view = self.leader_view
-            self._submit(HashRecord(RecordKind.GLOBAL, self._aggregator(),
-                                    view.global_round, self.global_digest), now)
-            view.global_round += 1
+        self._publish_aggregate(new_global, self._aggregator(), now)
         fired = self.arrivals[-1][0]
         self.sync_rounds.append(SyncRoundLog(
             self.sync_index, self.sync_started,
@@ -865,7 +848,7 @@ class _Simulation:
         self.sync_index += 1
         for n in self.nodes:
             n.round += 1
-        self._begin_sync_round(now)
+        self._start_all(now)
 
     def _on_cut(self, now: float, epoch: int) -> None:
         if epoch == self.block_epoch:  # no block has opened since this timer was set
@@ -887,14 +870,12 @@ class _Simulation:
         for n in self.nodes:
             for stage, sec in n.totals_at(now).items():
                 sums[stage] += sec
-        leader, blocks = self.server_id, 0
-        if self.chain is not None:
-            leader = self.chain.committee.leader
-            leader = -1 if leader is None else leader
-            blocks = len(self.chain)
+        leader = self._aggregator()
+        blocks = len(self.chain) if self.chain is not None else 0
         self.rows.append(MetricsRow(
             now, average_test_accuracy(accs), objective, sums["training"],
-            sums["testing"], sums["communication"], sums["waiting"], blocks, leader))
+            sums["testing"], sums["communication"], sums["waiting"], blocks,
+            -1 if leader is None else leader))
         self.node_accuracies.append(accs)
 
     # ------------------------------------------------------------------ loop
@@ -907,12 +888,10 @@ class _Simulation:
                 break
             self.q.schedule(min(t, self.cfg.duration_s), ("sample",))
             i += 1
-        if not self.traits.bootstrap:
-            for node in self.nodes:
-                node.switch(0.0, "waiting")
-                self.q.schedule(0.0, ("start", node))
-        else:
+        if self.traits.bootstrap:
             self.q.schedule(0.0, ("start", self.by_id[self.server_id]))
+        else:
+            self._start_all(0.0)
         # an event is (kind, *arguments of the kind's handler)
         handlers = {
             "sample": self._on_sample, "start": self._on_start, "dl": self._on_dl,

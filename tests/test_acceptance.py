@@ -100,7 +100,7 @@ def test_criterion_1_equation_exactness():
         dim = int(rng.integers(1, 40))
         g, l = rng.normal(size=dim), rng.normal(size=dim)
         eps = float(rng.uniform(0.01, 5.0))
-        got = agg.aggregate_static(g, l, eps)
+        got = agg.aggregate_async(g, l, eps)  # StaticEps: a fixed epsilon
         brute = [(g[i] + eps * l[i]) / (1 + eps) for i in range(dim)]
         pairs.extend(zip(got.tolist(), brute))
     check("aggregate_static", pairs)
@@ -250,21 +250,20 @@ def test_criterion_3_chain_integrity_and_tamper_detection(batch):
     c = ch.Chain(committee=committee)
     record = ch.HashRecord(ch.RecordKind.LOCAL, 5, 0, ch.hash_model(trained))
     c.append_block([record], timestamp_ms=0)
-    leader = orch.LeaderState(node_id=0, test_data=test,
-                              global_params=np.zeros_like(trained))
+    start = np.zeros_like(trained)
     tampered_model = trained.copy()
     tampered_model[0] = np.nextafter(tampered_model[0], np.inf)
     v1 = orch.leader_aggregation_step(
-        leader, orch.IncomingModel(5, 0, tampered_model, record), c,
+        start, test, orch.IncomingModel(5, 0, tampered_model, record), c,
         agg.DefensePolicy.off()).verdict
     v2 = orch.leader_aggregation_step(
-        leader, orch.IncomingModel(5, 0, trained, record), c,
+        start, test, orch.IncomingModel(5, 0, trained, record), c,
         agg.DefensePolicy.off()).verdict
     c.append_block([ch.HashRecord(ch.RecordKind.LOCAL, 1, 9,
                                   ch.hash_model(np.ones_like(trained)))],
                    timestamp_ms=1)
     v3 = orch.leader_aggregation_step(
-        leader, orch.IncomingModel(5, 0, trained, record), c,
+        start, test, orch.IncomingModel(5, 0, trained, record), c,
         agg.DefensePolicy.off()).verdict
     rotation_ok = (v1 is orch.StepVerdict.TAMPERED
                    and v2 is orch.StepVerdict.IGNORED

@@ -621,6 +621,8 @@ def test_sweep_seed_ranges(tmp_path):
      "--seeds: a seed must be a whole number, got '2_0'"),
     (["sweep", "--strategies", "DBAFL", "--seeds", "5-1"], "--seeds: seed range '5-1' runs backwards"),
     (["run", "--defense", "0_1"], "--defense must be a finite number, got '0_1'"),
+    (["run", "--defense", "2"], "--defense: theta must be in [0, 1]"),
+    (["run", "--attack", "ddos:2"], "--attack: attack_fraction must lie in [0, 1)"),
 ])
 def test_bad_seed_or_defense_flag_is_a_config_error_naming_the_flag(tmp_path, capsys, argv,
                                                                     expected):

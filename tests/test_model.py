@@ -201,8 +201,7 @@ def _reference_train(start, data, cfg, rng_seed):
         order = np.arange(n) if cfg.batch_size >= n else rng.permutation(n)
         for lo in range(0, n, cfg.batch_size):
             rows = order[lo : lo + cfg.batch_size]
-            batch = model.Dataset(data.features[rows], data.labels[rows], data.classes,
-                                  data.indices[rows])
+            batch = model.Dataset(data.features[rows], data.labels[rows], data.classes)
             w -= cfg.learning_rate * _reference_gradient(w, batch)
     return w
 
@@ -360,9 +359,9 @@ def test_split_dataset_partitions_rows():
     data = model.generate_synthetic_dataset(seed=11, n=100, f=2, classes=2, separation=3.0)
     train, test = model.split_dataset(data, test_fraction=0.2)
     assert train.n == 80 and test.n == 20
-    assert np.array_equal(np.sort(np.concatenate([train.indices, test.indices])), np.sort(data.indices))
     joined = np.vstack([train.features, test.features])
     assert np.array_equal(joined, data.features)
+    assert np.array_equal(np.concatenate([train.labels, test.labels]), data.labels)
 
 
 def test_local_train_raises_when_training_diverges():

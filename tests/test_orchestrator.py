@@ -104,35 +104,38 @@ def test_leader_step_tamper_blacklists_and_recovers_next_term():
     train, test, trained, chain = _leader_fixture()
     record = ch.HashRecord(ch.RecordKind.LOCAL, 5, 0, ch.hash_model(trained))
     chain.append_block([record], timestamp_ms=0)
-    leader = orch.LeaderState(node_id=0, test_data=test,
-                              global_params=np.zeros_like(trained))
-    before = ch.hash_model(leader.global_params)
+    start = np.zeros_like(trained)
+    before = start.tobytes()
 
     tampered = trained.copy()
     tampered[0] = np.nextafter(tampered[0], np.inf)
     out = orch.leader_aggregation_step(
-        leader, orch.IncomingModel(5, 0, tampered, record), chain, agg.DefensePolicy.off())
+        start, test, orch.IncomingModel(5, 0, tampered, record), chain,
+        agg.DefensePolicy.off())
     assert out.verdict is orch.StepVerdict.TAMPERED
     assert 5 in chain.committee.blacklist
-    assert ch.hash_model(leader.global_params) == before
-    assert leader.pending_records == []
+    assert out.global_params is None
+    assert start.tobytes() == before
 
     # while blacklisted even an honest upload from node 5 is ignored
     out = orch.leader_aggregation_step(
-        leader, orch.IncomingModel(5, 0, trained, record), chain, agg.DefensePolicy.off())
+        start, test, orch.IncomingModel(5, 0, trained, record), chain,
+        agg.DefensePolicy.off())
     assert out.verdict is orch.StepVerdict.IGNORED
-    assert ch.hash_model(leader.global_params) == before
+    assert out.global_params is None
+    assert start.tobytes() == before
 
     # the next election clears the blacklist (term_blocks=1: one more append elects)
     filler = ch.HashRecord(ch.RecordKind.LOCAL, 1, 9, ch.hash_model(np.ones_like(trained)))
     chain.append_block([filler], timestamp_ms=1)
     assert 5 not in chain.committee.blacklist
     out = orch.leader_aggregation_step(
-        leader, orch.IncomingModel(5, 0, trained, record), chain, agg.DefensePolicy.off())
+        start, test, orch.IncomingModel(5, 0, trained, record), chain,
+        agg.DefensePolicy.off())
     assert out.verdict is orch.StepVerdict.ACCEPTED
-    assert ch.hash_model(leader.global_params) != before
-    assert len(leader.pending_records) == 1
-    assert leader.pending_records[0].kind is ch.RecordKind.GLOBAL
+    assert ch.hash_model(out.global_params) != ch.hash_model(start)
+    assert np.array_equal(out.global_params, agg.aggregate_async(start, trained, out.epsilon))
+    assert start.tobytes() == before  # the new global is a new array
 
 
 def test_leader_step_equal_accuracy_gives_exact_midpoint():
@@ -140,26 +143,24 @@ def test_leader_step_equal_accuracy_gives_exact_midpoint():
     record = ch.HashRecord(ch.RecordKind.LOCAL, 1, 3, ch.hash_model(trained))
     chain.append_block([record], timestamp_ms=0)
     # incoming equals the global, so both accuracies match and eps must be exactly 1
-    leader = orch.LeaderState(node_id=0, test_data=test, global_params=trained.copy())
     out = orch.leader_aggregation_step(
-        leader, orch.IncomingModel(1, 3, trained.copy(), record), chain,
+        trained.copy(), test, orch.IncomingModel(1, 3, trained.copy(), record), chain,
         agg.DefensePolicy.off())
     assert out.verdict is orch.StepVerdict.ACCEPTED
     assert out.epsilon == 1.0
     assert out.acc_local == out.acc_global
-    assert np.array_equal(leader.global_params, trained)
+    assert np.array_equal(out.global_params, trained)
 
     # a static-eps leader applies the midpoint formula to any incoming model
     g = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
     m = np.array([-2.0, 0.5, 1.0, 0.0, 7.0, -1.0])
     rec2 = ch.HashRecord(ch.RecordKind.LOCAL, 1, 4, ch.hash_model(m))
     chain.append_block([rec2], timestamp_ms=1)
-    leader2 = orch.LeaderState(node_id=0, test_data=test, global_params=g.copy(),
-                               eps_static=1.0)
     out2 = orch.leader_aggregation_step(
-        leader2, orch.IncomingModel(1, 4, m, rec2), chain, agg.DefensePolicy.off())
+        g.copy(), test, orch.IncomingModel(1, 4, m, rec2), chain, agg.DefensePolicy.off(),
+        eps_static=1.0)
     assert out2.verdict is orch.StepVerdict.ACCEPTED
-    assert np.array_equal(leader2.global_params, (g + m) / 2)
+    assert np.array_equal(out2.global_params, (g + m) / 2)
 
 
 def test_leader_step_discard_is_a_bitwise_noop():
@@ -167,24 +168,23 @@ def test_leader_step_discard_is_a_bitwise_noop():
     junk = orch.poison(trained, 25.0, rng_seed=2)
     record = ch.HashRecord(ch.RecordKind.LOCAL, 1, 0, ch.hash_model(junk))
     chain.append_block([record], timestamp_ms=0)
-    leader = orch.LeaderState(node_id=0, test_data=test, global_params=trained.copy())
-    before = ch.hash_model(leader.global_params)
+    start = trained.copy()
+    before = start.tobytes()
     out = orch.leader_aggregation_step(
-        leader, orch.IncomingModel(1, 0, junk, record), chain,
+        start, test, orch.IncomingModel(1, 0, junk, record), chain,
         agg.DefensePolicy.threshold(0.9))
     assert out.verdict is orch.StepVerdict.DISCARDED
-    assert ch.hash_model(leader.global_params) == before
-    assert leader.pending_records == []
+    assert out.global_params is None
+    assert start.tobytes() == before
     assert out.acc_local < 0.9 * out.acc_global
 
 
 def test_leader_step_requires_recorded_digest():
     train, test, trained, chain = _leader_fixture()
     record = ch.HashRecord(ch.RecordKind.LOCAL, 1, 0, ch.hash_model(trained))
-    leader = orch.LeaderState(node_id=0, test_data=test, global_params=trained.copy())
     with pytest.raises(ValueError):
         orch.leader_aggregation_step(
-            leader, orch.IncomingModel(1, 0, trained, record), chain,
+            trained.copy(), test, orch.IncomingModel(1, 0, trained, record), chain,
             agg.DefensePolicy.off())
 
 
@@ -195,39 +195,64 @@ def test_leader_step_verifies_a_digest_still_in_the_open_block():
     chain.submit(honest, 0.0)
     chain.submit(spoofed, 0.5)
     assert len(chain) == 0  # both digests are only in the open block
-    leader = orch.LeaderState(node_id=0, test_data=test,
-                              global_params=np.zeros_like(trained))
+    start = np.zeros_like(trained)
     out = orch.leader_aggregation_step(
-        leader, orch.IncomingModel(1, 0, trained, honest), chain, agg.DefensePolicy.off())
+        start, test, orch.IncomingModel(1, 0, trained, honest), chain,
+        agg.DefensePolicy.off())
     assert out.verdict is orch.StepVerdict.ACCEPTED
-    assert [r.kind for r in leader.pending_records] == [ch.RecordKind.GLOBAL]
+    assert np.array_equal(out.global_params, agg.aggregate_async(start, trained, out.epsilon))
 
     tampered = trained.copy()
     tampered[0] = np.nextafter(tampered[0], np.inf)
-    after_accept = ch.hash_model(leader.global_params)
+    current = out.global_params
+    after_accept = current.tobytes()
     out = orch.leader_aggregation_step(
-        leader, orch.IncomingModel(5, 0, tampered, spoofed), chain, agg.DefensePolicy.off())
+        current, test, orch.IncomingModel(5, 0, tampered, spoofed), chain,
+        agg.DefensePolicy.off())
     assert out.verdict is orch.StepVerdict.TAMPERED
     assert chain.committee.blacklist == {5}
-    assert ch.hash_model(leader.global_params) == after_accept
-    assert len(leader.pending_records) == 1
+    assert out.global_params is None
+    assert current.tobytes() == after_accept
 
 
 def test_leader_step_without_a_chain_accepts_an_unrecorded_upload():
     train, test, trained, _ = _leader_fixture()
     unrecorded = ch.HashRecord(ch.RecordKind.LOCAL, 5, 0, ch.hash_bytes(b"elsewhere"))
     start = np.zeros_like(trained)
-    leader = orch.LeaderState(node_id=0, test_data=test, global_params=start.copy())
     out = orch.leader_aggregation_step(
-        leader, orch.IncomingModel(5, 0, trained, unrecorded), None,
+        start.copy(), test, orch.IncomingModel(5, 0, trained, unrecorded), None,
         agg.DefensePolicy.off())
     acc_l = mdl.evaluate_accuracy(trained, test)
     acc_g = mdl.evaluate_accuracy(start, test)
     assert out.verdict is orch.StepVerdict.ACCEPTED
     assert (out.acc_local, out.acc_global) == (acc_l, acc_g)
     assert out.epsilon == agg.scaling_factor(acc_l, acc_g) != 1.0
-    assert np.array_equal(leader.global_params,
+    assert np.array_equal(out.global_params,
                           agg.aggregate_async(start, trained, out.epsilon))
+
+
+@pytest.mark.parametrize("strategy", [
+    orch.Strategy.dbafl(), orch.Strategy.static_eps(1.0), orch.Strategy.bsfl()],
+    ids=lambda s: s.label)
+def test_a_chain_run_records_one_global_per_aggregation(strategy):
+    # one leader per block, so the leader often changes while a service runs;
+    # the poisoner's uploads that the defense discards must leave no record
+    attack = orch.AttackConfig(poisoners=frozenset({4}),
+                               defense=agg.DefensePolicy.threshold(0.9))
+    result = orch.run_scenario(small_scenario(strategy, term_blocks=1, attack=attack))
+    bootstrap, *rest = result.chain.blocks
+    assert [(r.kind, r.round) for r in bootstrap.records] == [
+        (ch.RecordKind.LOCAL, 0), (ch.RecordKind.GLOBAL, 0)]
+    globals_ = [r for b in rest for r in b.records if r.kind is ch.RecordKind.GLOBAL]
+    assert [r.round for r in globals_] == list(range(len(globals_)))
+    assert {r.node_id for r in globals_} <= set(result.chain.committee.members)
+    if strategy.traits.barrier:
+        assert len(globals_) == len(result.sync_rounds) > 0
+        return
+    accepted = [d.global_digest_after for d in result.decisions
+                if d.verdict is orch.StepVerdict.ACCEPTED]
+    assert len(accepted) < len(result.decisions)
+    assert [r.digest for r in globals_] == accepted
 
 
 # ---------------------------------------------------------- run_scenario
