@@ -1,7 +1,8 @@
 """Command-line front end: config files in, metrics CSV and chain dumps out.
 
 Scenarios are described in a nested key-value file; omitted fields fall
-back to the stock five-node experiment of `orchestrator.default_scenario`.
+back to their config dataclass's defaults, which for `ScenarioConfig` are
+the stock five-node experiment.
 Outputs are plain text so any plotting tool can consume them: one CSV per
 (strategy, seed) and one chain dump per chain-backed run, all written
 atomically.
@@ -34,35 +35,16 @@ from .chain import AuditReport, audit_dump, dump_chain
 from .model import Dataset
 from .netsim import DdosConfig
 from .orchestrator import (PLAIN_NUMBER, AttackConfig, DataSpec, MetricsRow, RunResult,
-                           ScenarioConfig, Strategy, default_scenario, run_scenario)
-
-
-@dataclasses.dataclass(frozen=True)
-class RunManifest:
-    """One batch of runs: which scenario, where to write, which seeds."""
-
-    scenario: str
-    out_dir: str
-    seeds: Optional[tuple]          # None runs the scenario's own master_seed
-    strategies: tuple = ()          # empty keeps the scenario's own strategy
-    attack: Optional[str] = None    # "poisoning" or "ddos:<fraction>"
-    defense: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.seeds is not None:
-            object.__setattr__(self, "seeds", tuple(self.seeds))
-            if not self.seeds:
-                raise ValueError("seeds: need at least one seed")
-        object.__setattr__(self, "strategies", tuple(self.strategies))
+                           ScenarioConfig, Strategy, run_scenario)
 
 
 # ------------------------------------------------------------- config schema
 #
 # A scenario file has one key per config dataclass field, with a nested
 # mapping for each dataclass-typed field.  The keys a section gives are
-# merged onto its default: the stock scenario at the root, else the value
-# the enclosing default holds, else the dataclass's own field default.  So
-# every default is written once, in its dataclass or in default_scenario.
+# merged onto its default: the value the enclosing default holds, else the
+# dataclass's own field default.  So every default is written once, in its
+# dataclass; ScenarioConfig's are the stock scenario.
 
 
 _WHOLE = re.compile(r"[+-]?[0-9]+")  # the whole-number spellings of PLAIN_NUMBER
@@ -285,13 +267,12 @@ _UniqueKeyLoader.add_constructor(_FLOAT_TAG, _construct_number)
 
 
 def load_scenario(path: str) -> ScenarioConfig:
-    """Parse and validate a scenario file, merged onto the stock scenario."""
+    """Parse and validate a scenario file, merged onto the field defaults."""
     with open(path, "r", encoding="utf-8") as fh:
         data = _as_mapping(yaml.load(fh, Loader=_UniqueKeyLoader), "", _schema(ScenarioConfig))
-    stock = default_scenario(Strategy.dbafl())
     # a node dataset's classes default to data.classes, so data loads first
-    spec = _load(DataSpec, data.get("data"), stock.data, "data", None)
-    return _load(ScenarioConfig, data, stock, "", spec)
+    spec = _load(DataSpec, data.get("data"), None, "data", None)
+    return _load(ScenarioConfig, data, None, "", spec)
 
 
 def serialize_scenario(cfg: ScenarioConfig) -> str:
@@ -330,8 +311,8 @@ def _parse_seed(text: str) -> int:
     return int(text)
 
 
-def parse_seed_range(text: str) -> tuple:
-    """Seed lists as '7', '2,5,9', or an inclusive '1-5'."""
+def parse_seed_range(text: str) -> Sequence[int]:
+    """Seed lists as '7', '2,5,9', or an inclusive '1-5' (a range, never expanded)."""
     text = text.strip()
     if not text:
         raise ValueError("empty seed range")
@@ -341,7 +322,7 @@ def parse_seed_range(text: str) -> tuple:
         lo, hi = map(_parse_seed, text.split("-", 1))
         if hi < lo:
             raise ValueError(f"seed range {text!r} runs backwards")
-        return tuple(range(lo, hi + 1))
+        return range(lo, hi + 1)
     return (_parse_seed(text),)
 
 
@@ -377,16 +358,19 @@ def _file_label(strategy: Strategy) -> str:
     return strategy.label.replace(":", "-")
 
 
-def run_manifest(manifest: RunManifest) -> int:
-    """Execute every (strategy, seed) combination; report via exit status."""
+def _cmd_run(scenario: str, out_dir: str, seeds: Optional[Sequence[int]],
+             strategies: Sequence[Strategy], attack: Optional[str],
+             defense: Optional[float]) -> int:
+    """Execute every (strategy, seed) combination; report via exit status.
+
+    No seeds runs the scenario's own master_seed, and no strategies its own
+    strategy.
+    """
     try:
-        cfg = load_scenario(manifest.scenario)
-        cfg = apply_overrides(cfg, attack=manifest.attack,
-                              defense=manifest.defense)
-        variants = [dataclasses.replace(cfg, strategy=s)
-                    for s in manifest.strategies] or [cfg]
-        seeds = manifest.seeds or (cfg.master_seed,)
-        out = Path(manifest.out_dir)
+        cfg = apply_overrides(load_scenario(scenario), attack=attack, defense=defense)
+        variants = [dataclasses.replace(cfg, strategy=s) for s in strategies] or [cfg]
+        seeds = seeds or (cfg.master_seed,)
+        out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         if not os.access(out, os.W_OK):
             raise ValueError(f"output directory {out} is not writable")
@@ -484,20 +468,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 strategies = (_load_strategy(args.strategy, "--strategy"),)
             seeds = None if args.seed is None else tuple(
                 _named(_parse_seed, text, "--seed") for text in args.seed)
+            attack = args.attack
             defense = None if args.defense is None else _as_float(args.defense, "--defense")
-            manifest = RunManifest(scenario=args.config, out_dir=args.out,
-                                   seeds=seeds, strategies=strategies,
-                                   attack=args.attack, defense=defense)
         else:
-            manifest = RunManifest(
-                scenario=args.config, out_dir=args.out,
-                seeds=_named(parse_seed_range, args.seeds, "--seeds"),
-                strategies=tuple(_load_strategy(s.strip(), "--strategies")
-                                 for s in args.strategies.split(",")))
+            seeds = _named(parse_seed_range, args.seeds, "--seeds")
+            strategies = tuple(_load_strategy(s.strip(), "--strategies")
+                               for s in args.strategies.split(","))
+            attack = defense = None
     except (OSError, ValueError, yaml.YAMLError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    return run_manifest(manifest)
+    return _cmd_run(args.config, args.out, seeds, strategies, attack, defense)
 
 
 if __name__ == "__main__":

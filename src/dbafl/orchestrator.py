@@ -105,30 +105,6 @@ class Strategy:
         elif self.epsilon is not None:
             raise ValueError(f"{self.kind.value} does not take an epsilon")
 
-    @classmethod
-    def dbafl(cls) -> "Strategy":
-        return cls(StrategyKind.DBAFL)
-
-    @classmethod
-    def bsfl(cls) -> "Strategy":
-        return cls(StrategyKind.BSFL)
-
-    @classmethod
-    def fedavg(cls) -> "Strategy":
-        return cls(StrategyKind.FEDAVG)
-
-    @classmethod
-    def static_eps(cls, epsilon: float) -> "Strategy":
-        return cls(StrategyKind.STATIC_EPS, epsilon)
-
-    @classmethod
-    def local_only(cls) -> "Strategy":
-        return cls(StrategyKind.LOCAL_ONLY)
-
-    @classmethod
-    def afl(cls) -> "Strategy":
-        return cls(StrategyKind.AFL)
-
     @property
     def traits(self) -> StrategyTraits:
         return TRAITS[self.kind]
@@ -216,17 +192,21 @@ class AttackConfig:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    nodes: tuple[NodeConfig, ...]
-    strategy: Strategy
-    train: TrainConfig
-    data: DataSpec
-    chain_policy: BlockCutPolicy
-    term_blocks: int
-    payload: PayloadSizes
-    attack: AttackConfig
-    duration_s: float
-    master_seed: int
-    metrics_interval_s: float
+    """One run; the field defaults are the paper's stock experiment."""
+
+    nodes: tuple[NodeConfig, ...] = (  # three RSUs, then two buses at 4x compute
+        NodeConfig(0), NodeConfig(1), NodeConfig(2),
+        NodeConfig(3, Role.BUS, 4.0), NodeConfig(4, Role.BUS, 4.0))
+    strategy: Strategy = Strategy(StrategyKind.DBAFL)
+    train: TrainConfig = DEFAULT_TRAIN
+    data: DataSpec = DataSpec()
+    chain_policy: BlockCutPolicy = BlockCutPolicy()
+    term_blocks: int = 10
+    payload: PayloadSizes = DEFAULT_PAYLOAD
+    attack: AttackConfig = AttackConfig()
+    duration_s: float = 600.0
+    master_seed: int = 1
+    metrics_interval_s: float = 5.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", tuple(self.nodes))
@@ -342,34 +322,6 @@ class RunResult:
     decisions: list
     round_logs: list
     sync_rounds: list
-
-
-def default_nodes(rsus: int = 3, buses: int = 2, bus_multiplier: float = 4.0,
-                  link: LinkParams = DEFAULT_LINK) -> tuple:
-    nodes = [NodeConfig(id=i, role=Role.RSU, link=link) for i in range(rsus)]
-    nodes += [NodeConfig(id=rsus + i, role=Role.BUS,
-                         compute_time_multiplier=bus_multiplier, link=link)
-              for i in range(buses)]
-    return tuple(nodes)
-
-
-def default_scenario(strategy: Strategy, *, master_seed: int = 1,
-                     duration_s: float = 600.0, nodes=None, data=None, train=None,
-                     chain_policy=None, term_blocks: int = 10, payload=None,
-                     attack=None, metrics_interval_s: float = 5.0) -> ScenarioConfig:
-    return ScenarioConfig(
-        nodes=tuple(nodes) if nodes is not None else default_nodes(),
-        strategy=strategy,
-        train=train if train is not None else DEFAULT_TRAIN,
-        data=data if data is not None else DataSpec(),
-        chain_policy=chain_policy if chain_policy is not None else BlockCutPolicy(),
-        term_blocks=term_blocks,
-        payload=payload if payload is not None else DEFAULT_PAYLOAD,
-        attack=attack if attack is not None else AttackConfig(),
-        duration_s=duration_s,
-        master_seed=master_seed,
-        metrics_interval_s=metrics_interval_s,
-    )
 
 
 def node_datasets(cfg: ScenarioConfig) -> list:
@@ -554,8 +506,7 @@ class _Simulation:
             committee = CommitteeState(members=rsu_ids, term_blocks=cfg.term_blocks)
             self.chain = Chain(policy=cfg.chain_policy, committee=committee)
         self.block_epoch = 0  # blocks opened so far; a "cut" timer seals only its own
-        self.svc: deque = deque()
-        self.svc_busy = False
+        self.svc: deque = deque()  # arrivals to serve; the head is in service
         self.arrivals: list = []
         self.sync_index = 0
         self.sync_started = 0.0
@@ -800,12 +751,11 @@ class _Simulation:
                 self.q.schedule(now + dur, ("sync_done",))
             return
         self.svc.append((now, node, incoming))
-        if not self.svc_busy:
-            self.svc_busy = True
+        if len(self.svc) == 1:
             self.q.schedule(now, ("svc",))
 
     def _on_svc(self, now: float) -> None:
-        arrived, node, incoming = self.svc.popleft()
+        _, _, incoming = self.svc[0]
         server = self.by_id[self._aggregator()]
         outcome = leader_aggregation_step(
             self.global_params, server.test_data, incoming, self.chain,
@@ -816,12 +766,11 @@ class _Simulation:
         if outcome.verdict is StepVerdict.ACCEPTED:
             dur += self._service_extras(server)
         # the leader may change before svc_done, but the record names who served
-        self.q.schedule(now + dur, ("svc_done", arrived, node, incoming, outcome,
-                                    server.cfg.id))
+        self.q.schedule(now + dur, ("svc_done", outcome, server.cfg.id))
 
-    def _on_svc_done(self, now: float, arrived: float, node: _NodeRT,
-                     incoming: IncomingModel, outcome: StepOutcome, server_id: int) -> None:
+    def _on_svc_done(self, now: float, outcome: StepOutcome, server_id: int) -> None:
         # the step's new global goes public only once its service time is charged
+        arrived, node, incoming = self.svc.popleft()
         before = self.global_digest
         if outcome.verdict is StepVerdict.ACCEPTED:
             self._publish_aggregate(outcome.global_params, server_id, now)
@@ -833,8 +782,6 @@ class _Simulation:
         self._finish_round(node, now, arrived, now)
         if self.svc:
             self.q.schedule(now, ("svc",))
-        else:
-            self.svc_busy = False
 
     def _on_sync_done(self, now: float) -> None:
         models = [params for _, _, params in self.arrivals]

@@ -21,9 +21,12 @@ def floats(lo, hi, **kw):
 
 
 strategies = st.one_of(
-    st.sampled_from([orch.Strategy.dbafl(), orch.Strategy.bsfl(), orch.Strategy.fedavg(),
-                     orch.Strategy.local_only(), orch.Strategy.afl()]),
-    st.builds(orch.Strategy.static_eps, floats(0.01, 100.0)))
+    st.sampled_from([orch.Strategy(orch.StrategyKind.DBAFL),
+                     orch.Strategy(orch.StrategyKind.BSFL),
+                     orch.Strategy(orch.StrategyKind.FEDAVG),
+                     orch.Strategy(orch.StrategyKind.LOCAL_ONLY),
+                     orch.Strategy(orch.StrategyKind.AFL)]),
+    floats(0.01, 100.0).map(lambda eps: orch.Strategy(orch.StrategyKind.STATIC_EPS, eps)))
 
 data_specs = st.builds(
     orch.DataSpec, samples_per_node=st.integers(20, 200), features=st.integers(1, 4),

@@ -20,14 +20,14 @@ from dbafl import orchestrator as orch
 SEEDS = (1, 2, 3, 4, 5)
 
 BATCH_STRATEGIES = {
-    "DBAFL": orch.Strategy.dbafl(),
-    "FedAVG": orch.Strategy.fedavg(),
-    "BSFL": orch.Strategy.bsfl(),
-    "AFL": orch.Strategy.afl(),
-    "Static0.5": orch.Strategy.static_eps(0.5),
-    "Static1.0": orch.Strategy.static_eps(1.0),
-    "Static1.5": orch.Strategy.static_eps(1.5),
-    "LocalOnly": orch.Strategy.local_only(),
+    "DBAFL": orch.Strategy.parse("DBAFL"),
+    "FedAVG": orch.Strategy.parse("FedAVG"),
+    "BSFL": orch.Strategy.parse("BSFL"),
+    "AFL": orch.Strategy.parse("AFL"),
+    "Static0.5": orch.Strategy.parse("StaticEps:0.5"),
+    "Static1.0": orch.Strategy.parse("StaticEps:1.0"),
+    "Static1.5": orch.Strategy.parse("StaticEps:1.5"),
+    "LocalOnly": orch.Strategy.parse("LocalOnly"),
 }
 
 
@@ -56,7 +56,7 @@ def batch():
     out = {}
     for label, strategy in BATCH_STRATEGIES.items():
         for seed in SEEDS:
-            cfg = orch.default_scenario(strategy, master_seed=seed)
+            cfg = orch.ScenarioConfig(strategy=strategy, master_seed=seed)
             out[(label, seed)] = orch.run_scenario(cfg)
     return out
 
@@ -321,7 +321,7 @@ def test_criterion_6_poisoning_resilience(batch):
     poisoners = frozenset({2})  # a committee node that uploads every round
 
     # the magnitude must genuinely break a model on clean data
-    datasets = orch.node_datasets(orch.default_scenario(orch.Strategy.dbafl()))
+    datasets = orch.node_datasets(orch.ScenarioConfig())
     train, test = datasets[2]
     trained = mdl.local_train(
         mdl.init_params(train.features.shape[1], train.classes), train,
@@ -332,14 +332,14 @@ def test_criterion_6_poisoning_resilience(batch):
     calibrated = poisoned_acc < 0.6
 
     afl_clean = batch[("AFL", 1)].rows[-1].avg_test_accuracy
-    afl_poisoned = orch.run_scenario(orch.default_scenario(
-        orch.Strategy.afl(), master_seed=1,
+    afl_poisoned = orch.run_scenario(orch.ScenarioConfig(
+        strategy=orch.Strategy.parse("AFL"), master_seed=1,
         attack=orch.AttackConfig(poisoners=poisoners)))
     gap = afl_clean - afl_poisoned.rows[-1].avg_test_accuracy
 
     dbafl_clean = batch[("DBAFL", 1)].rows[-1].avg_test_accuracy
-    defended = orch.run_scenario(orch.default_scenario(
-        orch.Strategy.dbafl(), master_seed=1,
+    defended = orch.run_scenario(orch.ScenarioConfig(
+        strategy=orch.Strategy.parse("DBAFL"), master_seed=1,
         attack=orch.AttackConfig(poisoners=poisoners,
                                  defense=agg.DefensePolicy.threshold(0.9))))
     drift = abs(dbafl_clean - defended.rows[-1].avg_test_accuracy)
@@ -364,16 +364,16 @@ def test_criterion_7_ddos_resilience():
 
     afl_t95 = []
     for f in fractions:
-        res = orch.run_scenario(orch.default_scenario(
-            orch.Strategy.afl(), master_seed=1,
+        res = orch.run_scenario(orch.ScenarioConfig(
+            strategy=orch.Strategy.parse("AFL"), master_seed=1,
             attack=orch.AttackConfig(ddos=net.DdosConfig(f, 1))))
         afl_t95.append(_t95(res.rows))
     monotone = afl_t95[0] < afl_t95[1] < afl_t95[2]
 
     dbafl_t95 = []
     for f in fractions:
-        res = orch.run_scenario(orch.default_scenario(
-            orch.Strategy.dbafl(), master_seed=1,
+        res = orch.run_scenario(orch.ScenarioConfig(
+            strategy=orch.Strategy.parse("DBAFL"), master_seed=1,
             attack=orch.AttackConfig(ddos=net.DdosConfig(f, 1))))
         dbafl_t95.append(_t95(res.rows))
     spread = (max(dbafl_t95) - min(dbafl_t95)) / min(dbafl_t95)
@@ -400,7 +400,7 @@ def test_criterion_8_latency_model_properties(batch):
         w = float(rng.uniform(1e4, 1e9))
         lat = net.round_latency(net.PayloadSizes(w, w / 1000.0, w / 100.0), link)
         dominated += lat.t_bc < lat.t_up + lat.t_dn
-    bus_ids = {n.id for n in orch.default_nodes() if n.role is orch.Role.BUS}
+    bus_ids = {n.id for n in orch.ScenarioConfig().nodes if n.role is orch.Role.BUS}
     comms = []
     for seed in SEEDS:
         for rl in batch[("DBAFL", seed)].round_logs:
@@ -437,7 +437,7 @@ def test_criterion_9_determinism_and_stage_accounting(batch, tmp_path):
                                  abs(sum(totals.values()) - duration))
     sums_ok = worst_residual <= 1e-9
 
-    bus_ids = {n.id for n in orch.default_nodes() if n.role is orch.Role.BUS}
+    bus_ids = {n.id for n in orch.ScenarioConfig().nodes if n.role is orch.Role.BUS}
     bus_fracs = []
     for seed in SEEDS:
         for rl in batch[("DBAFL", seed)].round_logs:

@@ -52,12 +52,14 @@ def _read_metrics(path: Path):
 
 
 def test_empty_config_gives_experiment_defaults(tmp_path):
-    cfg = cli.load_scenario(_write(tmp_path, "empty.yaml", ""))
-    assert len(cfg.nodes) == 5
-    roles = [n.role for n in cfg.nodes]
-    assert roles.count(orch.Role.RSU) == 3 and roles.count(orch.Role.BUS) == 2
-    assert {n.compute_time_multiplier for n in cfg.nodes if n.role is orch.Role.BUS} == {4.0}
-    assert cfg.strategy == orch.Strategy.dbafl()
+    # the README's stock experiment is ScenarioConfig's field defaults, and the
+    # loader adds no default of its own
+    cfg = orch.ScenarioConfig()
+    assert cli.load_scenario(_write(tmp_path, "empty.yaml", "")) == cfg
+    rsu, bus = orch.Role.RSU, orch.Role.BUS
+    assert [(n.id, n.role, n.compute_time_multiplier) for n in cfg.nodes] == [
+        (0, rsu, 1.0), (1, rsu, 1.0), (2, rsu, 1.0), (3, bus, 4.0), (4, bus, 4.0)]
+    assert cfg.strategy == orch.Strategy(orch.StrategyKind.DBAFL)
     assert cfg.train.epochs == 50
     assert cfg.train.learning_rate == 0.01
     assert cfg.train.batch_size == 1500
@@ -68,6 +70,8 @@ def test_empty_config_gives_experiment_defaults(tmp_path):
     assert cfg.payload.model_bits == 8e7
     assert cfg.attack == orch.AttackConfig()
     assert cfg.duration_s == 600.0
+    assert cfg.master_seed == 1
+    assert cfg.metrics_interval_s == 5.0
 
 
 def test_zero_nodes_rejected_naming_the_field(tmp_path):
@@ -177,8 +181,8 @@ def test_byte_cap_below_a_one_record_block_is_a_config_error(tmp_path, capsys):
 def test_static_eps_strategy_from_config(tmp_path):
     for eps in (0.5, 1.0, 1.5):
         path = _write(tmp_path, "eps.yaml", f"strategy: StaticEps:{eps}\n")
-        assert cli.load_scenario(path) == orch.default_scenario(
-            orch.Strategy.static_eps(eps))
+        assert cli.load_scenario(path) == orch.ScenarioConfig(
+            strategy=orch.Strategy(orch.StrategyKind.STATIC_EPS, eps))
 
 
 def test_unknown_field_is_named(tmp_path):
@@ -196,18 +200,18 @@ def test_non_mapping_config_rejected(tmp_path):
 
 def test_round_trip_preserves_every_field(tmp_path):
     samples = [
-        orch.default_scenario(orch.Strategy.dbafl()),
-        orch.default_scenario(orch.Strategy.static_eps(1.5), master_seed=7,
-                              duration_s=120.0, metrics_interval_s=2.5,
-                              term_blocks=3),
-        orch.default_scenario(
-            orch.Strategy.afl(),
+        orch.ScenarioConfig(),
+        orch.ScenarioConfig(strategy=orch.Strategy(orch.StrategyKind.STATIC_EPS, 1.5),
+                            master_seed=7, duration_s=120.0, metrics_interval_s=2.5,
+                            term_blocks=3),
+        orch.ScenarioConfig(
+            strategy=orch.Strategy(orch.StrategyKind.AFL),
             attack=orch.AttackConfig(
                 poisoners=frozenset({4}), poison_magnitude=12.5,
                 ddos=net.DdosConfig(0.8, 1),
                 defense=agg.DefensePolicy.threshold(0.9))),
-        orch.default_scenario(
-            orch.Strategy.fedavg(),
+        orch.ScenarioConfig(
+            strategy=orch.Strategy(orch.StrategyKind.FEDAVG),
             nodes=(orch.NodeConfig(0, orch.Role.RSU),
                    orch.NodeConfig(7, orch.Role.BUS, 6.0,
                                    link=net.LinkParams(1e7, 9.5, 2e9))),
@@ -215,8 +219,8 @@ def test_round_trip_preserves_every_field(tmp_path):
             train=orch.TrainConfig(5, 0.1, 64),
             chain_policy=orch.BlockCutPolicy(1.0, 4, 1_000_000),
             payload=net.PayloadSizes(1e6, 128, 4000)),
-        orch.default_scenario(orch.Strategy.local_only(),
-                              nodes=(orch.NodeConfig(3, orch.Role.BUS, 2.0),)),
+        orch.ScenarioConfig(strategy=orch.Strategy(orch.StrategyKind.LOCAL_ONLY),
+                            nodes=(orch.NodeConfig(3, orch.Role.BUS, 2.0),)),
     ]
     for i, cfg in enumerate(samples):
         path = tmp_path / f"rt{i}.yaml"
@@ -227,11 +231,11 @@ def test_round_trip_preserves_every_field(tmp_path):
 # Partial sections merge onto their defaults, and every bad value is exit 1
 # naming its field, never a traceback, a misleading message or a truncation.
 LOADER_CASES = {
-    "partial-link": ("nodes: [{id: 0, link: {mobile_snr: 9.0}}]\n", lambda: orch.default_scenario(
-        orch.Strategy.dbafl(),
+    "partial-link": ("nodes: [{id: 0, link: {mobile_snr: 9.0}}]\n", lambda: orch.ScenarioConfig(
+        strategy=orch.Strategy(orch.StrategyKind.DBAFL),
         nodes=(orch.NodeConfig(0, link=dataclasses.replace(orch.DEFAULT_LINK, mobile_snr=9.0)),))),
-    "partial-payload": ("payload: {model_bits: 1.0e6}\n", lambda: orch.default_scenario(
-        orch.Strategy.dbafl(),
+    "partial-payload": ("payload: {model_bits: 1.0e6}\n", lambda: orch.ScenarioConfig(
+        strategy=orch.Strategy(orch.StrategyKind.DBAFL),
         payload=dataclasses.replace(orch.DEFAULT_PAYLOAD, model_bits=1e6))),
     "link-not-a-mapping": ("nodes: [{id: 0, link: [1]}]\n", "nodes[0].link must be a mapping"),
     "node-not-a-mapping": ("nodes:\n  - 5\n", "nodes[0] must be a mapping"),
@@ -387,11 +391,8 @@ def test_readme_scenario_example_loads_and_round_trips(tmp_path):
     text = cli.serialize_scenario(cfg)
     again = cli.load_scenario(_write(tmp_path, "again.yaml", text))
     assert again == cfg and cli.serialize_scenario(again) == text
-
-
-def test_manifest_requires_seeds(tmp_path):
-    with pytest.raises(ValueError, match="seed"):
-        cli.RunManifest(scenario="x.yaml", out_dir=str(tmp_path), seeds=())
+    # every section but the attack spells out the stock scenario
+    assert dataclasses.replace(cfg, attack=orch.AttackConfig()) == orch.ScenarioConfig()
 
 
 # ----------------------------------------------------------------------- run
@@ -506,7 +507,7 @@ def test_run_strategy_and_attack_overrides(tmp_path):
 
 
 def test_override_parsing():
-    base = orch.default_scenario(orch.Strategy.dbafl())
+    base = orch.ScenarioConfig()
     poisoned = cli.apply_overrides(base, attack="poisoning")
     assert poisoned.attack.poisoners == {4}  # highest id plays the adversary
     assert poisoned.attack.poison_magnitude == 10.0
@@ -599,10 +600,10 @@ def test_sweep_strategies_share_the_time_grid(tmp_path):
 
 
 def test_sweep_seed_ranges(tmp_path):
-    assert cli.parse_seed_range("1-3") == (1, 2, 3)
-    assert cli.parse_seed_range("7") == (7,)
-    assert cli.parse_seed_range("2,5,9") == (2, 5, 9)
-    assert cli.parse_seed_range("-4") == (-4,)
+    assert tuple(cli.parse_seed_range("1-3")) == (1, 2, 3)
+    assert tuple(cli.parse_seed_range("7")) == (7,)
+    assert tuple(cli.parse_seed_range("2,5,9")) == (2, 5, 9)
+    assert tuple(cli.parse_seed_range("-4")) == (-4,)
     with pytest.raises(ValueError):
         cli.parse_seed_range("5-1")
     with pytest.raises(ValueError):
@@ -633,6 +634,17 @@ def test_bad_seed_or_defense_flag_is_a_config_error_naming_the_flag(tmp_path, ca
     assert rc == 1
     assert capsys.readouterr().err == f"config error: {expected}\n"
     assert not out.exists()
+
+
+def test_a_huge_seed_range_is_not_expanded(tmp_path, capsys):
+    # a range of 10**11 seeds as a tuple would not fit in memory; the missing
+    # scenario file is the error to report
+    missing = tmp_path / "missing.yaml"
+    rc = cli.main(["sweep", "--config", str(missing), "--out", str(tmp_path / "o"),
+                   "--strategies", "DBAFL", "--seeds", "1-100000000000"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(missing) in err
 
 
 def test_a_negative_seed_flag_still_runs(tmp_path):

@@ -15,7 +15,7 @@ from dbafl import orchestrator as orch
 
 def small_scenario(strategy, seed=3, duration=150.0, **overrides):
     overrides.setdefault("data", orch.DataSpec(samples_per_node=200))
-    return orch.default_scenario(
+    return orch.ScenarioConfig(
         strategy=strategy, master_seed=seed, duration_s=duration, **overrides)
 
 
@@ -38,7 +38,7 @@ def test_poison_examples():
 
 def test_poison_magnitude_ten_breaks_a_trained_separator():
     spec = orch.DataSpec(samples_per_node=200)
-    cfg = small_scenario(orch.Strategy.local_only())
+    cfg = small_scenario(orch.Strategy.parse("LocalOnly"))
     train, test = orch.node_datasets(cfg)[0]
     params = mdl.local_train(
         mdl.init_params(spec.features, spec.classes), train, cfg.train,
@@ -67,7 +67,7 @@ def test_average_test_accuracy_examples():
 def test_synchronous_round_fedavg_identical_models_is_identity():
     w = np.array([0.3, -1.7, 2.2, 0.0])
     out = orch.synchronous_round(
-        orch.Strategy.fedavg(), np.zeros(4), [w.copy(), w.copy()], [160, 160])
+        orch.Strategy.parse("FedAVG"), np.zeros(4), [w.copy(), w.copy()], [160, 160])
     assert np.array_equal(out, w)
 
 
@@ -75,16 +75,16 @@ def test_synchronous_round_bsfl_fold_order():
     g = np.array([1.0, 2.0])
     a = np.array([3.0, -2.0])
     b = np.array([0.5, 0.5])
-    out = orch.synchronous_round(orch.Strategy.bsfl(), g, [a, b], [160, 160])
+    out = orch.synchronous_round(orch.Strategy.parse("BSFL"), g, [a, b], [160, 160])
     assert np.array_equal(out, ((g + a) / 2 + b) / 2)
-    swapped = orch.synchronous_round(orch.Strategy.bsfl(), g, [b, a], [160, 160])
+    swapped = orch.synchronous_round(orch.Strategy.parse("BSFL"), g, [b, a], [160, 160])
     assert np.array_equal(swapped, ((g + b) / 2 + a) / 2)
 
 
 def test_synchronous_round_rejects_async_strategies():
     with pytest.raises(ValueError):
         orch.synchronous_round(
-            orch.Strategy.dbafl(), np.zeros(2), [np.ones(2)], [160])
+            orch.Strategy.parse("DBAFL"), np.zeros(2), [np.ones(2)], [160])
 
 
 # ----------------------------------------------- leader_aggregation_step
@@ -232,7 +232,8 @@ def test_leader_step_without_a_chain_accepts_an_unrecorded_upload():
 
 
 @pytest.mark.parametrize("strategy", [
-    orch.Strategy.dbafl(), orch.Strategy.static_eps(1.0), orch.Strategy.bsfl()],
+    orch.Strategy.parse("DBAFL"), orch.Strategy.parse("StaticEps:1.0"),
+    orch.Strategy.parse("BSFL")],
     ids=lambda s: s.label)
 def test_a_chain_run_records_one_global_per_aggregation(strategy):
     # one leader per block, so the leader often changes while a service runs;
@@ -259,7 +260,7 @@ def test_a_chain_run_records_one_global_per_aggregation(strategy):
 
 
 def test_local_only_matches_isolated_training():
-    cfg = small_scenario(orch.Strategy.local_only(), duration=60.0)
+    cfg = small_scenario(orch.Strategy.parse("LocalOnly"), duration=60.0)
     res = orch.run_scenario(cfg)
     datasets = orch.node_datasets(cfg)
     for idx, node in enumerate(cfg.nodes):
@@ -289,8 +290,8 @@ def test_local_only_matches_isolated_training():
 def test_dbafl_single_rsu_equals_local_only():
     node = (orch.NodeConfig(id=0, role=orch.Role.RSU, compute_time_multiplier=1.0),)
     kw = dict(seed=9, duration=60.0, nodes=node)
-    alone = orch.run_scenario(small_scenario(orch.Strategy.local_only(), **kw))
-    dbafl = orch.run_scenario(small_scenario(orch.Strategy.dbafl(), **kw))
+    alone = orch.run_scenario(small_scenario(orch.Strategy.parse("LocalOnly"), **kw))
+    dbafl = orch.run_scenario(small_scenario(orch.Strategy.parse("DBAFL"), **kw))
     assert [r.sim_time_s for r in alone.rows] == [r.sim_time_s for r in dbafl.rows]
     assert [r.avg_test_accuracy for r in alone.rows] == \
         [r.avg_test_accuracy for r in dbafl.rows]
@@ -298,7 +299,7 @@ def test_dbafl_single_rsu_equals_local_only():
 
 
 def test_same_config_runs_bitwise_identical():
-    cfg = small_scenario(orch.Strategy.dbafl(), duration=100.0)
+    cfg = small_scenario(orch.Strategy.parse("DBAFL"), duration=100.0)
     a = orch.run_scenario(cfg)
     b = orch.run_scenario(cfg)
     assert a.rows == b.rows
@@ -308,7 +309,7 @@ def test_same_config_runs_bitwise_identical():
 
 
 def test_stage_accounting_sums_to_elapsed():
-    for strategy in (orch.Strategy.dbafl(), orch.Strategy.fedavg()):
+    for strategy in (orch.Strategy.parse("DBAFL"), orch.Strategy.parse("FedAVG")):
         cfg = small_scenario(strategy, duration=120.0)
         res = orch.run_scenario(cfg)
         for node in cfg.nodes:
@@ -327,7 +328,7 @@ def test_stage_accounting_sums_to_elapsed():
 
 
 def test_genesis_block_carries_both_initial_digests():
-    cfg = small_scenario(orch.Strategy.dbafl(), duration=80.0)
+    cfg = small_scenario(orch.Strategy.parse("DBAFL"), duration=80.0)
     res = orch.run_scenario(cfg)
     genesis = res.chain.blocks[0]
     assert len(genesis.records) == 2
@@ -340,7 +341,7 @@ def test_genesis_block_carries_both_initial_digests():
 
 
 def test_ledger_orders_local_digest_before_global_digest():
-    cfg = small_scenario(orch.Strategy.dbafl(), duration=120.0)
+    cfg = small_scenario(orch.Strategy.parse("DBAFL"), duration=120.0)
     res = orch.run_scenario(cfg)
     flat = [r for b in res.chain.blocks for r in b.records]
     accepted = [d for d in res.decisions if d.verdict is orch.StepVerdict.ACCEPTED]
@@ -355,7 +356,7 @@ def test_ledger_orders_local_digest_before_global_digest():
 
 
 def test_leader_rotation_replays_election_rule():
-    cfg = small_scenario(orch.Strategy.dbafl(), duration=150.0, term_blocks=3)
+    cfg = small_scenario(orch.Strategy.parse("DBAFL"), duration=150.0, term_blocks=3)
     res = orch.run_scenario(cfg)
     members = tuple(n.id for n in cfg.nodes if n.role is orch.Role.RSU)
     expected, in_term = [], 0
@@ -375,7 +376,7 @@ def test_leader_rotation_replays_election_rule():
 def test_defense_discards_are_bitwise_noops_in_a_full_run():
     attack = orch.AttackConfig(poisoners=frozenset({2}), poison_magnitude=10.0,
                                defense=agg.DefensePolicy.threshold(0.9))
-    cfg = small_scenario(orch.Strategy.dbafl(), duration=150.0, attack=attack)
+    cfg = small_scenario(orch.Strategy.parse("DBAFL"), duration=150.0, attack=attack)
     res = orch.run_scenario(cfg)
     discarded = [d for d in res.decisions if d.verdict is orch.StepVerdict.DISCARDED]
     assert discarded
@@ -405,10 +406,11 @@ def _record_sampling_evaluations(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("strategy", [orch.Strategy.dbafl(), orch.Strategy.local_only()],
+@pytest.mark.parametrize("strategy", [orch.Strategy.parse("DBAFL"),
+                                      orch.Strategy.parse("LocalOnly")],
                          ids=["DBAFL", "LocalOnly"])
 def test_sampling_evaluates_each_params_object_once_per_node(monkeypatch, strategy):
-    cfg = orch.default_scenario(strategy, master_seed=3)
+    cfg = orch.ScenarioConfig(strategy=strategy, master_seed=3)
     with monkeypatch.context() as m:
         m.setattr(orch, "_memoized", lambda memo, params, fn, data: (params, fn(params, data)))
         bypassed = orch.run_scenario(cfg)
@@ -424,7 +426,7 @@ def test_sampling_evaluates_each_params_object_once_per_node(monkeypatch, strate
 
 
 def test_dbafl_buses_barely_wait():
-    cfg = small_scenario(orch.Strategy.dbafl(), duration=150.0)
+    cfg = small_scenario(orch.Strategy.parse("DBAFL"), duration=150.0)
     res = orch.run_scenario(cfg)
     buses = {n.id for n in cfg.nodes if n.role is orch.Role.BUS}
     bus_rounds = [r for r in res.round_logs if r.node_id in buses and r.decision_s > r.start_s]
@@ -435,7 +437,7 @@ def test_dbafl_buses_barely_wait():
 
 
 def test_fedavg_round_fires_on_last_arrival():
-    cfg = small_scenario(orch.Strategy.fedavg(), duration=150.0)
+    cfg = small_scenario(orch.Strategy.parse("FedAVG"), duration=150.0)
     res = orch.run_scenario(cfg)
     assert len(res.sync_rounds) >= 2
     k = len(cfg.nodes)
@@ -455,7 +457,7 @@ def test_fedavg_round_fires_on_last_arrival():
 
 
 def test_bsfl_consumes_exactly_k_fresh_models_per_round():
-    cfg = small_scenario(orch.Strategy.bsfl(), duration=150.0)
+    cfg = small_scenario(orch.Strategy.parse("BSFL"), duration=150.0)
     res = orch.run_scenario(cfg)
     assert res.sync_rounds
     k = len(cfg.nodes)
@@ -466,8 +468,9 @@ def test_bsfl_consumes_exactly_k_fresh_models_per_round():
 
 
 @pytest.mark.parametrize("strategy", [
-    orch.Strategy.dbafl(), orch.Strategy.bsfl(), orch.Strategy.fedavg(),
-    orch.Strategy.static_eps(1.0), orch.Strategy.afl(), orch.Strategy.local_only()],
+    orch.Strategy.parse("DBAFL"), orch.Strategy.parse("BSFL"), orch.Strategy.parse("FedAVG"),
+    orch.Strategy.parse("StaticEps:1.0"), orch.Strategy.parse("AFL"),
+    orch.Strategy.parse("LocalOnly")],
     ids=lambda s: s.label)
 def test_each_strategy_trait_shows_in_a_run(strategy):
     traits = strategy.traits
@@ -491,23 +494,23 @@ def test_each_strategy_trait_shows_in_a_run(strategy):
 
 def test_scenario_validation():
     with pytest.raises(ValueError):
-        small_scenario(orch.Strategy.dbafl(), duration=0.0)
+        small_scenario(orch.Strategy.parse("DBAFL"), duration=0.0)
     with pytest.raises(ValueError):
-        orch.Strategy.static_eps(0.0)
+        orch.Strategy(orch.StrategyKind.STATIC_EPS, 0.0)
     with pytest.raises(ValueError):
         orch.Strategy(orch.StrategyKind.DBAFL, epsilon=1.0)
     dup = (orch.NodeConfig(id=1, role=orch.Role.RSU),
            orch.NodeConfig(id=1, role=orch.Role.BUS))
     with pytest.raises(ValueError):
-        small_scenario(orch.Strategy.dbafl(), nodes=dup)
+        small_scenario(orch.Strategy.parse("DBAFL"), nodes=dup)
     buses_only = (orch.NodeConfig(id=0, role=orch.Role.BUS),)
     with pytest.raises(ValueError):
-        small_scenario(orch.Strategy.dbafl(), nodes=buses_only)
+        small_scenario(orch.Strategy.parse("DBAFL"), nodes=buses_only)
     with pytest.raises(ValueError):
-        small_scenario(orch.Strategy.local_only(), nodes=())
+        small_scenario(orch.Strategy.parse("LocalOnly"), nodes=())
     with pytest.raises(ValueError):
         small_scenario(
-            orch.Strategy.dbafl(),
+            orch.Strategy.parse("DBAFL"),
             attack=orch.AttackConfig(poisoners=frozenset({99})))
     with pytest.raises(ValueError):
         orch.NodeConfig(id=0, role=orch.Role.RSU, compute_time_multiplier=0.5)
@@ -527,7 +530,7 @@ def test_node_dataset_must_fit_the_data_spec(features, labels, classes, field):
     nodes = (orch.NodeConfig(id=0, role=orch.Role.RSU),
              orch.NodeConfig(id=1, role=orch.Role.RSU, dataset=own))
     with pytest.raises(ValueError, match=rf"^nodes\[1\]\.dataset\.{field} "):
-        small_scenario(orch.Strategy.dbafl(), nodes=nodes)
+        small_scenario(orch.Strategy.parse("DBAFL"), nodes=nodes)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -538,7 +541,7 @@ def test_node_dataset_non_finite_features_are_rejected(bad):
     nodes = (orch.NodeConfig(id=0, role=orch.Role.RSU),
              orch.NodeConfig(id=1, role=orch.Role.RSU, dataset=own))
     with pytest.raises(ValueError, match=r"^nodes\[1\]\.dataset\.features "):
-        small_scenario(orch.Strategy.dbafl(), nodes=nodes)
+        small_scenario(orch.Strategy.parse("DBAFL"), nodes=nodes)
 
 
 @pytest.mark.parametrize("field", ["duration_s", "metrics_interval_s"])
@@ -546,7 +549,7 @@ def test_node_dataset_non_finite_features_are_rejected(bad):
 def test_non_finite_horizon_or_interval_is_rejected(field, value):
     # either would keep run_scenario from ever ending
     with pytest.raises(ValueError, match=rf"^{field} must be positive and finite"):
-        orch.default_scenario(orch.Strategy.dbafl(), **{field: value})
+        orch.ScenarioConfig(**{field: value})
 
 
 @pytest.mark.parametrize("text", ["StaticEps:nan", "StaticEps:inf"])
@@ -572,15 +575,17 @@ def test_node_dataset_that_fits_runs():
     data = mdl.generate_synthetic_dataset(seed=4, n=60, f=2, classes=2, separation=3.0)
     nodes = (orch.NodeConfig(id=0, role=orch.Role.RSU),
              orch.NodeConfig(id=1, role=orch.Role.RSU, dataset=data))
-    result = orch.run_scenario(small_scenario(orch.Strategy.dbafl(), nodes=nodes,
+    result = orch.run_scenario(small_scenario(orch.Strategy.parse("DBAFL"), nodes=nodes,
                                               duration=20.0))
     assert result.rows and ch.verify_chain(result.chain)
 
 
 def test_strategy_labels_round_trip():
-    for s in (orch.Strategy.dbafl(), orch.Strategy.bsfl(), orch.Strategy.fedavg(),
-              orch.Strategy.local_only(), orch.Strategy.afl(),
-              orch.Strategy.static_eps(1.5)):
+    for s in (orch.Strategy(orch.StrategyKind.DBAFL), orch.Strategy(orch.StrategyKind.BSFL),
+              orch.Strategy(orch.StrategyKind.FEDAVG),
+              orch.Strategy(orch.StrategyKind.LOCAL_ONLY),
+              orch.Strategy(orch.StrategyKind.AFL),
+              orch.Strategy(orch.StrategyKind.STATIC_EPS, 1.5)):
         assert orch.Strategy.parse(s.label) == s
     with pytest.raises(ValueError):
         orch.Strategy.parse("Gossip")
@@ -595,7 +600,7 @@ def test_full_batch_runs_derive_no_training_seed(monkeypatch):
         return derive_seed(master, purpose, *indices)
 
     monkeypatch.setattr(orch, "derive_seed", spy)
-    cfg = small_scenario(orch.Strategy.dbafl(), duration=30.0)
+    cfg = small_scenario(orch.Strategy.parse("DBAFL"), duration=30.0)
     assert cfg.train.batch_size >= cfg.data.samples_per_node  # full batches
     result = orch.run_scenario(cfg)
     assert result.round_logs  # nodes did train
@@ -611,7 +616,7 @@ def test_test_fraction_that_empties_a_split_is_rejected():
     nodes = (orch.NodeConfig(id=0, role=orch.Role.RSU),
              orch.NodeConfig(id=1, role=orch.Role.RSU, dataset=two_rows))
     with pytest.raises(ValueError, match=r"^nodes\[1\]\.dataset: data\.test_fraction "):
-        small_scenario(orch.Strategy.dbafl(), nodes=nodes)
+        small_scenario(orch.Strategy.parse("DBAFL"), nodes=nodes)
 
 
 # ------------------------------------------------------- batched training
@@ -639,7 +644,7 @@ def _run_with_trainer(monkeypatch, cfg, one_at_a_time=False):
 
 def _two_dataset_sizes():
     """The stock nodes, where nodes 1 and 3 bring 150 rows of their own, not 200."""
-    nodes = list(orch.default_nodes())
+    nodes = list(orch.ScenarioConfig().nodes)
     for i in (1, 3):
         own = mdl.generate_synthetic_dataset(seed=80 + i, n=150, f=2, classes=2, separation=4.0)
         nodes[i] = dataclasses.replace(nodes[i], dataset=own)
@@ -647,12 +652,13 @@ def _two_dataset_sizes():
 
 
 _BATCHED = {
-    "DBAFL": small_scenario(orch.Strategy.dbafl()),
-    "FedAVG": small_scenario(orch.Strategy.fedavg()),
-    "LocalOnly": small_scenario(orch.Strategy.local_only()),
-    "mini-batch": small_scenario(orch.Strategy.dbafl(), duration=40.0, train=mdl.TrainConfig(
-        epochs=3, learning_rate=0.05, batch_size=32)),
-    "two-sizes": small_scenario(orch.Strategy.dbafl(), nodes=_two_dataset_sizes()),
+    "DBAFL": small_scenario(orch.Strategy.parse("DBAFL")),
+    "FedAVG": small_scenario(orch.Strategy.parse("FedAVG")),
+    "LocalOnly": small_scenario(orch.Strategy.parse("LocalOnly")),
+    "mini-batch": small_scenario(
+        orch.Strategy.parse("DBAFL"), duration=40.0,
+        train=mdl.TrainConfig(epochs=3, learning_rate=0.05, batch_size=32)),
+    "two-sizes": small_scenario(orch.Strategy.parse("DBAFL"), nodes=_two_dataset_sizes()),
 }
 
 
@@ -714,9 +720,10 @@ def test_trainer_gets_one_item_per_processed_train_event(monkeypatch):
     monkeypatch.setattr(orch._Simulation, "_on_dl", downloaded)
     serving_discards = {orch.StrategyKind.DBAFL, orch.StrategyKind.STATIC_EPS,
                         orch.StrategyKind.AFL}
-    for strategy in (orch.Strategy.dbafl(), orch.Strategy.bsfl(), orch.Strategy.fedavg(),
-                     orch.Strategy.static_eps(1.0), orch.Strategy.afl(),
-                     orch.Strategy.local_only()):
+    for strategy in (orch.Strategy.parse("DBAFL"), orch.Strategy.parse("BSFL"),
+                     orch.Strategy.parse("FedAVG"), orch.Strategy.parse("StaticEps:1.0"),
+                     orch.Strategy.parse("AFL"),
+                     orch.Strategy.parse("LocalOnly")):
         cfg = small_scenario(strategy, duration=100.0)
         with monkeypatch.context() as m:
             _read_at_train_event(m)
@@ -739,19 +746,19 @@ def test_trainer_gets_one_item_per_processed_train_event(monkeypatch):
         discarded.clear()
     # the server's first training ends at 8 s, past this horizon: nothing trains
     counts.update(dict.fromkeys(counts, 0))
-    orch.run_scenario(small_scenario(orch.Strategy.dbafl(), duration=5.0))
+    orch.run_scenario(small_scenario(orch.Strategy.parse("DBAFL"), duration=5.0))
     assert counts == {"items": 0, "scheduled": 1, "processed": 0}
 
 
 _ON_DEMAND = {
     **_BATCHED,
-    "BSFL": small_scenario(orch.Strategy.bsfl()),
-    "StaticEps": small_scenario(orch.Strategy.static_eps(1.0)),
-    "AFL": small_scenario(orch.Strategy.afl()),
+    "BSFL": small_scenario(orch.Strategy.parse("BSFL")),
+    "StaticEps": small_scenario(orch.Strategy.parse("StaticEps:1.0")),
+    "AFL": small_scenario(orch.Strategy.parse("AFL")),
     # samples land between train events and the reads that follow them, and
     # overlapping classes make a trained model's accuracy differ from its start's
     "dense-samples": small_scenario(
-        orch.Strategy.dbafl(), metrics_interval_s=0.25,
+        orch.Strategy.parse("DBAFL"), metrics_interval_s=0.25,
         data=orch.DataSpec(samples_per_node=200, separation=1.0)),
 }
 
@@ -777,7 +784,7 @@ def _diverging_nodes():
 
     Its classes overlap, so no model fits them and every step moves the params.
     """
-    nodes = list(orch.default_nodes())
+    nodes = list(orch.ScenarioConfig().nodes)
     own = mdl.generate_synthetic_dataset(seed=81, n=200, f=2, classes=2, separation=0.0)
     nodes[1] = dataclasses.replace(
         nodes[1], dataset=mdl.Dataset(own.features * 1e200, own.labels, own.classes))
@@ -785,14 +792,14 @@ def _diverging_nodes():
 
 
 def test_diverged_training_of_a_node_that_uploads_fails_the_run():
-    cfg = small_scenario(orch.Strategy.dbafl(), nodes=_diverging_nodes())
+    cfg = small_scenario(orch.Strategy.parse("DBAFL"), nodes=_diverging_nodes())
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(ArithmeticError, match="diverged"):
         orch.run_scenario(cfg)
 
 
 def test_run_leaves_the_first_event_past_the_horizon_queued():
-    cfg = small_scenario(orch.Strategy.dbafl(), duration=100.0)
+    cfg = small_scenario(orch.Strategy.parse("DBAFL"), duration=100.0)
     sim = orch._Simulation(cfg)
     sim.run()
     assert sim.q.now <= cfg.duration_s
