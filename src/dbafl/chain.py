@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .model import all_finite
+
 ZERO_HASH = b"\x00" * 32
 
 
@@ -22,10 +24,13 @@ def hash_bytes(payload: bytes) -> bytes:
     return hashlib.sha256(payload).digest()
 
 
+_LE_F8 = np.dtype("<f8")
+
+
 def hash_model(params) -> bytes:
     """SHA-256 over the little-endian float64 serialization of the parameter vector."""
-    arr = np.asarray(params, dtype="<f8")
-    if not np.isfinite(arr).all():
+    arr = np.asarray(params, dtype=_LE_F8)
+    if not all_finite(arr):
         raise ValueError("cannot hash non-finite parameters")
     return hash_bytes(arr.tobytes())
 
@@ -33,6 +38,11 @@ def hash_model(params) -> bytes:
 class RecordKind(enum.Enum):
     LOCAL = "L"
     GLOBAL = "G"
+
+    # Members are singletons, so identity hashes them as well as their names
+    # do, in C. Hashes serve membership and lookup only: no set or dict of
+    # kinds is iterated into an output.
+    __hash__ = object.__hash__
 
 
 _DIGEST_LENGTH = "digest must be exactly 32 bytes"
@@ -50,6 +60,10 @@ class HashRecord:
     def __post_init__(self):
         if len(self.digest) != 32:
             raise ValueError(_DIGEST_LENGTH)
+
+    def __hash__(self):
+        # equal records have equal digests, and a bytes object keeps its hash
+        return hash(self.digest)
 
 
 _RECORD = struct.Struct("<BQQ32s")  # the digest is always 32 bytes
@@ -160,16 +174,12 @@ class Chain:
         records = tuple(records)
         if not records:
             raise ValueError("a block needs at least one record")
-        body = serialize_block_body(len(self.blocks), self.tip_hash, records, int(timestamp_ms))
+        index, prev, timestamp_ms = len(self.blocks), self.tip_hash, int(timestamp_ms)
+        body = serialize_block_body(index, prev, records, timestamp_ms)
         if len(body) > self.policy.max_block_bytes:
             raise ValueError(f"serialized block ({len(body)} bytes) exceeds max_block_bytes")
-        block = Block(
-            index=len(self.blocks),
-            prev_hash=self.tip_hash,
-            records=records,
-            timestamp_ms=int(timestamp_ms),
-            block_hash=hash_bytes(body),
-        )
+        block = Block(index=index, prev_hash=prev, records=records,
+                      timestamp_ms=timestamp_ms, block_hash=hash_bytes(body))
         self.blocks.append(block)
         self._recorded.update(records)
         if self.committee is not None:
@@ -187,15 +197,17 @@ class Chain:
         The open block is sealed first if this record would take it over
         `policy.max_block_bytes`.
         """
-        if block_bytes(len(self._open) + 1) > self.policy.max_block_bytes:
+        n = len(self._open) + 1  # records in the open block with this one
+        size = block_bytes(n)
+        if size > self.policy.max_block_bytes:
             self.seal(now_s)
-        opened = not self._open
+            n, size = 1, block_bytes(1)
+        opened = n == 1
         if opened:
             self._open_since = now_s
         self._open.append(record)
         self._recorded.add(record)
-        n = len(self._open)
-        if should_cut_block(n, block_bytes(n), now_s - self._open_since, self.policy):
+        if should_cut_block(n, size, now_s - self._open_since, self.policy):
             self.seal(now_s)
         return opened
 

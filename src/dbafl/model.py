@@ -16,6 +16,16 @@ import numpy as np
 ModelParams = np.ndarray
 
 
+def all_finite(a: np.ndarray) -> bool:
+    """True iff every entry of the float64 array a is finite.
+
+    A finite sum of squares proves it, since an inf or a nan carries into
+    the sum; only an array whose sum of squares overflows pays for the
+    elementwise test.
+    """
+    return math.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
+
+
 @dataclass(eq=False)
 class Dataset:
     """Feature matrix (n x f) and integer labels in [0, classes).
@@ -63,11 +73,13 @@ def pack_params(weights: np.ndarray, biases: np.ndarray) -> ModelParams:
 
 
 def _unpack(params: ModelParams, f: int, classes: int):
+    """Views of the weights (f x classes) and biases of one flat parameter vector."""
     if params.ndim != 1 or len(params) != param_dim(f, classes):
         raise ValueError(
             f"parameter vector of length {len(params)} does not match dimension {param_dim(f, classes)}"
         )
-    return _split(params, f, classes)
+    cut = f * classes
+    return params[:cut].reshape(f, classes), params[cut:]
 
 
 def _split(params: np.ndarray, f: int, classes: int):
@@ -135,10 +147,11 @@ def split_dataset(data: Dataset, test_fraction: float) -> tuple[Dataset, Dataset
 
 
 def evaluate_accuracy(params: ModelParams, data: Dataset) -> float:
-    """Fraction of samples whose argmax logit matches the label."""
+    """Fraction of samples whose argmax logit matches the label, as a Python float."""
     weights, biases = _check(params, data)
-    logits = _prepare(data).x @ weights + biases
-    return np.count_nonzero(logits.argmax(axis=-1) == data.labels) / data.n
+    logits = _prepare(data).x @ weights
+    logits += biases
+    return int(np.count_nonzero(logits.argmax(axis=-1) == data.labels)) / data.n
 
 
 def local_loss(params: ModelParams, data: Dataset) -> float:
@@ -356,8 +369,9 @@ def train_batch(starts, datas, cfg: TrainConfig, seeds) -> list:
         w = np.array([starts[i] for i in items], dtype=float)  # a copy: no start is written to
         _check(w[0], datas[items[0]])  # w is rectangular, so this checks every item
         _train_stack(w, [datas[i] for i in items], cfg, [seeds[i] for i in items])
-        for i, params, finite in zip(items, w, np.isfinite(w).all(axis=1).tolist()):
-            out[i] = params if finite else \
+        finite = all_finite(w)  # else each item is tested on its own
+        for i, params in zip(items, w):
+            out[i] = params if finite or all_finite(params) else \
                 ArithmeticError("training diverged to non-finite parameters")
     return out
 

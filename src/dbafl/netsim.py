@@ -9,9 +9,10 @@ by :class:`LatencyBreakdown`.
 
 from __future__ import annotations
 
-import heapq
+import itertools
 import math
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Any, Optional
 
 
@@ -176,7 +177,7 @@ class EventQueue:
 
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, Any]] = []
-        self._seq = 0
+        self._seq = itertools.count()  # insertion order, the tie-break of equal times
         self.now = 0.0
 
     def __len__(self) -> int:
@@ -186,8 +187,7 @@ class EventQueue:
         if time_s < self.now:
             raise ValueError(
                 f"cannot schedule at t={time_s} before current time t={self.now}")
-        heapq.heappush(self._heap, (time_s, self._seq, event))
-        self._seq += 1
+        heappush(self._heap, (time_s, next(self._seq), event))
 
     def pop(self, until: Optional[float] = None) -> Optional[tuple[float, Any]]:
         """Next (time, event) pair, advancing the clock; None when empty.
@@ -195,8 +195,9 @@ class EventQueue:
         With until, an event later than until stays queued and pop returns
         None without moving the clock.
         """
-        if not self._heap or (until is not None and self._heap[0][0] > until):
+        heap = self._heap
+        if not heap or (until is not None and heap[0][0] > until):
             return None
-        time_s, _, event = heapq.heappop(self._heap)
+        time_s, _, event = heappop(heap)
         self.now = time_s
-        return (time_s, event)
+        return time_s, event

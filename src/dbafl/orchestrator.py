@@ -441,8 +441,13 @@ class _NodeRT:
     """Mutable per-node runtime state and stage accounting."""
 
     def __init__(self, cfg: NodeConfig, train_data: Dataset, test_data: Dataset,
-                 train_cfg: TrainConfig, features: int, classes: int):
+                 train_cfg: TrainConfig, payload: PayloadSizes, features: int, classes: int):
         self.cfg = cfg
+        # link constants; radio transfers divide by radio_bps per use, since a
+        # zero rate must fail only when a transfer needs the radio
+        self.radio_bps = shannon_rate(cfg.link)
+        self.eth_model_s = tx_time(payload.model_bits, cfg.link.ethernet_rate_bps)
+        self.eth_hash_s = tx_time(payload.hash_bits, cfg.link.ethernet_rate_bps)
         self.train_data = train_data
         self.test_data = test_data
         self.params = init_params(features, classes)
@@ -488,9 +493,10 @@ class _Simulation:
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
         self.traits = traits = cfg.strategy.traits
+        self.service_eps = cfg.strategy.service_epsilon
         datasets = node_datasets(cfg)
         self.nodes = [
-            _NodeRT(nc, tr, te, cfg.train, tr.features.shape[1], tr.classes)
+            _NodeRT(nc, tr, te, cfg.train, cfg.payload, tr.features.shape[1], tr.classes)
             for nc, (tr, te) in zip(cfg.nodes, datasets)]
         self.by_id = {n.cfg.id: n for n in self.nodes}
         first = self.nodes[0]
@@ -533,9 +539,9 @@ class _Simulation:
             return self.chain.committee.leader
         return self.server_id
 
-    def _keeps_model(self, node: _NodeRT) -> bool:
-        """True while node serves an asynchronous strategy: it uploads no model."""
-        return not self.traits.barrier and node.cfg.id == self._aggregator()
+    def _keeper(self) -> Optional[int]:
+        """Id of the node serving an asynchronous strategy, which uploads no model."""
+        return None if self.traits.barrier else self._aggregator()
 
     def _flood_target(self) -> Optional[int]:
         ddos = self.cfg.attack.ddos
@@ -548,7 +554,7 @@ class _Simulation:
         return history[idx] if idx >= 0 else None
 
     def _mobile_rate(self, node: _NodeRT, endpoint: int) -> float:
-        rate = shannon_rate(node.cfg.link)
+        rate = node.radio_bps
         ddos = self.cfg.attack.ddos
         if ddos is None:
             return rate
@@ -561,36 +567,34 @@ class _Simulation:
         if node.cfg.role is Role.RSU:
             if self.chain is not None:
                 return 0.0  # replicas are already synchronized across RSUs
-            return tx_time(self.cfg.payload.model_bits, node.cfg.link.ethernet_rate_bps)
+            return node.eth_model_s
         return tx_time(self.cfg.payload.model_bits, self._mobile_rate(node, source))
 
     def _upload_duration(self, node: _NodeRT) -> float:
         target = self._aggregator()
         sizes = self.cfg.payload
-        eth = node.cfg.link.ethernet_rate_bps
         if self.chain is not None:
             peers = len(self.chain.committee.members) > 1
             if node.cfg.role is Role.RSU:
                 if not peers:
                     return 0.0
-                return tx_time(sizes.model_bits, eth) + tx_time(sizes.hash_bits, eth)
+                return node.eth_model_s + node.eth_hash_s
             rate = self._mobile_rate(node, target)
-            sync = tx_time(sizes.model_bits, eth) if peers else 0.0
+            sync = node.eth_model_s if peers else 0.0
             return tx_time(sizes.model_bits, rate) + tx_time(sizes.hash_bits, rate) + sync
         if node.cfg.id == target:
             return 0.0
         if node.cfg.role is Role.RSU:
-            return tx_time(sizes.model_bits, eth)
+            return node.eth_model_s
         return tx_time(sizes.model_bits, self._mobile_rate(node, target))
 
     def _service_extras(self, leader: _NodeRT) -> float:
         """Digest notification and replica sync once a new global exists."""
         if self.chain is None:
             return 0.0
-        sizes = self.cfg.payload
-        dur = tx_time(sizes.hash_bits, self._mobile_rate(leader, leader.cfg.id))
+        dur = tx_time(self.cfg.payload.hash_bits, self._mobile_rate(leader, leader.cfg.id))
         if len(self.chain.committee.members) > 1:
-            dur += tx_time(sizes.model_bits, leader.cfg.link.ethernet_rate_bps)
+            dur += leader.eth_model_s
         return dur
 
     def _submit(self, record: HashRecord, now: float) -> None:
@@ -615,7 +619,7 @@ class _Simulation:
         self.global_round += 1
 
     def _upload_payload(self, node: _NodeRT) -> IncomingModel:
-        params = self._model(node).copy()
+        params = self._model(node)  # never mutated, like every params array
         if node.cfg.id in self.cfg.attack.poisoners:
             params = poison(params, self.cfg.attack.poison_magnitude,
                             derive_seed(self.cfg.master_seed, "poison",
@@ -651,7 +655,8 @@ class _Simulation:
         if node.unread:
             node.unread = False
             if node not in self.trained:
-                batch = [n for n in self.untrained if n is node or not self._keeps_model(n)]
+                keeper = self._keeper()
+                batch = [n for n in self.untrained if n is node or n.cfg.id != keeper]
                 starts, seeds = zip(*map(self.untrained.pop, batch))
                 results = local_train(starts, [n.train_data for n in batch],
                                       self.cfg.train, seeds)
@@ -676,10 +681,10 @@ class _Simulation:
     def _on_start(self, now: float, node: _NodeRT) -> None:
         node.marks = {"start": now}
         if node.base_version != self.global_version:
-            snapshot = self.global_params.copy()
+            # no global is mutated once published, so the array itself is the snapshot
             node.switch(now, "communication")
             self.q.schedule(now + self._download_duration(node),
-                            ("dl", node, self.global_version, snapshot))
+                            ("dl", node, self.global_version, self.global_params))
             return
         self._schedule_train(now, node)
 
@@ -706,7 +711,7 @@ class _Simulation:
             self.q.schedule(now + self._upload_duration(node),
                             ("boot_up", node, self._model(node).copy()))
             return
-        if self.traits.serves and not self._keeps_model(node):
+        if self.traits.serves and node.cfg.id != self._keeper():
             incoming = self._upload_payload(node)
             node.switch(now, "communication")
             self.q.schedule(now + self._upload_duration(node), ("up", node, incoming))
@@ -738,7 +743,6 @@ class _Simulation:
             self.q.schedule(now, ("start", node))
 
     def _on_up(self, now: float, node: _NodeRT, incoming: IncomingModel) -> None:
-        node.marks["up"] = now
         if self.chain is not None:
             self._submit(incoming.record, now)
         node.switch(now, "waiting")
@@ -759,7 +763,7 @@ class _Simulation:
         server = self.by_id[self._aggregator()]
         outcome = leader_aggregation_step(
             self.global_params, server.test_data, incoming, self.chain,
-            self.cfg.attack.defense, self.cfg.strategy.service_epsilon)
+            self.cfg.attack.defense, self.service_eps)
         dur = 0.0
         if outcome.acc_local is not None:
             dur += 2.0 * server.test_time  # incoming and current global, both re-tested
@@ -846,7 +850,8 @@ class _Simulation:
             "boot_up": self._on_boot_up, "up": self._on_up, "svc": self._on_svc,
             "svc_done": self._on_svc_done, "sync_done": self._on_sync_done,
             "cut": self._on_cut}
-        while (item := self.q.pop(until=self.cfg.duration_s)) is not None:
+        pop, until = self.q.pop, self.cfg.duration_s
+        while (item := pop(until)) is not None:
             now, event = item
             handlers[event[0]](now, *event[1:])
         for node in self.nodes:

@@ -384,6 +384,16 @@ def test_hash_model_rejects_infinities():
             ch.hash_model(np.array([0.5, bad]))
 
 
+def test_hash_model_finiteness_check_is_exact():
+    # finite entries whose sum or sum of squares overflows still hash
+    for values in ([1e308, 1e308], [1e200], [-1e160, 1e160]):
+        arr = np.array(values)
+        assert ch.hash_model(arr) == hashlib.sha256(arr.astype("<f8").tobytes()).digest()
+    for bad in ([np.inf], [-np.inf, 1.0], [np.nan], [np.inf, -np.inf]):
+        with pytest.raises(ValueError, match="non-finite"):
+            ch.hash_model(np.array(bad))
+
+
 def test_audit_names_an_integer_field_that_cannot_serialize():
     z = "00" * 32
     cases = [

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import Phase, given, settings
 from scenario_strategies import scenarios
 
@@ -21,6 +22,23 @@ def _write(tmp_path: Path, name: str, text: str) -> str:
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+# PyYAML's safe loaders on this install: libyaml's, which the CLI picks when
+# PyYAML has it, and the pure-Python fallback.
+LOADER_BASES = [base for base in (getattr(yaml, "CSafeLoader", None), yaml.SafeLoader) if base]
+
+
+def _each_loader_base(monkeypatch):
+    """Yield each base of LOADER_BASES while the CLI loads scenarios through it."""
+    for base in LOADER_BASES:
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_UniqueKeyLoader", cli._unique_key_loader(base))
+            yield base
+
+
+def test_scenario_loader_uses_libyaml_when_pyyaml_has_it():
+    assert issubclass(cli._UniqueKeyLoader, LOADER_BASES[0])
 
 
 SMALL_CONFIG = """\
@@ -248,15 +266,16 @@ LOADER_CASES = {
 
 
 @pytest.mark.parametrize("text, expected", LOADER_CASES.values(), ids=LOADER_CASES.keys())
-def test_loader_merges_partial_sections_or_names_the_bad_field(tmp_path, capsys, text,
-                                                              expected):
+def test_loader_merges_partial_sections_or_names_the_bad_field(tmp_path, capsys, monkeypatch,
+                                                              text, expected):
     path = _write(tmp_path, "case.yaml", text)
-    if callable(expected):
-        assert cli.load_scenario(path) == expected()
-        return
-    rc = cli.main(["run", "--config", path, "--out", str(tmp_path / "out")])
-    err = capsys.readouterr().err
-    assert rc == 1 and expected in err, err
+    for _ in _each_loader_base(monkeypatch):
+        if callable(expected):
+            assert cli.load_scenario(path) == expected()
+            continue
+        rc = cli.main(["run", "--config", path, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 1 and expected in err, err
 
 
 @pytest.mark.parametrize("text, field", [
@@ -270,10 +289,13 @@ def test_loader_merges_partial_sections_or_names_the_bad_field(tmp_path, capsys,
     ("term_blocks: 2.5\n", "term_blocks"),
 ], ids=["nan-horizon", "inf-horizon", "nan-interval", "inf-max-wait", "nan-model-bits",
         "bool-rate", "fractional-seed", "fractional-term-blocks"])
-def test_non_finite_bool_or_fractional_values_are_named_config_errors(tmp_path, text, field):
+def test_non_finite_bool_or_fractional_values_are_named_config_errors(tmp_path, monkeypatch,
+                                                                    text, field):
     # load only: a run with a non-finite horizon that slipped through would never end
-    with pytest.raises(ValueError, match=rf"^{re.escape(field)} must be a (finite|whole) "):
-        cli.load_scenario(_write(tmp_path, "bad.yaml", text))
+    path = _write(tmp_path, "bad.yaml", text)
+    for _ in _each_loader_base(monkeypatch):
+        with pytest.raises(ValueError, match=rf"^{re.escape(field)} must be a (finite|whole) "):
+            cli.load_scenario(path)
 
 
 def test_test_fraction_that_empties_a_split_is_a_config_error(tmp_path, capsys):
@@ -282,29 +304,40 @@ def test_test_fraction_that_empties_a_split_is_a_config_error(tmp_path, capsys):
     assert "config error: data.test_fraction 0.01 leaves an empty" in capsys.readouterr().err
 
 
-def test_repeated_section_is_a_config_error_naming_key_and_line(tmp_path, capsys):
+def test_repeated_section_is_a_config_error_naming_key_and_line(tmp_path, capsys, monkeypatch):
     text = "train: {epochs: 5}\nduration_s: 10\ntrain: {epochs: 7}\n"
     path = _write(tmp_path, "dup.yaml", text)
-    assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
-    assert "duplicate key 'train' on line 3 (first on line 1)" in capsys.readouterr().err
+    for _ in _each_loader_base(monkeypatch):
+        assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        assert "duplicate key 'train' on line 3 (first on line 1)" in capsys.readouterr().err
 
 
-def test_repeated_nested_field_is_rejected_naming_key_and_line(tmp_path):
-    text = "nodes:\n  - {id: 0, role: RSU}\n  - id: 1\n    role: RSU\n    id: 2\n"
-    with pytest.raises(ValueError, match=r"^duplicate key 'id' on line 5 \(first on line 3\)"):
-        cli.load_scenario(_write(tmp_path, "dup.yaml", text))
+def test_repeated_nested_field_is_rejected_naming_key_and_line(tmp_path, monkeypatch):
+    dup = _write(tmp_path, "dup.yaml",
+                 "nodes:\n  - {id: 0, role: RSU}\n  - id: 1\n    role: RSU\n    id: 2\n")
     # a merged mapping's keys may still be overridden
-    text = "nodes:\n  - &rsu {id: 0, role: RSU}\n  - {<<: *rsu, id: 1}\n"
-    cfg = cli.load_scenario(_write(tmp_path, "merge.yaml", text))
-    assert [(n.id, n.role) for n in cfg.nodes] == [(0, orch.Role.RSU), (1, orch.Role.RSU)]
+    merge = _write(tmp_path, "merge.yaml",
+                   "nodes:\n  - &rsu {id: 0, role: RSU}\n  - {<<: *rsu, id: 1}\n")
+    # also when merging from b rewrites b (x is built first, b is nested deeper)
+    chained = "c: &c {k: 0}\nouter: {b: &b {<<: *c, k: 1}}\nx: {<<: *b}\n"
+    for _ in _each_loader_base(monkeypatch):
+        with pytest.raises(ValueError,
+                           match=r"^duplicate key 'id' on line 5 \(first on line 3\)"):
+            cli.load_scenario(dup)
+        cfg = cli.load_scenario(merge)
+        assert [(n.id, n.role) for n in cfg.nodes] == [(0, orch.Role.RSU), (1, orch.Role.RSU)]
+        assert yaml.load(chained, Loader=cli._UniqueKeyLoader) == {
+            "c": {"k": 0}, "outer": {"b": {"k": 1}}, "x": {"k": 1}}
 
 
-def test_exponent_numbers_without_a_dot_still_load(tmp_path):
+def test_exponent_numbers_without_a_dot_still_load(tmp_path, monkeypatch):
     # PyYAML's own resolver reads 8e7 (no dot) as a string; the scenario loader does not
     text = "payload: {model_bits: 8e7}\nchain_policy: {max_block_bytes: 1e6}\n"
-    cfg = cli.load_scenario(_write(tmp_path, "exp.yaml", text))
-    assert cfg.payload.model_bits == 8e7
-    assert cfg.chain_policy.max_block_bytes == 1_000_000
+    path = _write(tmp_path, "exp.yaml", text)
+    for _ in _each_loader_base(monkeypatch):
+        cfg = cli.load_scenario(path)
+        assert cfg.payload.model_bits == 8e7
+        assert cfg.chain_policy.max_block_bytes == 1_000_000
 
 
 @pytest.mark.parametrize("text, expected", [
@@ -319,36 +352,44 @@ def test_exponent_numbers_without_a_dot_still_load(tmp_path):
     ("duration_s: 1_0.5\n", "duration_s must be a finite number, got '1_0.5'"),
 ], ids=["digit-separator", "leading-space", "strategy-space", "unquoted-digit-separator",
         "unquoted-hex", "unquoted-base-60", "unquoted-binary", "unquoted-float-separator"])
-def test_a_number_not_spelled_as_plain_digits_is_a_config_error(tmp_path, capsys, text, expected):
+def test_a_number_not_spelled_as_plain_digits_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                               text, expected):
     out = tmp_path / "o"
-    assert cli.main(["run", "--config", _write(tmp_path, "n.yaml", text), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"config error: {expected}\n"
-    assert not out.exists()
+    path = _write(tmp_path, "n.yaml", text)
+    for _ in _each_loader_base(monkeypatch):
+        assert cli.main(["run", "--config", path, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {expected}\n"
+        assert not out.exists()
 
 
-def test_unquoted_numbers_with_a_leading_zero_are_decimal(tmp_path):
+def test_unquoted_numbers_with_a_leading_zero_are_decimal(tmp_path, monkeypatch):
     # YAML 1.1 reads 010 as 8 (octal) and 09 as a string
     text = "train: {epochs: 010}\nterm_blocks: 09\nduration_s: 0100.5\n"
-    cfg = cli.load_scenario(_write(tmp_path, "zero.yaml", text))
-    assert (cfg.train.epochs, cfg.term_blocks, cfg.duration_s) == (10, 9, 100.5)
+    path = _write(tmp_path, "zero.yaml", text)
+    for _ in _each_loader_base(monkeypatch):
+        cfg = cli.load_scenario(path)
+        assert (cfg.train.epochs, cfg.term_blocks, cfg.duration_s) == (10, 9, 100.5)
 
 
 @pytest.mark.parametrize("text", ["master_seed: 12345678901234567891\n",
                                   "master_seed: '12345678901234567891'\n"])
-def test_a_long_whole_number_loads_exactly(tmp_path, text):
+def test_a_long_whole_number_loads_exactly(tmp_path, monkeypatch, text):
     # through a float it would load as 12345678901234567168
-    cfg = cli.load_scenario(_write(tmp_path, "seed.yaml", text))
-    assert cfg.master_seed == 12345678901234567891
+    path = _write(tmp_path, "seed.yaml", text)
+    for _ in _each_loader_base(monkeypatch):
+        assert cli.load_scenario(path).master_seed == 12345678901234567891
 
 
 @pytest.mark.parametrize("bad", ["'1_0'", "1_0", "' 1'", "0x10", "true"])
 def test_node_dataset_feature_not_spelled_as_a_plain_number_is_a_config_error(
-        tmp_path, capsys, bad):
+        tmp_path, capsys, monkeypatch, bad):
     # numpy reads '1_0' as 10.0, ' 1' as 1.0 and true as 1.0
     rows = "[" + ", ".join(f"[{0.1 * i}, 1.0]" for i in range(19)) + f", [0.2, {bad}]]"
-    assert _run_with_node_dataset(tmp_path, rows, [0, 1] * 10) == 1
-    assert capsys.readouterr().err.startswith(
-        "config error: nodes[1].dataset.features must be a rectangular array of numbers, got ")
+    for _ in _each_loader_base(monkeypatch):
+        assert _run_with_node_dataset(tmp_path, rows, [0, 1] * 10) == 1
+        assert capsys.readouterr().err.startswith(
+            "config error: nodes[1].dataset.features must be a rectangular array of numbers, "
+            "got ")
 
 
 @pytest.mark.parametrize("bad", [".inf", "-.inf", ".nan", "null", "1e400"])

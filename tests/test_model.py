@@ -331,6 +331,29 @@ def test_loss_and_accuracy_bounds_on_random_inputs():
         assert model.local_loss(params, data) >= 0.0
 
 
+def test_evaluate_accuracy_is_a_python_float_equal_to_the_textbook_mean():
+    rng = np.random.default_rng(23)
+    for classes in (2, 3):
+        data = model.generate_synthetic_dataset(seed=8, n=30, f=2, classes=classes,
+                                                separation=1.0)
+        params = rng.normal(size=model.param_dim(2, classes))
+        logits = data.features @ params[:2 * classes].reshape(2, classes) \
+            + params[2 * classes:]
+        textbook = float(np.mean(np.argmax(logits, axis=1) == data.labels))
+        acc = model.evaluate_accuracy(params, data)
+        assert type(acc) is float and acc == textbook, classes
+
+
+_EDGE_FLOATS = st.sampled_from([1e308, -1e308, 1e160, -1e200, math.inf, -math.inf, math.nan])
+
+
+@given(st.lists(st.one_of(st.floats(), _EDGE_FLOATS), max_size=12))
+def test_all_finite_agrees_with_the_elementwise_test(values):
+    a = np.array(values, dtype=float)
+    assert model.all_finite(a) is bool(np.isfinite(a).all())
+    assert model.all_finite(a.reshape(-1, 1)) is bool(np.isfinite(a).all())
+
+
 def test_empty_dataset_rejected():
     empty = model.Dataset(features=np.zeros((0, 2)), labels=np.zeros(0, dtype=int), classes=2)
     params = model.init_params(2, 2)

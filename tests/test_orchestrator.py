@@ -807,6 +807,24 @@ def test_run_leaves_the_first_event_past_the_horizon_queued():
     assert time_s > cfg.duration_s
 
 
+def test_every_sealed_block_goes_through_append_block(monkeypatch):
+    # the benchmark's tracer counts blocks by wrapping this method
+    sealed = []
+    append = ch.Chain.append_block
+
+    def counted(self, records, timestamp_ms):
+        sealed.append(len(records))
+        return append(self, records, timestamp_ms)
+
+    monkeypatch.setattr(ch.Chain, "append_block", counted)
+    res = orch.run_scenario(small_scenario(orch.Strategy.parse("DBAFL"), duration=100.0))
+    assert len(res.chain) > 1 and len(sealed) == len(res.chain)
+    assert sealed == [len(b.records) for b in res.chain.blocks]
+    # the leader's accuracies and epsilons are Python floats, not numpy scalars
+    values = [(d.acc_local, d.acc_global, d.epsilon) for d in res.decisions]
+    assert values and all(type(v) is float for row in values for v in row)
+
+
 # ------------------------------------------------------ per-event records
 
 _RECORD = ch.HashRecord(ch.RecordKind.LOCAL, 3, 2, b"\x01" * 32)
