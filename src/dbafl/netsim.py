@@ -109,22 +109,22 @@ def tx_time(size_bits: float, rate_bps: float) -> float:
     return size_bits / rate_bps
 
 
-def round_latency(sizes: PayloadSizes, link: LinkParams) -> LatencyBreakdown:
+def round_latency(sizes: PayloadSizes, radio_bps: float,
+                  backbone_bps: float) -> LatencyBreakdown:
     """Closed-form stage latencies for one contribution round.
 
-    Upload carries the model and its digest over the radio, then the
-    serving node mirrors the model across the backbone.  Aggregation
-    notification repeats the digest and mirror legs.  Block propagation
-    and the model download each cross the radio once.
+    Upload carries the model and its digest over the radio at radio_bps,
+    then the serving node mirrors the model across the backbone at
+    backbone_bps.  Aggregation notification repeats the digest and mirror
+    legs.  Block propagation and the model download each cross the radio once.
     """
-    rate = shannon_rate(link)
-    t_up_model = tx_time(sizes.model_bits, rate)
-    t_up_hash = tx_time(sizes.hash_bits, rate)
-    t_sync_model = tx_time(sizes.model_bits, link.ethernet_rate_bps)
+    t_up_model = tx_time(sizes.model_bits, radio_bps)
+    t_up_hash = tx_time(sizes.hash_bits, radio_bps)
+    t_sync_model = tx_time(sizes.model_bits, backbone_bps)
     t_up = t_up_model + t_up_hash + t_sync_model
     t_ag = t_up_hash + t_sync_model
-    t_bp = tx_time(sizes.block_bits, rate)
-    t_dn = tx_time(sizes.model_bits, rate)
+    t_bp = tx_time(sizes.block_bits, radio_bps)
+    t_dn = tx_time(sizes.model_bits, radio_bps)
     t_bc = 2.0 * t_up_hash + 2.0 * t_sync_model + t_bp
     return LatencyBreakdown(
         t_local=0.0,

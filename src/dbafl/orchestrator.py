@@ -31,8 +31,8 @@ from .model import (Dataset, ModelParams, TrainConfig, draws_batches, evaluate_a
 # The simulation's one training entry point: each call trains a batch of nodes.
 # perfbench/layertrace.py times this name as the model's training layer.
 from .model import train_batch as local_train
-from .netsim import (DdosConfig, EventQueue, LinkParams, PayloadSizes,
-                     ddos_effective_rate, shannon_rate, tx_time)
+from .netsim import (DdosConfig, EventQueue, LatencyBreakdown, LinkParams, PayloadSizes,
+                     ddos_effective_rate, round_latency, shannon_rate, tx_time)
 
 DEFAULT_LINK = LinkParams(mobile_bandwidth_hz=20e6, mobile_snr=3.0,
                           ethernet_rate_bps=1e9)
@@ -387,10 +387,8 @@ def synchronous_round(strategy: Strategy, w_global_prev: ModelParams,
 
 @dataclass(frozen=True, slots=True)
 class IncomingModel:
-    node_id: int
-    round: int
     params: ModelParams
-    record: HashRecord
+    record: HashRecord  # names the uploader and its round
 
 
 @dataclass(frozen=True, slots=True)
@@ -419,7 +417,7 @@ def leader_aggregation_step(global_params: ModelParams, test_data: Dataset,
     if c is not None:
         if c.committee is None:
             raise ValueError("chain has no committee attached")
-        if incoming.node_id in c.committee.blacklist:
+        if incoming.record.node_id in c.committee.blacklist:
             return StepOutcome(StepVerdict.IGNORED, None, None, None)
         if not verify_record(c, incoming.params, incoming.record):
             return StepOutcome(StepVerdict.TAMPERED, None, None, None)
@@ -443,9 +441,10 @@ class _NodeRT:
     def __init__(self, cfg: NodeConfig, train_data: Dataset, test_data: Dataset,
                  train_cfg: TrainConfig, payload: PayloadSizes, features: int, classes: int):
         self.cfg = cfg
-        # link constants; radio transfers divide by radio_bps per use, since a
-        # zero rate must fail only when a transfer needs the radio
+        # link constants; a radio rate's round_latency is built at its first
+        # use, since a zero rate must fail only when a transfer needs the radio
         self.radio_bps = shannon_rate(cfg.link)
+        self.latency: dict = {}  # radio rate -> LatencyBreakdown at that rate
         self.eth_model_s = tx_time(payload.model_bits, cfg.link.ethernet_rate_bps)
         self.eth_hash_s = tx_time(payload.hash_bits, cfg.link.ethernet_rate_bps)
         self.train_data = train_data
@@ -553,12 +552,17 @@ class _Simulation:
         idx = len(history) - 1 - ddos.retarget_lag_terms
         return history[idx] if idx >= 0 else None
 
-    def _mobile_rate(self, node: _NodeRT, endpoint: int) -> float:
+    def _radio(self, node: _NodeRT, endpoint: int) -> LatencyBreakdown:
+        """node's stage latencies at the radio rate a flood on endpoint leaves it."""
         rate = node.radio_bps
         ddos = self.cfg.attack.ddos
-        if ddos is None:
-            return rate
-        return ddos_effective_rate(rate, ddos, self._flood_target() == endpoint)
+        if ddos is not None:
+            rate = ddos_effective_rate(rate, ddos, self._flood_target() == endpoint)
+        lat = node.latency.get(rate)
+        if lat is None:
+            lat = node.latency[rate] = round_latency(
+                self.cfg.payload, rate, node.cfg.link.ethernet_rate_bps)
+        return lat
 
     def _download_duration(self, node: _NodeRT) -> float:
         source = self._aggregator()
@@ -568,34 +572,30 @@ class _Simulation:
             if self.chain is not None:
                 return 0.0  # replicas are already synchronized across RSUs
             return node.eth_model_s
-        return tx_time(self.cfg.payload.model_bits, self._mobile_rate(node, source))
+        return self._radio(node, source).t_dn
 
     def _upload_duration(self, node: _NodeRT) -> float:
         target = self._aggregator()
-        sizes = self.cfg.payload
         if self.chain is not None:
             peers = len(self.chain.committee.members) > 1
             if node.cfg.role is Role.RSU:
                 if not peers:
                     return 0.0
                 return node.eth_model_s + node.eth_hash_s
-            rate = self._mobile_rate(node, target)
-            sync = node.eth_model_s if peers else 0.0
-            return tx_time(sizes.model_bits, rate) + tx_time(sizes.hash_bits, rate) + sync
+            lat = self._radio(node, target)
+            return lat.t_up if peers else lat.t_up_model + lat.t_up_hash
         if node.cfg.id == target:
             return 0.0
         if node.cfg.role is Role.RSU:
             return node.eth_model_s
-        return tx_time(sizes.model_bits, self._mobile_rate(node, target))
+        return self._radio(node, target).t_up_model
 
     def _service_extras(self, leader: _NodeRT) -> float:
         """Digest notification and replica sync once a new global exists."""
         if self.chain is None:
             return 0.0
-        dur = tx_time(self.cfg.payload.hash_bits, self._mobile_rate(leader, leader.cfg.id))
-        if len(self.chain.committee.members) > 1:
-            dur += leader.eth_model_s
-        return dur
+        lat = self._radio(leader, leader.cfg.id)
+        return lat.t_ag if len(self.chain.committee.members) > 1 else lat.t_up_hash
 
     def _submit(self, record: HashRecord, now: float) -> None:
         """Record on the chain; a block this opens gets its max-wait timer."""
@@ -625,7 +625,7 @@ class _Simulation:
                             derive_seed(self.cfg.master_seed, "poison",
                                         node.cfg.id, node.round))
         record = HashRecord(RecordKind.LOCAL, node.cfg.id, node.round, hash_model(params))
-        return IncomingModel(node.cfg.id, node.round, params, record)
+        return IncomingModel(params, record)
 
     def _schedule_train(self, now: float, node: _NodeRT) -> None:
         """Start node's training at now; its inputs are fixed from here on.
@@ -780,7 +780,7 @@ class _Simulation:
             self._publish_aggregate(outcome.global_params, server_id, now)
             node.last_eps = outcome.epsilon
         self.decisions.append(DecisionLog(
-            now, node.cfg.id, incoming.round, outcome.verdict, outcome.epsilon,
+            now, node.cfg.id, incoming.record.round, outcome.verdict, outcome.epsilon,
             outcome.acc_local, outcome.acc_global, incoming.record.digest, before,
             self.global_digest))
         self._finish_round(node, now, arrived, now)

@@ -160,7 +160,7 @@ def test_criterion_1_equation_exactness():
                               float(rng.uniform(1e8, 1e10)))
         w = float(rng.uniform(1e4, 1e9))
         sizes = net.PayloadSizes(w, w / 1000.0, w / 100.0)
-        got = net.round_latency(sizes, link)
+        got = net.round_latency(sizes, net.shannon_rate(link), link.ethernet_rate_bps)
         rm = link.mobile_bandwidth_hz * math.log2(1.0 + link.mobile_snr)
         be = link.ethernet_rate_bps
         expect = {
@@ -254,16 +254,16 @@ def test_criterion_3_chain_integrity_and_tamper_detection(batch):
     tampered_model = trained.copy()
     tampered_model[0] = np.nextafter(tampered_model[0], np.inf)
     v1 = orch.leader_aggregation_step(
-        start, test, orch.IncomingModel(5, 0, tampered_model, record), c,
+        start, test, orch.IncomingModel(tampered_model, record), c,
         agg.DefensePolicy.off()).verdict
     v2 = orch.leader_aggregation_step(
-        start, test, orch.IncomingModel(5, 0, trained, record), c,
+        start, test, orch.IncomingModel(trained, record), c,
         agg.DefensePolicy.off()).verdict
     c.append_block([ch.HashRecord(ch.RecordKind.LOCAL, 1, 9,
                                   ch.hash_model(np.ones_like(trained)))],
                    timestamp_ms=1)
     v3 = orch.leader_aggregation_step(
-        start, test, orch.IncomingModel(5, 0, trained, record), c,
+        start, test, orch.IncomingModel(trained, record), c,
         agg.DefensePolicy.off()).verdict
     rotation_ok = (v1 is orch.StepVerdict.TAMPERED
                    and v2 is orch.StepVerdict.IGNORED
@@ -398,7 +398,8 @@ def test_criterion_8_latency_model_properties(batch):
                               float(rng.uniform(0.1, 100)),
                               float(rng.uniform(1e9, 1e10)))
         w = float(rng.uniform(1e4, 1e9))
-        lat = net.round_latency(net.PayloadSizes(w, w / 1000.0, w / 100.0), link)
+        lat = net.round_latency(net.PayloadSizes(w, w / 1000.0, w / 100.0),
+                                net.shannon_rate(link), link.ethernet_rate_bps)
         dominated += lat.t_bc < lat.t_up + lat.t_dn
     bus_ids = {n.id for n in orch.ScenarioConfig().nodes if n.role is orch.Role.BUS}
     comms = []

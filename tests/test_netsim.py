@@ -25,7 +25,7 @@ def test_tx_time_examples():
 def test_round_latency_worked_example():
     sizes = ns.PayloadSizes(model_bits=80_000_000, hash_bits=256, block_bits=8000)
     link = ns.LinkParams(20e6, 3.0, 1e9)
-    lat = ns.round_latency(sizes, link)
+    lat = ns.round_latency(sizes, ns.shannon_rate(link), link.ethernet_rate_bps)
     # independent recomposition of each closed form
     rate = 20e6 * math.log2(4.0)
     t_up_model = 80e6 / rate
@@ -45,14 +45,14 @@ def test_round_latency_blockchain_overhead_limit():
     # with vanishing hash/block sizes, t_bc approaches 2 * t_sync_model
     sizes = ns.PayloadSizes(model_bits=80_000_000, hash_bits=1, block_bits=1)
     link = ns.LinkParams(20e6, 3.0, 1e9)
-    lat = ns.round_latency(sizes, link)
+    lat = ns.round_latency(sizes, ns.shannon_rate(link), link.ethernet_rate_bps)
     assert abs(lat.t_bc - 2 * 0.08) < 1e-6
 
 
 def test_round_latency_zero_rate_unreachable():
     sizes = ns.PayloadSizes(model_bits=1000, hash_bits=10, block_bits=10)
     with pytest.raises(ValueError):
-        ns.round_latency(sizes, ns.LinkParams(20e6, 0.0, 1e9))
+        ns.round_latency(sizes, ns.shannon_rate(ns.LinkParams(20e6, 0.0, 1e9)), 1e9)
 
 
 def test_blockchain_overhead_dominated_by_round_trip():
@@ -64,7 +64,7 @@ def test_blockchain_overhead_dominated_by_round_trip():
         eth = float(rng.uniform(1e9, 1e10))
         s_w = float(rng.uniform(1e6, 1e9))
         sizes = ns.PayloadSizes(model_bits=s_w, hash_bits=s_w / 1000, block_bits=s_w / 100)
-        lat = ns.round_latency(sizes, ns.LinkParams(bw, snr, eth))
+        lat = ns.round_latency(sizes, ns.shannon_rate(ns.LinkParams(bw, snr, eth)), eth)
         assert lat.t_bc < lat.t_up + lat.t_dn
 
 
@@ -73,9 +73,8 @@ def test_latency_monotonicity():
     faster = ns.LinkParams(20e6, 3.0, 2e9)
     sizes = ns.PayloadSizes(8e6, 256, 8000)
     bigger = ns.PayloadSizes(16e6, 512, 16000)
-    a = ns.round_latency(sizes, link)
-    b = ns.round_latency(sizes, faster)
-    c = ns.round_latency(bigger, link)
+    a, b, c = (ns.round_latency(s, ns.shannon_rate(lk), lk.ethernet_rate_bps)
+               for s, lk in ((sizes, link), (sizes, faster), (bigger, link)))
     for name in ("t_up", "t_ag", "t_bp", "t_dn", "t_bc"):
         assert getattr(b, name) < getattr(a, name) < getattr(c, name)
 

@@ -10,6 +10,7 @@ from dbafl import aggregation as agg
 from dbafl import chain as ch
 from dbafl import cli
 from dbafl import model as mdl
+from dbafl import netsim as ns
 from dbafl import orchestrator as orch
 
 
@@ -110,7 +111,7 @@ def test_leader_step_tamper_blacklists_and_recovers_next_term():
     tampered = trained.copy()
     tampered[0] = np.nextafter(tampered[0], np.inf)
     out = orch.leader_aggregation_step(
-        start, test, orch.IncomingModel(5, 0, tampered, record), chain,
+        start, test, orch.IncomingModel(tampered, record), chain,
         agg.DefensePolicy.off())
     assert out.verdict is orch.StepVerdict.TAMPERED
     assert 5 in chain.committee.blacklist
@@ -119,7 +120,7 @@ def test_leader_step_tamper_blacklists_and_recovers_next_term():
 
     # while blacklisted even an honest upload from node 5 is ignored
     out = orch.leader_aggregation_step(
-        start, test, orch.IncomingModel(5, 0, trained, record), chain,
+        start, test, orch.IncomingModel(trained, record), chain,
         agg.DefensePolicy.off())
     assert out.verdict is orch.StepVerdict.IGNORED
     assert out.global_params is None
@@ -130,7 +131,7 @@ def test_leader_step_tamper_blacklists_and_recovers_next_term():
     chain.append_block([filler], timestamp_ms=1)
     assert 5 not in chain.committee.blacklist
     out = orch.leader_aggregation_step(
-        start, test, orch.IncomingModel(5, 0, trained, record), chain,
+        start, test, orch.IncomingModel(trained, record), chain,
         agg.DefensePolicy.off())
     assert out.verdict is orch.StepVerdict.ACCEPTED
     assert ch.hash_model(out.global_params) != ch.hash_model(start)
@@ -144,7 +145,7 @@ def test_leader_step_equal_accuracy_gives_exact_midpoint():
     chain.append_block([record], timestamp_ms=0)
     # incoming equals the global, so both accuracies match and eps must be exactly 1
     out = orch.leader_aggregation_step(
-        trained.copy(), test, orch.IncomingModel(1, 3, trained.copy(), record), chain,
+        trained.copy(), test, orch.IncomingModel(trained.copy(), record), chain,
         agg.DefensePolicy.off())
     assert out.verdict is orch.StepVerdict.ACCEPTED
     assert out.epsilon == 1.0
@@ -157,7 +158,7 @@ def test_leader_step_equal_accuracy_gives_exact_midpoint():
     rec2 = ch.HashRecord(ch.RecordKind.LOCAL, 1, 4, ch.hash_model(m))
     chain.append_block([rec2], timestamp_ms=1)
     out2 = orch.leader_aggregation_step(
-        g.copy(), test, orch.IncomingModel(1, 4, m, rec2), chain, agg.DefensePolicy.off(),
+        g.copy(), test, orch.IncomingModel(m, rec2), chain, agg.DefensePolicy.off(),
         eps_static=1.0)
     assert out2.verdict is orch.StepVerdict.ACCEPTED
     assert np.array_equal(out2.global_params, (g + m) / 2)
@@ -171,7 +172,7 @@ def test_leader_step_discard_is_a_bitwise_noop():
     start = trained.copy()
     before = start.tobytes()
     out = orch.leader_aggregation_step(
-        start, test, orch.IncomingModel(1, 0, junk, record), chain,
+        start, test, orch.IncomingModel(junk, record), chain,
         agg.DefensePolicy.threshold(0.9))
     assert out.verdict is orch.StepVerdict.DISCARDED
     assert out.global_params is None
@@ -184,7 +185,7 @@ def test_leader_step_requires_recorded_digest():
     record = ch.HashRecord(ch.RecordKind.LOCAL, 1, 0, ch.hash_model(trained))
     with pytest.raises(ValueError):
         orch.leader_aggregation_step(
-            trained.copy(), test, orch.IncomingModel(1, 0, trained, record), chain,
+            trained.copy(), test, orch.IncomingModel(trained, record), chain,
             agg.DefensePolicy.off())
 
 
@@ -197,7 +198,7 @@ def test_leader_step_verifies_a_digest_still_in_the_open_block():
     assert len(chain) == 0  # both digests are only in the open block
     start = np.zeros_like(trained)
     out = orch.leader_aggregation_step(
-        start, test, orch.IncomingModel(1, 0, trained, honest), chain,
+        start, test, orch.IncomingModel(trained, honest), chain,
         agg.DefensePolicy.off())
     assert out.verdict is orch.StepVerdict.ACCEPTED
     assert np.array_equal(out.global_params, agg.aggregate_async(start, trained, out.epsilon))
@@ -207,7 +208,7 @@ def test_leader_step_verifies_a_digest_still_in_the_open_block():
     current = out.global_params
     after_accept = current.tobytes()
     out = orch.leader_aggregation_step(
-        current, test, orch.IncomingModel(5, 0, tampered, spoofed), chain,
+        current, test, orch.IncomingModel(tampered, spoofed), chain,
         agg.DefensePolicy.off())
     assert out.verdict is orch.StepVerdict.TAMPERED
     assert chain.committee.blacklist == {5}
@@ -220,7 +221,7 @@ def test_leader_step_without_a_chain_accepts_an_unrecorded_upload():
     unrecorded = ch.HashRecord(ch.RecordKind.LOCAL, 5, 0, ch.hash_bytes(b"elsewhere"))
     start = np.zeros_like(trained)
     out = orch.leader_aggregation_step(
-        start.copy(), test, orch.IncomingModel(5, 0, trained, unrecorded), None,
+        start.copy(), test, orch.IncomingModel(trained, unrecorded), None,
         agg.DefensePolicy.off())
     acc_l = mdl.evaluate_accuracy(trained, test)
     acc_g = mdl.evaluate_accuracy(start, test)
@@ -434,6 +435,66 @@ def test_dbafl_buses_barely_wait():
     for r in bus_rounds:
         wait = r.decision_s - r.upload_done_s
         assert wait / (r.decision_s - r.start_s) < 0.10
+
+
+_ONE_RSU = (orch.NodeConfig(0), orch.NodeConfig(1, orch.Role.BUS, 4.0),
+            orch.NodeConfig(2, orch.Role.BUS, 4.0))
+
+
+@pytest.mark.parametrize("strategy, nodes, flood", [
+    ("DBAFL", None, None), ("DBAFL", _ONE_RSU, None), ("AFL", None, None),
+    ("DBAFL", None, 0.8)], ids=["dbafl", "dbafl-one-rsu", "afl", "dbafl-ddos-0.8"])
+def test_bus_legs_take_their_round_latency_terms(strategy, nodes, flood):
+    kw = {"nodes": nodes} if nodes else {}
+    if flood is not None:
+        kw["attack"] = orch.AttackConfig(ddos=ns.DdosConfig(flood))
+    cfg = small_scenario(orch.Strategy.parse(strategy), duration=300.0, **kw)
+    res = orch.run_scenario(cfg)
+    one_rsu = sum(n.role is orch.Role.RSU for n in cfg.nodes) == 1
+    terms = {}  # bus id -> radio rate -> (upload term, download term) at that rate
+    for n in cfg.nodes:
+        if n.role is not orch.Role.BUS:
+            continue
+        rate = ns.shannon_rate(n.link)
+        terms[n.id] = {}
+        for r in (rate, rate * (1 - flood)) if flood is not None else (rate,):
+            lat = ns.round_latency(cfg.payload, r, n.link.ethernet_rate_bps)
+            if not cfg.strategy.traits.chain:
+                up = lat.t_up_model
+            elif one_rsu:
+                up = lat.t_up_model + lat.t_up_hash
+            else:
+                up = lat.t_up
+            terms[n.id][r] = (up, lat.t_dn)
+    used, downloads = set(), 0
+    for rl in res.round_logs:
+        if rl.node_id not in terms:
+            continue
+        # the simulator schedules now + term, so each leg is exact in floats
+        at = terms[rl.node_id]
+        ups = {r for r, (up, _) in at.items() if rl.upload_done_s == rl.test_done_s + up}
+        assert ups, rl
+        used |= ups
+        if rl.download_done_s != rl.start_s:
+            downloads += 1
+            dns = {r for r, (_, dn) in at.items() if rl.download_done_s == rl.start_s + dn}
+            assert dns, rl
+            used |= dns
+    assert downloads
+    assert used == {r for at in terms.values() for r in at}  # under a flood, both rates
+
+
+def test_a_zero_snr_rsu_fails_only_once_a_transfer_needs_its_radio():
+    dead = dataclasses.replace(orch.DEFAULT_LINK, mobile_snr=0.0)
+    nodes = (orch.NodeConfig(0, link=dead),) + _ONE_RSU[1:]
+    # the AFL server downloads and uploads nothing, so its radio is never used
+    cfg = small_scenario(orch.Strategy.parse("AFL"), nodes=nodes)
+    res = orch.run_scenario(cfg)
+    assert res.rows[-1].sim_time_s == cfg.duration_s
+    assert res.decisions
+    # as DBAFL's only committee member it sends each new global's digest by radio
+    with pytest.raises(ValueError, match="unreachable"):
+        orch.run_scenario(small_scenario(orch.Strategy.parse("DBAFL"), nodes=nodes))
 
 
 def test_fedavg_round_fires_on_last_arrival():
@@ -835,7 +896,7 @@ PER_EVENT_RECORDS = (
     orch.RoundLog(3, 2, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0),
     orch.DecisionLog(6.0, 3, 2, orch.StepVerdict.ACCEPTED, 1.0, 0.5, 0.5,
                      b"\x01" * 32, b"\x03" * 32, b"\x04" * 32),
-    orch.IncomingModel(3, 2, np.arange(6.0), _RECORD),
+    orch.IncomingModel(np.arange(6.0), _RECORD),
     orch.StepOutcome(orch.StepVerdict.DISCARDED, None, 0.2, 0.5),
 )
 
