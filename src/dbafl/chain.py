@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import all_finite
+from .records import frozen_record
 
 ZERO_HASH = b"\x00" * 32
 
@@ -50,7 +51,7 @@ _DIGEST_LENGTH = "digest must be exactly 32 bytes"
 
 # Records and blocks live as long as the chain, one per upload or cut, so they
 # keep their fields in slots rather than a per-instance __dict__.
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class HashRecord:
     kind: RecordKind
     node_id: int
@@ -94,7 +95,7 @@ def serialize_block_body(index: int, prev_hash: bytes, records, timestamp_ms: in
     return _block_body(index, prev_hash, b"".join(map(serialize_record, records)), timestamp_ms)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class Block:
     index: int
     prev_hash: bytes

@@ -148,10 +148,15 @@ def split_dataset(data: Dataset, test_fraction: float) -> tuple[Dataset, Dataset
 
 def evaluate_accuracy(params: ModelParams, data: Dataset) -> float:
     """Fraction of samples whose argmax logit matches the label, as a Python float."""
-    weights, biases = _check(params, data)
-    logits = _prepare(data).x @ weights
+    n = data.n
+    if n == 0:
+        raise ValueError("empty dataset")
+    # _check's steps inline: the leader calls this twice per decision
+    weights, biases = _unpack(np.asarray(params, dtype=float), data.features.shape[1],
+                              data.classes)
+    logits = _prepare(data).x[0] @ weights
     logits += biases
-    return int(np.count_nonzero(logits.argmax(axis=-1) == data.labels)) / data.n
+    return int(np.count_nonzero(logits.argmax(axis=1) == data.labels)) / n
 
 
 def local_loss(params: ModelParams, data: Dataset) -> float:

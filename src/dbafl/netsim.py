@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Any, Optional
@@ -173,21 +174,30 @@ class EventQueue:
     events replay identically across runs.  The clock only moves
     forward: scheduling before `now` is a contract violation, and an
     empty queue pops the sentinel None rather than raising.
+
+    An event scheduled at `now` itself skips the heap and waits in a FIFO.
+    Every heap event due at `now` was scheduled before the clock reached
+    `now`, so it precedes every FIFO entry in insertion order: popping the
+    heap's due events first, then the FIFO, is the (time, insertion) order.
     """
 
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, Any]] = []
+        self._due: deque[tuple[float, Any]] = deque()  # (now, event), in insertion order
         self._seq = itertools.count()  # insertion order, the tie-break of equal times
         self.now = 0.0
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self._heap) + len(self._due)
 
     def schedule(self, time_s: float, event: Any) -> None:
-        if time_s < self.now:
+        if time_s == self.now:
+            self._due.append((time_s, event))
+        elif time_s < self.now:
             raise ValueError(
                 f"cannot schedule at t={time_s} before current time t={self.now}")
-        heappush(self._heap, (time_s, next(self._seq), event))
+        else:
+            heappush(self._heap, (time_s, next(self._seq), event))
 
     def pop(self, until: Optional[float] = None) -> Optional[tuple[float, Any]]:
         """Next (time, event) pair, advancing the clock; None when empty.
@@ -195,7 +205,14 @@ class EventQueue:
         With until, an event later than until stays queued and pop returns
         None without moving the clock.
         """
-        heap = self._heap
+        heap, now = self._heap, self.now
+        if until is not None and until < now:
+            return None  # everything queued is due at now or later
+        if heap and heap[0][0] == now:
+            time_s, _, event = heappop(heap)
+            return time_s, event
+        if self._due:
+            return self._due.popleft()
         if not heap or (until is not None and heap[0][0] > until):
             return None
         time_s, _, event = heappop(heap)

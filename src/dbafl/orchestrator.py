@@ -33,6 +33,7 @@ from .model import (Dataset, ModelParams, TrainConfig, draws_batches, evaluate_a
 from .model import train_batch as local_train
 from .netsim import (DdosConfig, EventQueue, LatencyBreakdown, LinkParams, PayloadSizes,
                      ddos_effective_rate, round_latency, shannon_rate, tx_time)
+from .records import frozen_record
 
 DEFAULT_LINK = LinkParams(mobile_bandwidth_hz=20e6, mobile_snr=3.0,
                           ethernet_rate_bps=1e9)
@@ -256,8 +257,9 @@ def _check_node_dataset(ds: Dataset, spec: DataSpec, where: str) -> None:
 
 
 # The records made per sample, round, arrival or decision keep their fields
-# in slots, not a per-instance __dict__: a chain-heavy run holds thousands.
-@dataclass(frozen=True, slots=True)
+# in slots, not a per-instance __dict__: a chain-heavy run holds thousands,
+# and builds most of them on the leader's per-decision path.
+@frozen_record
 class MetricsRow:
     sim_time_s: float
     avg_test_accuracy: float
@@ -270,7 +272,7 @@ class MetricsRow:
     current_leader: int     # -1 when no node serves aggregations
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class RoundLog:
     node_id: int
     round_index: int
@@ -289,7 +291,7 @@ class StepVerdict(enum.Enum):
     IGNORED = "Ignored"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class DecisionLog:
     time_s: float
     node_id: int
@@ -385,13 +387,13 @@ def synchronous_round(strategy: Strategy, w_global_prev: ModelParams,
     return out
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class IncomingModel:
     params: ModelParams
     record: HashRecord  # names the uploader and its round
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class StepOutcome:
     verdict: StepVerdict
     epsilon: Optional[float]

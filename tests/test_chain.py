@@ -70,6 +70,13 @@ def test_append_chains_blocks_and_verifies():
     assert b1.block_hash == ch.hash_bytes(
         ch.serialize_block_body(b1.index, b1.prev_hash, b1.records, b1.timestamp_ms)
     )
+    # a block built by keyword equals, and prints as, the one the chain built
+    rebuilt = ch.Block(block_hash=b1.block_hash, timestamp_ms=1500, records=b1.records,
+                       prev_hash=b1.prev_hash, index=1)
+    assert rebuilt == b1 and rebuilt is not b1
+    assert repr(rebuilt) == (f"Block(index=1, prev_hash={b1.prev_hash!r}, "
+                             f"records={b1.records!r}, timestamp_ms=1500, "
+                             f"block_hash={b1.block_hash!r})")
 
 
 def test_append_rejects_empty_and_oversize():
@@ -339,6 +346,15 @@ def test_submit_and_seal_match_the_reference_open_block(policy, ops, term_blocks
 def test_record_digest_must_be_32_bytes():
     with pytest.raises(ValueError):
         ch.HashRecord(ch.RecordKind.LOCAL, 0, 0, b"short")
+    with pytest.raises(ValueError, match="^digest must be exactly 32 bytes$"):
+        ch.HashRecord(ch.RecordKind.LOCAL, 0, 0, b"x" * 31)
+    with pytest.raises(ValueError, match="^digest must be exactly 32 bytes$"):
+        ch.HashRecord(kind=ch.RecordKind.LOCAL, node_id=0, round=0, digest=b"x" * 33)
+    record = ch.HashRecord(digest=b"x" * 32, round=2, node_id=1, kind=ch.RecordKind.GLOBAL)
+    assert record == ch.HashRecord(ch.RecordKind.GLOBAL, 1, 2, b"x" * 32)
+    assert record != ch.HashRecord(ch.RecordKind.GLOBAL, 1, 3, b"x" * 32)
+    assert repr(record) == ("HashRecord(kind=<RecordKind.GLOBAL: 'G'>, node_id=1, round=2, "
+                            f"digest={b'x' * 32!r})")
 
 
 def test_dump_and_audit_roundtrip():

@@ -547,6 +547,23 @@ def test_run_strategy_and_attack_overrides(tmp_path):
     assert (out / "chain_StaticEps-1.0_1.txt").exists()
 
 
+def test_stock_flood_one_term_behind_slows_nothing_and_lag_0_does(tmp_path):
+    # A stock run has two ten-block leader terms, so a flood aiming one term
+    # behind the rotation never reaches a transfer; with no lag it floods the
+    # serving leader. Only the scenario file can set the lag.
+    stock = _write(tmp_path, "stock.yaml", "")
+    lag0 = _write(tmp_path, "lag0.yaml",
+                  "attack: {ddos: {attack_fraction: 0.5, retarget_lag_terms: 0}}\n")
+    runs = {"calm": [stock], "lag1": [stock, "--attack", "ddos:0.5"], "lag0": [lag0]}
+    metrics = {}
+    for name, args in runs.items():
+        out = tmp_path / name
+        assert cli.main(["run", "--config", *args, "--out", str(out), "--seed", "1"]) == 0
+        metrics[name] = (out / "metrics_DBAFL_1.csv").read_bytes()
+    assert metrics["lag1"] == metrics["calm"]
+    assert metrics["lag0"] != metrics["calm"]
+
+
 def test_override_parsing():
     base = orch.ScenarioConfig()
     poisoned = cli.apply_overrides(base, attack="poisoning")

@@ -1,9 +1,12 @@
 """Tests for dbafl.netsim: Shannon links, latency closed forms, DDoS, event queue."""
 
+import heapq
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dbafl import netsim as ns
 
@@ -136,6 +139,61 @@ def test_event_queue_rejects_past_and_keeps_clock_monotone():
     while (item := q.pop()) is not None:
         times.append(item[0])
     assert times == sorted(times)
+
+
+class _HeapQueue:
+    """Reference event list: every event on one heap, keyed by (time, insertion order)."""
+
+    def __init__(self):
+        self.heap, self.seq, self.now = [], 0, 0.0
+
+    def __len__(self):
+        return len(self.heap)
+
+    def schedule(self, time_s, event):
+        if time_s < self.now:
+            raise ValueError("before now")
+        heapq.heappush(self.heap, (time_s, self.seq, event))
+        self.seq += 1
+
+    def pop(self, until=None):
+        if not self.heap or (until is not None and self.heap[0][0] > until):
+            return None
+        time_s, _, event = heapq.heappop(self.heap)
+        self.now = time_s
+        return time_s, event
+
+
+# Offsets from the clock on a binary grid, so sums are exact and future times
+# collide: ("schedule", offset), ("pop", None) or ("pop", offset of until).
+# A negative schedule offset must raise; a negative until must pop nothing.
+_QUEUE_OPS = st.lists(st.one_of(
+    st.tuples(st.just("schedule"), st.sampled_from((0.0, 0.0, 0.25, 0.5, 1.0, 1.5, -0.5))),
+    st.tuples(st.just("pop"), st.none() | st.sampled_from((-1.0, -0.25, 0.0, 0.5, 2.0)))),
+    max_size=80)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_QUEUE_OPS)
+def test_event_queue_matches_a_heap_only_queue(ops):
+    q, ref = ns.EventQueue(), _HeapQueue()
+    for i, (op, offset) in enumerate(ops):
+        if op == "schedule":
+            time_s = q.now + offset
+            if offset < 0:
+                for queue in (q, ref):
+                    with pytest.raises(ValueError):
+                        queue.schedule(time_s, i)
+            else:
+                q.schedule(time_s, ("event", i))
+                ref.schedule(time_s, ("event", i))
+        else:
+            until = None if offset is None else q.now + offset
+            assert q.pop(until) == ref.pop(until)
+        assert (q.now, len(q)) == (ref.now, len(ref))
+    while (item := q.pop()) is not None:  # drain: the rest fires in the same order
+        assert item == ref.pop()
+    assert ref.pop() is None and (q.now, len(q)) == (ref.now, 0)
 
 
 def test_payload_and_link_validation():

@@ -91,6 +91,15 @@ def test_synchronous_round_rejects_async_strategies():
 # ----------------------------------------------- leader_aggregation_step
 
 
+def _check_record_protocol(record):
+    """A per-event record rebuilds from its fields by keyword and prints as a dataclass."""
+    values = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+    rebuilt = type(record)(**values)
+    assert rebuilt == record and rebuilt is not record
+    fields = ", ".join(f"{name}={value!r}" for name, value in values.items())
+    assert repr(rebuilt) == repr(record) == f"{type(record).__name__}({fields})"
+
+
 def _leader_fixture():
     data = mdl.generate_synthetic_dataset(seed=21, n=100, f=2, classes=2, separation=4.0)
     train, test = mdl.split_dataset(data, 0.2)
@@ -110,10 +119,12 @@ def test_leader_step_tamper_blacklists_and_recovers_next_term():
 
     tampered = trained.copy()
     tampered[0] = np.nextafter(tampered[0], np.inf)
+    incoming = orch.IncomingModel(record=record, params=tampered)
+    _check_record_protocol(incoming)
     out = orch.leader_aggregation_step(
-        start, test, orch.IncomingModel(tampered, record), chain,
-        agg.DefensePolicy.off())
+        start, test, incoming, chain, agg.DefensePolicy.off())
     assert out.verdict is orch.StepVerdict.TAMPERED
+    assert out == orch.StepOutcome(orch.StepVerdict.TAMPERED, None, None, None)
     assert 5 in chain.committee.blacklist
     assert out.global_params is None
     assert start.tobytes() == before
@@ -134,6 +145,7 @@ def test_leader_step_tamper_blacklists_and_recovers_next_term():
         start, test, orch.IncomingModel(trained, record), chain,
         agg.DefensePolicy.off())
     assert out.verdict is orch.StepVerdict.ACCEPTED
+    _check_record_protocol(out)
     assert ch.hash_model(out.global_params) != ch.hash_model(start)
     assert np.array_equal(out.global_params, agg.aggregate_async(start, trained, out.epsilon))
     assert start.tobytes() == before  # the new global is a new array
@@ -178,6 +190,12 @@ def test_leader_step_discard_is_a_bitwise_noop():
     assert out.global_params is None
     assert start.tobytes() == before
     assert out.acc_local < 0.9 * out.acc_global
+    # global_params defaults to None, by position and by keyword
+    assert out == orch.StepOutcome(orch.StepVerdict.DISCARDED, None, out.acc_local,
+                                   out.acc_global)
+    assert out == orch.StepOutcome(acc_global=out.acc_global, acc_local=out.acc_local,
+                                   epsilon=None, verdict=orch.StepVerdict.DISCARDED)
+    _check_record_protocol(out)
 
 
 def test_leader_step_requires_recorded_digest():
@@ -551,6 +569,8 @@ def test_each_strategy_trait_shows_in_a_run(strategy):
         assert (res.sync_rounds[0].started_s > 0.0) == traits.bootstrap
     if not traits.serves:  # nothing is ever published, so no node downloads
         assert logs and all(r.download_done_s == r.start_s for r in logs)
+    for record in (res.rows[-1], *logs[-1:], *res.decisions[-1:]):
+        _check_record_protocol(record)
 
 
 def test_scenario_validation():
