@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,22 +26,26 @@ def all_finite(a: np.ndarray) -> bool:
     return math.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Feature matrix (n x f) and integer labels in [0, classes).
 
-    The arrays are never mutated in place: the model calls derive constants
-    from them once (`_prepare`) and notice only when a field is reassigned.
+    Frozen, and its arrays are never mutated in place, so the model calls
+    derive their constants from it once (`_prepared`). To change a dataset,
+    build a new one.
     """
 
     features: np.ndarray
     labels: np.ndarray
     classes: int
-    _prepared: _Prepared = field(default=None, init=False, repr=False)
 
     @property
     def n(self) -> int:
         return len(self.labels)
+
+    @functools.cached_property
+    def _prepared(self) -> _Prepared:
+        return _Prepared(self.features, self.labels, self.classes)
 
 
 @dataclass(frozen=True)
@@ -66,10 +70,6 @@ def param_dim(f: int, classes: int) -> int:
 def init_params(f: int, classes: int) -> ModelParams:
     """Zero initialization; all logits equal, argmax predicts class 0."""
     return np.zeros(param_dim(f, classes))
-
-
-def pack_params(weights: np.ndarray, biases: np.ndarray) -> ModelParams:
-    return np.concatenate([np.asarray(weights, dtype=float).ravel(), np.asarray(biases, dtype=float)])
 
 
 def _unpack(params: ModelParams, f: int, classes: int):
@@ -154,7 +154,7 @@ def evaluate_accuracy(params: ModelParams, data: Dataset) -> float:
     # _check's steps inline: the leader calls this twice per decision
     weights, biases = _unpack(np.asarray(params, dtype=float), data.features.shape[1],
                               data.classes)
-    logits = _prepare(data).x[0] @ weights
+    logits = data._prepared.x[0] @ weights
     logits += biases
     return int(np.count_nonzero(logits.argmax(axis=1) == data.labels)) / n
 
@@ -162,7 +162,7 @@ def evaluate_accuracy(params: ModelParams, data: Dataset) -> float:
 def local_loss(params: ModelParams, data: Dataset) -> float:
     """Mean cross-entropy over the dataset (log-sum-exp stable)."""
     weights, biases = _check(params, data)
-    p = _prepare(data)
+    p = data._prepared
     logp = _stacks(*weights.shape).step(1, data.n).log_softmax(weights, biases, p.x)
     return float(-logp.take(p.label_at).mean())
 
@@ -181,7 +181,6 @@ class _Prepared:
     """
 
     def __init__(self, features: np.ndarray, labels: np.ndarray, classes: int):
-        self.features, self.labels, self.classes = features, labels, classes  # the cache key
         self.x = np.ascontiguousarray(features, dtype=float)[None]
         self.onehot = _one_hot(labels, classes)[None]
         # logp[rows, labels] through flat indices, which numpy gathers faster
@@ -215,15 +214,6 @@ class _Stacks:
 
 
 _stacks = functools.cache(_Stacks)  # _stacks(f, classes): one per shape, for the process
-
-
-def _prepare(data: Dataset) -> _Prepared:
-    """data's derived model inputs, rebuilt when its features, labels or classes were reassigned."""
-    p = data._prepared
-    if (p is None or p.features is not data.features or p.labels is not data.labels
-            or p.classes != data.classes):
-        p = data._prepared = _Prepared(data.features, data.labels, data.classes)
-    return p
 
 
 def _pair_columns(a: np.ndarray) -> list:
@@ -332,7 +322,7 @@ class _GradientStep:
 def loss_gradient(params: ModelParams, data: Dataset) -> ModelParams:
     """Analytic gradient of local_loss with respect to the flat parameter vector."""
     weights, biases = _check(params, data)
-    p = _prepare(data)
+    p = data._prepared
     return _stacks(*weights.shape).step(1, data.n)(weights, biases, p.x, p.onehot)[0].copy()
 
 
@@ -341,31 +331,20 @@ def draws_batches(cfg: TrainConfig, data: Dataset) -> bool:
     return cfg.batch_size < data.n
 
 
-def local_train(start: ModelParams, data: Dataset, cfg: TrainConfig,
-                rng_seed: int | None) -> ModelParams:
-    """cfg.epochs passes of mini-batch gradient descent; full batch when batch_size >= n.
+def local_train(starts, datas, cfg: TrainConfig, seeds) -> list:
+    """Item i: cfg.epochs passes of mini-batch gradient descent from starts[i] on datas[i].
 
-    Deterministic given (start, data, cfg, rng_seed); start is not mutated.
-    rng_seed is read only when draws_batches(cfg, data), and must then be an
-    int. The one-item call of train_batch.
-    """
-    (out,) = train_batch([start], [data], cfg, [rng_seed])
-    if isinstance(out, ArithmeticError):
-        raise out
-    return out
-
-
-def train_batch(starts, datas, cfg: TrainConfig, seeds) -> list:
-    """Item i trained as local_train(starts[i], datas[i], cfg, seeds[i]) trains it, bit for bit.
-
-    Items whose datasets share a shape (n, f, classes) train together as one
-    stack, each with its own mini-batch order drawn from its own seed.
-    Returns one entry per item: its trained parameters, or the
-    ArithmeticError local_train raises for it when they diverged to
-    non-finite values. ValueError if an item's arguments are invalid.
+    Full batch when batch_size >= n. Deterministic given the item's (start,
+    data, cfg, seed), and bit-identical to a one-item call of it; no start
+    is mutated. seeds[i] is read only when draws_batches(cfg, datas[i]), and
+    must then be an int. Items whose datasets share a shape (n, f, classes)
+    train together as one stack, each with its own mini-batch order drawn
+    from its own seed. Returns one entry per item: its trained parameters,
+    or an ArithmeticError when they diverged to non-finite values.
+    ValueError if an item's arguments are invalid.
     """
     if not len(starts) == len(datas) == len(seeds):
-        raise ValueError("train_batch needs one start, dataset and seed per item")
+        raise ValueError("local_train needs one start, dataset and seed per item")
     groups = {}
     for i, data in enumerate(datas):
         groups.setdefault((data.n, data.features.shape[1], data.classes), []).append(i)
@@ -386,15 +365,15 @@ def _train_stack(w: np.ndarray, datas, cfg: TrainConfig, seeds) -> None:
     k, data = len(datas), datas[0]
     n, f, classes = data.n, data.features.shape[1], data.classes
     weights, biases = _split(w, f, classes)  # views: updating w updates them
-    prepared = [_prepare(d) for d in datas]
+    prepared = [d._prepared for d in datas]
     stacks = _stacks(f, classes)
     x = np.concatenate([p.x for p in prepared])  # k x n x f
     onehot = np.concatenate([p.onehot for p in prepared])
     rngs = None
     if draws_batches(cfg, data):
         if None in seeds:
-            raise ValueError(f"rng_seed is None, but batch_size {cfg.batch_size} < {n} rows "
-                             f"draws mini-batches, which needs an int rng_seed")
+            raise ValueError(f"a seed is None, but batch_size {cfg.batch_size} < {n} rows "
+                             f"draws mini-batches, which needs an int seed")
         rngs = [np.random.default_rng(seed) for seed in seeds]
         first_row = np.arange(0, k * n, n)[:, None]  # item i's rows start at i * n
         x, onehot = x.reshape(k * n, f), onehot.reshape(k * n, classes)

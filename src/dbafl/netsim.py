@@ -160,8 +160,6 @@ def ddos_effective_rate(base_rate_bps: float, ddos: DdosConfig,
     Only transfers through the node the attacker is aiming at slow
     down; everyone else keeps the full rate.
     """
-    if base_rate_bps <= 0:
-        raise ValueError("base rate must be positive")
     if not target_is_current_server:
         return base_rate_bps
     return base_rate_bps * (1.0 - ddos.attack_fraction)
@@ -199,21 +197,21 @@ class EventQueue:
         else:
             heappush(self._heap, (time_s, next(self._seq), event))
 
-    def pop(self, until: Optional[float] = None) -> Optional[tuple[float, Any]]:
+    def pop(self, until: float = math.inf) -> Optional[tuple[float, Any]]:
         """Next (time, event) pair, advancing the clock; None when empty.
 
-        With until, an event later than until stays queued and pop returns
-        None without moving the clock.
+        An event later than until stays queued and pop returns None without
+        moving the clock.
         """
         heap, now = self._heap, self.now
-        if until is not None and until < now:
+        if until < now:
             return None  # everything queued is due at now or later
         if heap and heap[0][0] == now:
             time_s, _, event = heappop(heap)
             return time_s, event
         if self._due:
             return self._due.popleft()
-        if not heap or (until is not None and heap[0][0] > until):
+        if not heap or heap[0][0] > until:
             return None
         time_s, _, event = heappop(heap)
         self.now = time_s

@@ -27,10 +27,7 @@ from .chain import (Chain, CommitteeState, BlockCutPolicy, HashRecord, RecordKin
                     hash_model, verify_record)
 from .model import (Dataset, ModelParams, TrainConfig, draws_batches, evaluate_accuracy,
                     generate_synthetic_dataset, global_objective, holdout_rows,
-                    init_params, local_loss, split_dataset)
-# The simulation's one training entry point: each call trains a batch of nodes.
-# perfbench/layertrace.py times this name as the model's training layer.
-from .model import train_batch as local_train
+                    init_params, local_loss, local_train, split_dataset)
 from .netsim import (DdosConfig, EventQueue, LatencyBreakdown, LinkParams, PayloadSizes,
                      ddos_effective_rate, round_latency, shannon_rate, tx_time)
 from .records import frozen_record
@@ -649,10 +646,10 @@ class _Simulation:
     def _model(self, node: _NodeRT) -> ModelParams:
         """node's current params, computing its finished training at the first read.
 
-        That read trains every registered training in one local_train
-        (model.train_batch) call, but for the serving node's, which is left
-        out unless it is the one read.  A training that diverged raises its
-        ArithmeticError here.
+        That read trains every registered training in one local_train call,
+        but for the serving node's, which is left out unless it is the one
+        read.  A training that diverged comes back from local_train as an
+        ArithmeticError, which is raised here.
         """
         if node.unread:
             node.unread = False

@@ -188,7 +188,7 @@ def test_event_queue_matches_a_heap_only_queue(ops):
                 q.schedule(time_s, ("event", i))
                 ref.schedule(time_s, ("event", i))
         else:
-            until = None if offset is None else q.now + offset
+            until = math.inf if offset is None else q.now + offset
             assert q.pop(until) == ref.pop(until)
         assert (q.now, len(q)) == (ref.now, len(ref))
     while (item := q.pop()) is not None:  # drain: the rest fires in the same order

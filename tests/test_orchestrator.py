@@ -42,8 +42,8 @@ def test_poison_magnitude_ten_breaks_a_trained_separator():
     cfg = small_scenario(orch.Strategy.parse("LocalOnly"))
     train, test = orch.node_datasets(cfg)[0]
     params = mdl.local_train(
-        mdl.init_params(spec.features, spec.classes), train, cfg.train,
-        orch.derive_seed(cfg.master_seed, "train", 0, 0))
+        [mdl.init_params(spec.features, spec.classes)], [train], cfg.train,
+        [orch.derive_seed(cfg.master_seed, "train", 0, 0)])[0]
     assert mdl.evaluate_accuracy(params, test) >= 0.9
     poisoned = orch.poison(params, 10.0, rng_seed=0)
     assert mdl.evaluate_accuracy(poisoned, test) < 0.6
@@ -104,7 +104,7 @@ def _leader_fixture():
     data = mdl.generate_synthetic_dataset(seed=21, n=100, f=2, classes=2, separation=4.0)
     train, test = mdl.split_dataset(data, 0.2)
     trained = mdl.local_train(
-        mdl.init_params(2, 2), train, mdl.TrainConfig(20, 0.05, 100), rng_seed=4)
+        [mdl.init_params(2, 2)], [train], mdl.TrainConfig(20, 0.05, 100), [4])[0]
     committee = ch.CommitteeState(members=(0, 1), term_blocks=1)
     chain = ch.Chain(committee=committee)
     return train, test, trained, chain
@@ -295,8 +295,8 @@ def test_local_only_matches_isolated_training():
             if done > cfg.duration_s:
                 break
             params = mdl.local_train(
-                params, train, cfg.train,
-                orch.derive_seed(cfg.master_seed, "train", node.id, rnd))
+                [params], [train], cfg.train,
+                [orch.derive_seed(cfg.master_seed, "train", node.id, rnd)])[0]
             done_times.append(done)
             accs.append(mdl.evaluate_accuracy(params, test))
             t = done + test_t
@@ -510,9 +510,12 @@ def test_a_zero_snr_rsu_fails_only_once_a_transfer_needs_its_radio():
     res = orch.run_scenario(cfg)
     assert res.rows[-1].sim_time_s == cfg.duration_s
     assert res.decisions
-    # as DBAFL's only committee member it sends each new global's digest by radio
-    with pytest.raises(ValueError, match="unreachable"):
-        orch.run_scenario(small_scenario(orch.Strategy.parse("DBAFL"), nodes=nodes))
+    # as DBAFL's only committee member it sends each new global's digest by
+    # radio, which fails the same way whether or not a flood slows that radio
+    for ddos in (None, ns.DdosConfig(attack_fraction=0.5, retarget_lag_terms=0)):
+        with pytest.raises(ValueError, match="unreachable"):
+            orch.run_scenario(small_scenario(orch.Strategy.parse("DBAFL"), nodes=nodes,
+                                             attack=orch.AttackConfig(ddos=ddos)))
 
 
 def test_fedavg_round_fires_on_last_arrival():
@@ -701,6 +704,11 @@ def test_test_fraction_that_empties_a_split_is_rejected():
 
 
 # ------------------------------------------------------- batched training
+
+
+def test_the_simulator_trains_through_model_local_train():
+    # the tracer times orchestrator.local_train as the model.local_train layer
+    assert orch.local_train is mdl.local_train
 
 
 def _run_with_trainer(monkeypatch, cfg, one_at_a_time=False):
