@@ -34,7 +34,7 @@ from .aggregation import DefensePolicy
 from .chain import AuditReport, audit_dump, dump_chain
 from .model import Dataset
 from .netsim import DdosConfig
-from .orchestrator import (PLAIN_NUMBER, AttackConfig, DataSpec, MetricsRow, RunResult,
+from .orchestrator import (PLAIN_NUMBER, DataSpec, MetricsRow, RunResult,
                            ScenarioConfig, Strategy, run_scenario)
 
 
@@ -51,15 +51,10 @@ _WHOLE = re.compile(r"[+-]?[0-9]+")  # the whole-number spellings of PLAIN_NUMBE
 
 
 def _finite(value) -> Optional[float]:
-    """value as a finite float, or None; a string counts in a plain-number spelling."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+    """value as a finite float, or None; it must be text in a plain-number spelling."""
+    if not (isinstance(value, str) and PLAIN_NUMBER.fullmatch(value)):
         return None
-    if isinstance(value, str) and not PLAIN_NUMBER.fullmatch(value):
-        return None
-    try:
-        number = float(value)
-    except OverflowError:  # an int too large for a float
-        return None
+    number = float(value)
     return number if math.isfinite(number) else None
 
 
@@ -73,32 +68,26 @@ def _as_float(value, path: str, spec=None) -> float:
 def _as_int(value, path: str, spec=None) -> int:
     if isinstance(value, str) and _WHOLE.fullmatch(value):
         return int(value)  # float() would round a long one
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
     number = _finite(value)
     if number is None or not number.is_integer():
         raise ValueError(f"{path} must be a whole number, got {value!r}")
     return int(number)
 
 
-def _leaves(value):
-    if isinstance(value, list):
-        for item in value:
-            yield from _leaves(item)
-    else:
-        yield value
-
-
 def _as_array(value, dtype, path: str) -> np.ndarray:
-    if dtype is float:  # numpy reads "1_0" as 10.0 and True as 1.0
-        for leaf in _leaves(value):
-            if isinstance(leaf, bool) or (isinstance(leaf, str)
-                                          and not PLAIN_NUMBER.fullmatch(leaf)):
-                raise ValueError(f"{path} must be a rectangular array of numbers, "
-                                 f"got {leaf!r}")
+    def read(leaf):  # numpy alone would read "1_0" as 10.0 and " 1" as 1.0
+        if isinstance(leaf, list):
+            return [read(item) for item in leaf]
+        if isinstance(leaf, str) and _WHOLE.fullmatch(leaf):
+            return int(leaf)
+        if isinstance(leaf, str) and PLAIN_NUMBER.fullmatch(leaf):
+            return float(leaf)
+        raise ValueError(f"{path} must be a rectangular array of numbers, got {leaf!r}")
+
+    numbers = read(value)
     try:
-        return np.asarray(value, dtype=dtype)
-    except (TypeError, ValueError):  # ragged rows, or an entry that is not a number
+        return np.asarray(numbers, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):  # ragged rows, or a whole number past float
         raise ValueError(f"{path} must be a rectangular array of numbers") from None
 
 
@@ -123,9 +112,10 @@ def _load_dataset(value, path: str, spec: DataSpec) -> Dataset:
         if key not in value:
             raise ValueError(f"{path}.{key} is required")
     # ScenarioConfig checks the dataset against data, labels' dtype included
+    classes = (_as_int(value["classes"], path + ".classes") if "classes" in value
+               else spec.classes)
     return Dataset(_as_array(value["features"], float, path + ".features"),
-                   _as_array(value["labels"], None, path + ".labels"),
-                   _as_int(value.get("classes", spec.classes), path + ".classes"))
+                   _as_array(value["labels"], None, path + ".labels"), classes)
 
 
 def _named(parse, text, name: str):
@@ -214,46 +204,25 @@ def _dump(tp, value):
             for name, (_, hint) in _schema(tp).items()}
 
 
-_INT_TAG, _FLOAT_TAG = "tag:yaml.org,2002:int", "tag:yaml.org,2002:float"
-_YAML_NON_FINITE = re.compile(r"[-+]?\.(inf|Inf|INF)|\.(nan|NaN|NAN)")
-
-
-def _construct_number(loader, node: yaml.ScalarNode):
-    """A scalar tagged int or float, read by the plain-number rule.
-
-    YAML 1.1 reads 1_0 as 10, 010 as 8 (octal), 0x10 as 16 and 1:30 as 90.
-    Here a whole number is decimal (010 is 10), and any spelling PLAIN_NUMBER
-    does not match stays a string, which the field's coercer rejects by name.
-    """
-    text = loader.construct_scalar(node)
-    if _WHOLE.fullmatch(text):
-        return int(text)
-    if PLAIN_NUMBER.fullmatch(text):
-        return float(text)
-    if _YAML_NON_FINITE.fullmatch(text):  # kept, so the finiteness errors name them
-        return loader.construct_yaml_float(node)
-    return text
-
-
 def _unique_key_loader(base: type) -> type:
     """The scenario loader on a PyYAML safe loader class (SafeLoader or CSafeLoader)."""
 
     class UniqueKeyLoader(base):
-        """Safe loader that rejects a mapping repeating a key; safe_load keeps the last silently.
+        """Safe loader that keeps every scalar but null as the text written.
 
-        An unquoted scalar is a number exactly when PLAIN_NUMBER matches its
-        spelling, or when it is YAML's .inf or .nan; see _construct_number.
+        YAML 1.1 would read off as False, 010 as 8 and 1_0 as 10; here each
+        field's coercer reads the text, so one rule spells every value. A
+        mapping that repeats a key is rejected; safe_load keeps the last silently.
         """
+
+        yaml_implicit_resolvers = {
+            first: [(tag, regexp) for tag, regexp in resolvers
+                    if tag in ("tag:yaml.org,2002:null", "tag:yaml.org,2002:merge")]
+            for first, resolvers in base.yaml_implicit_resolvers.items()}
 
         def __init__(self, stream):
             super().__init__(stream)
             self._checked = set()  # mapping nodes whose keys were checked
-
-        def resolve(self, kind, value, implicit):
-            if kind is yaml.ScalarNode and implicit[0] and PLAIN_NUMBER.fullmatch(value):
-                # PyYAML's own resolvers leave 8e7 and 09 as strings
-                return _INT_TAG if _WHOLE.fullmatch(value) else _FLOAT_TAG
-            return super().resolve(kind, value, implicit)
 
         def flatten_mapping(self, node):
             # Every mapping is flattened before it is constructed, and libyaml
@@ -272,8 +241,8 @@ def _unique_key_loader(base: type) -> type:
                                          f"{seen.start_mark.line + 1})")
             super().flatten_mapping(node)
 
-    UniqueKeyLoader.add_constructor(_INT_TAG, _construct_number)
-    UniqueKeyLoader.add_constructor(_FLOAT_TAG, _construct_number)
+    for tag in ("int", "float"):  # an explicit !!int 010 is text too
+        UniqueKeyLoader.add_constructor("tag:yaml.org,2002:" + tag, base.construct_scalar)
     return UniqueKeyLoader
 
 
@@ -302,14 +271,15 @@ def serialize_scenario(cfg: ScenarioConfig) -> str:
 def apply_overrides(cfg: ScenarioConfig, attack: Optional[str] = None,
                     defense: Optional[float] = None) -> ScenarioConfig:
     """Command-line overrides on top of a loaded scenario."""
-    if attack is not None:
+    if attack is not None:  # the file's other attack fields stay
         if attack == "poisoning":
-            new = dataclasses.replace(
-                cfg.attack, poisoners=frozenset({max(n.id for n in cfg.nodes)}),
-                poison_magnitude=AttackConfig().poison_magnitude)
+            new = dataclasses.replace(cfg.attack,
+                                      poisoners=frozenset({max(n.id for n in cfg.nodes)}))
         elif attack.startswith("ddos:"):
             fraction = _as_float(attack[5:], "--attack")
-            new = dataclasses.replace(cfg.attack, ddos=_named(DdosConfig, fraction, "--attack"))
+            flood = cfg.attack.ddos or DdosConfig()
+            new = dataclasses.replace(cfg.attack, ddos=_named(
+                lambda f: dataclasses.replace(flood, attack_fraction=f), fraction, "--attack"))
         else:
             raise ValueError(
                 f"--attack must be 'poisoning' or 'ddos:<fraction>', got {attack!r}")
@@ -374,44 +344,6 @@ def _file_label(strategy: Strategy) -> str:
     return strategy.label.replace(":", "-")
 
 
-def _cmd_run(scenario: str, out_dir: str, seeds: Optional[Sequence[int]],
-             strategies: Sequence[Strategy], attack: Optional[str],
-             defense: Optional[float]) -> int:
-    """Execute every (strategy, seed) combination; report via exit status.
-
-    No seeds runs the scenario's own master_seed, and no strategies its own
-    strategy.
-    """
-    try:
-        cfg = apply_overrides(load_scenario(scenario), attack=attack, defense=defense)
-        variants = [dataclasses.replace(cfg, strategy=s) for s in strategies] or [cfg]
-        seeds = seeds or (cfg.master_seed,)
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        if not os.access(out, os.W_OK):
-            raise ValueError(f"output directory {out} is not writable")
-    except (OSError, ValueError, yaml.YAMLError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        for variant in variants:
-            label = _file_label(variant.strategy)
-            for seed in seeds:
-                result = run_scenario(dataclasses.replace(variant,
-                                                          master_seed=seed))
-                target = out / f"metrics_{label}_{seed}.csv"
-                _write_atomic(target, _metrics_csv(result))
-                print(f"wrote {target}")
-                if result.chain is not None:
-                    target = out / f"chain_{label}_{seed}.txt"
-                    _write_atomic(target, dump_chain(result.chain))
-                    print(f"wrote {target}")
-    except Exception as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 2
-    return 0
-
-
 def audit_chain(path: str) -> AuditReport:
     """Re-verify a chain dump file; raises ValueError on a malformed dump."""
     # newline="" lets a "\r" reach the audit, and an undecodable byte reads as
@@ -471,13 +403,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one `dbafl` command and return its exit code."""
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     if args.command == "audit":
         return _cmd_audit(args.chain)
-    try:
+    try:  # the flags first: a bad one is named even when the scenario is missing
         if args.command == "run":
             strategies = ()
             if args.strategy is not None:
@@ -491,10 +424,33 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             strategies = tuple(_load_strategy(s.strip(), "--strategies")
                                for s in args.strategies.split(","))
             attack = defense = None
+        cfg = apply_overrides(load_scenario(args.config), attack=attack, defense=defense)
+        # no strategies runs the scenario's own, and no seeds its master_seed
+        variants = [dataclasses.replace(cfg, strategy=s) for s in strategies] or [cfg]
+        seeds = seeds or (cfg.master_seed,)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        if not os.access(out, os.W_OK):
+            raise ValueError(f"output directory {out} is not writable")
     except (OSError, ValueError, yaml.YAMLError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    return _cmd_run(args.config, args.out, seeds, strategies, attack, defense)
+    try:
+        for variant in variants:
+            label = _file_label(variant.strategy)
+            for seed in seeds:
+                result = run_scenario(dataclasses.replace(variant, master_seed=seed))
+                target = out / f"metrics_{label}_{seed}.csv"
+                _write_atomic(target, _metrics_csv(result))
+                print(f"wrote {target}")
+                if result.chain is not None:
+                    target = out / f"chain_{label}_{seed}.txt"
+                    _write_atomic(target, dump_chain(result.chain))
+                    print(f"wrote {target}")
+    except Exception as exc:
+        print(f"runtime error: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 if __name__ == "__main__":

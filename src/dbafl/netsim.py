@@ -48,8 +48,9 @@ class PayloadSizes:
     block_bits: float
 
     def __post_init__(self) -> None:
-        if self.model_bits <= 0 or self.hash_bits <= 0 or self.block_bits <= 0:
-            raise ValueError("model_bits, hash_bits and block_bits must be positive")
+        for name in ("model_bits", "hash_bits", "block_bits"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if self.hash_bits > self.model_bits:
             raise ValueError("hash_bits must not exceed model_bits")
 

@@ -166,8 +166,10 @@ class DataSpec:
     def __post_init__(self) -> None:
         if self.samples_per_node < 10:
             raise ValueError("samples_per_node must be at least 10")
-        if self.features < 1 or self.classes < 2:
-            raise ValueError("features must be at least 1 and classes at least 2")
+        if self.features < 1:
+            raise ValueError("features must be at least 1")
+        if self.classes < 2:
+            raise ValueError("classes must be at least 2")
         if self.separation < 0:
             raise ValueError("separation must be non-negative")
         if not 0.0 < self.test_fraction < 1.0:

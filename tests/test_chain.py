@@ -1,5 +1,6 @@
 """Tests for dbafl.chain: ledger, block cutting, elections, fairness, tampering."""
 
+import dataclasses
 import hashlib
 import re
 import struct
@@ -77,6 +78,34 @@ def test_append_chains_blocks_and_verifies():
     assert repr(rebuilt) == (f"Block(index=1, prev_hash={b1.prev_hash!r}, "
                              f"records={b1.records!r}, timestamp_ms=1500, "
                              f"block_hash={b1.block_hash!r})")
+
+
+def _forged(block, **changes):
+    """block with changes, and a block hash that matches them."""
+    block = dataclasses.replace(block, **changes)
+    body = ch.serialize_block_body(block.index, block.prev_hash, block.records,
+                                   block.timestamp_ms)
+    return dataclasses.replace(block, block_hash=ch.hash_bytes(body))
+
+
+# Each tamper leaves the rest of the chain consistent, so only one check sees it.
+TAMPERS = {
+    "relinked-tip": lambda blocks: {3: _forged(blocks[3], prev_hash=blocks[1].block_hash)},
+    "edited-record": lambda blocks: {1: dataclasses.replace(blocks[1],
+                                                            records=(_rec(1, 1, b"forged"),))},
+    "tip-index": lambda blocks: {3: _forged(blocks[3], index=4)},
+}
+
+
+@pytest.mark.parametrize("tamper", TAMPERS.values(), ids=TAMPERS.keys())
+def test_verify_chain_rejects_a_tampered_chain(tamper):
+    c = ch.Chain()
+    for i in range(4):
+        c.append_block([_rec(i % 3, i, str(i).encode())], timestamp_ms=1500 * i)
+    assert ch.verify_chain(c) is True
+    for i, block in tamper(c.blocks).items():
+        c.blocks[i] = block
+    assert ch.verify_chain(c) is False
 
 
 def test_append_rejects_empty_and_oversize():

@@ -41,6 +41,14 @@ def test_scenario_loader_uses_libyaml_when_pyyaml_has_it():
     assert issubclass(cli._UniqueKeyLoader, LOADER_BASES[0])
 
 
+def test_the_loader_keeps_every_scalar_but_null_as_text(monkeypatch):
+    # YAML 1.1 would read 8, False, inf and a date; each field's coercer reads the text
+    text = "a: 010\nb: off\nc: .inf\nd: 2001-12-14\ne: ~\n"
+    for _ in _each_loader_base(monkeypatch):
+        assert yaml.load(text, Loader=cli._UniqueKeyLoader) == {
+            "a": "010", "b": "off", "c": ".inf", "d": "2001-12-14", "e": None}
+
+
 SMALL_CONFIG = """\
 duration_s: 40.0
 metrics_interval_s: 5.0
@@ -133,6 +141,14 @@ def test_node_dataset_fractional_labels_are_a_config_error(tmp_path, capsys):
     rc = _run_with_node_dataset(tmp_path, [[0.1 * i, 1.0] for i in range(20)], labels)
     assert rc == 1
     assert "nodes[1].dataset.labels" in capsys.readouterr().err
+
+
+def test_node_dataset_boolean_label_is_a_config_error(tmp_path, capsys):
+    labels = "[" + "0, 1, " * 9 + "true, 0]"  # YAML 1.1 reads true as class 1
+    rc = _run_with_node_dataset(tmp_path, [[0.1 * i, 1.0] for i in range(20)], labels)
+    assert rc == 1
+    assert capsys.readouterr().err == ("config error: nodes[1].dataset.labels must be a "
+                                       "rectangular array of numbers, got 'true'\n")
 
 
 def test_node_dataset_feature_count_must_match_data_features(tmp_path, capsys):
@@ -255,6 +271,8 @@ LOADER_CASES = {
     "partial-payload": ("payload: {model_bits: 1.0e6}\n", lambda: orch.ScenarioConfig(
         strategy=orch.Strategy(orch.StrategyKind.DBAFL),
         payload=dataclasses.replace(orch.DEFAULT_PAYLOAD, model_bits=1e6))),
+    "bare-off-mode": ("attack: {defense: {mode: off, theta: 0.5}}\n", lambda: orch.ScenarioConfig(
+        attack=orch.AttackConfig(defense=agg.DefensePolicy(agg.DefenseMode.OFF, 0.5)))),
     "link-not-a-mapping": ("nodes: [{id: 0, link: [1]}]\n", "nodes[0].link must be a mapping"),
     "node-not-a-mapping": ("nodes:\n  - 5\n", "nodes[0] must be a mapping"),
     "scalar-poisoners": ("attack: {poisoners: 3}\n", "attack.poisoners must be a list"),
@@ -298,6 +316,52 @@ def test_non_finite_bool_or_fractional_values_are_named_config_errors(tmp_path, 
             cli.load_scenario(path)
 
 
+# One value outside its range for each check in the config dataclasses,
+# with the full path of the field that the message must start with.
+RANGE_CASES = {
+    "max-wait": ("chain_policy: {max_wait_s: 0}\n", "chain_policy.max_wait_s"),
+    "max-records": ("chain_policy: {max_records: 0}\n", "chain_policy.max_records"),
+    "max-block-bytes": ("chain_policy: {max_block_bytes: 10}\n", "chain_policy.max_block_bytes"),
+    "epochs": ("train: {epochs: 0}\n", "train.epochs"),
+    "learning-rate": ("train: {learning_rate: 0}\n", "train.learning_rate"),
+    "batch-size": ("train: {batch_size: 0}\n", "train.batch_size"),
+    "node-id": ("nodes: [{id: -1}]\n", "nodes[0].id"),
+    "bandwidth": ("nodes: [{id: 0, link: {mobile_bandwidth_hz: 0}}]\n",
+                  "nodes[0].link.mobile_bandwidth_hz"),
+    "snr": ("nodes: [{id: 0, link: {mobile_snr: -1}}]\n", "nodes[0].link.mobile_snr"),
+    "ethernet": ("nodes: [{id: 0, link: {ethernet_rate_bps: 0}}]\n",
+                 "nodes[0].link.ethernet_rate_bps"),
+    "compute": ("nodes: [{id: 0, compute_time_multiplier: 0.5}]\n",
+                "nodes[0].compute_time_multiplier"),
+    "samples": ("data: {samples_per_node: 9}\n", "data.samples_per_node"),
+    "features": ("data: {features: 0}\n", "data.features"),
+    "classes": ("data: {classes: 1}\n", "data.classes"),
+    "separation": ("data: {separation: -1}\n", "data.separation"),
+    "test-fraction": ("data: {test_fraction: 1}\n", "data.test_fraction"),
+    "model-bits": ("payload: {model_bits: 0}\n", "payload.model_bits"),
+    "hash-bits": ("payload: {hash_bits: 0}\n", "payload.hash_bits"),
+    "block-bits": ("payload: {block_bits: 0}\n", "payload.block_bits"),
+    "hash-over-model": ("payload: {hash_bits: 9.0e7}\n", "payload.hash_bits"),
+    "magnitude": ("attack: {poison_magnitude: 0}\n", "attack.poison_magnitude"),
+    "flood": ("attack: {ddos: {attack_fraction: 1}}\n", "attack.ddos.attack_fraction"),
+    "lag": ("attack: {ddos: {retarget_lag_terms: -1}}\n", "attack.ddos.retarget_lag_terms"),
+    "theta": ("attack: {defense: {mode: off, theta: -0.5}}\n", "attack.defense.theta"),
+    "poisoner": ("attack: {poisoners: [9]}\n", "attack.poisoners"),
+    "epsilon": ("strategy: StaticEps:0\n", "strategy"),
+    "term-blocks": ("term_blocks: 0\n", "term_blocks"),
+    "duration": ("duration_s: 0\n", "duration_s"),
+    "interval": ("metrics_interval_s: 0\n", "metrics_interval_s"),
+    "duplicate-ids": ("nodes: [{id: 0}, {id: 0}]\n", "nodes"),
+    "no-rsu": ("nodes: [{id: 0, role: Bus}]\n", "nodes"),
+}
+
+
+@pytest.mark.parametrize("text, field", RANGE_CASES.values(), ids=RANGE_CASES.keys())
+def test_each_out_of_range_value_is_named_by_its_own_field(tmp_path, text, field):
+    with pytest.raises(ValueError, match=rf"^{re.escape(field)}[ :]"):
+        cli.load_scenario(_write(tmp_path, "range.yaml", text))
+
+
 def test_test_fraction_that_empties_a_split_is_a_config_error(tmp_path, capsys):
     path = _write(tmp_path, "split.yaml", "data: {samples_per_node: 10, test_fraction: 0.01}\n")
     assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
@@ -327,7 +391,7 @@ def test_repeated_nested_field_is_rejected_naming_key_and_line(tmp_path, monkeyp
         cfg = cli.load_scenario(merge)
         assert [(n.id, n.role) for n in cfg.nodes] == [(0, orch.Role.RSU), (1, orch.Role.RSU)]
         assert yaml.load(chained, Loader=cli._UniqueKeyLoader) == {
-            "c": {"k": 0}, "outer": {"b": {"k": 1}}, "x": {"k": 1}}
+            "c": {"k": "0"}, "outer": {"b": {"k": "1"}}, "x": {"k": "1"}}
 
 
 def test_exponent_numbers_without_a_dot_still_load(tmp_path, monkeypatch):
@@ -350,8 +414,10 @@ def test_exponent_numbers_without_a_dot_still_load(tmp_path, monkeypatch):
     ("duration_s: 1:30\n", "duration_s must be a finite number, got '1:30'"),
     ("train: {epochs: 0b11}\n", "train.epochs must be a whole number, got '0b11'"),
     ("duration_s: 1_0.5\n", "duration_s must be a finite number, got '1_0.5'"),
+    ("duration_s: !!float 1_0\n", "duration_s must be a finite number, got '1_0'"),
 ], ids=["digit-separator", "leading-space", "strategy-space", "unquoted-digit-separator",
-        "unquoted-hex", "unquoted-base-60", "unquoted-binary", "unquoted-float-separator"])
+        "unquoted-hex", "unquoted-base-60", "unquoted-binary", "unquoted-float-separator",
+        "tagged-float-separator"])
 def test_a_number_not_spelled_as_plain_digits_is_a_config_error(tmp_path, capsys, monkeypatch,
                                                                text, expected):
     out = tmp_path / "o"
@@ -364,11 +430,12 @@ def test_a_number_not_spelled_as_plain_digits_is_a_config_error(tmp_path, capsys
 
 def test_unquoted_numbers_with_a_leading_zero_are_decimal(tmp_path, monkeypatch):
     # YAML 1.1 reads 010 as 8 (octal) and 09 as a string
-    text = "train: {epochs: 010}\nterm_blocks: 09\nduration_s: 0100.5\n"
+    text = "train: {epochs: 010}\nterm_blocks: 09\nduration_s: 0100.5\nmaster_seed: !!int 010\n"
     path = _write(tmp_path, "zero.yaml", text)
     for _ in _each_loader_base(monkeypatch):
         cfg = cli.load_scenario(path)
-        assert (cfg.train.epochs, cfg.term_blocks, cfg.duration_s) == (10, 9, 100.5)
+        assert (cfg.train.epochs, cfg.term_blocks, cfg.duration_s, cfg.master_seed) == (
+            10, 9, 100.5, 10)
 
 
 @pytest.mark.parametrize("text", ["master_seed: 12345678901234567891\n",
@@ -392,7 +459,8 @@ def test_node_dataset_feature_not_spelled_as_a_plain_number_is_a_config_error(
             "got ")
 
 
-@pytest.mark.parametrize("bad", [".inf", "-.inf", ".nan", "null", "1e400"])
+@pytest.mark.parametrize("bad", [".inf", "-.inf", ".nan", "null", "1e400",
+                                 pytest.param("9" * 400, id="400-digits")])
 def test_node_dataset_non_finite_features_are_a_config_error(tmp_path, capsys, bad):
     rows = "[" + ", ".join(f"[{0.1 * i}, 1.0]" for i in range(19)) + f", [0.2, {bad}]]"
     rc = _run_with_node_dataset(tmp_path, rows, [0, 1] * 10)
@@ -577,6 +645,15 @@ def test_override_parsing():
         cli.apply_overrides(base, attack="meteor")
     with pytest.raises(ValueError):
         cli.apply_overrides(base, attack="ddos:1.5")
+
+
+def test_attack_flag_overrides_only_what_it_names(tmp_path):
+    cfg = cli.load_scenario(_write(tmp_path, "attack.yaml", (
+        "attack: {poison_magnitude: 2.0, ddos: {attack_fraction: 0.2, retarget_lag_terms: 0}}\n")))
+    flooded = cli.apply_overrides(cfg, attack="ddos:0.5")
+    assert flooded.attack == dataclasses.replace(cfg.attack, ddos=net.DdosConfig(0.5, 0))
+    poisoned = cli.apply_overrides(cfg, attack="poisoning")
+    assert poisoned.attack == dataclasses.replace(cfg.attack, poisoners=frozenset({4}))
 
 
 def test_run_missing_config_is_a_config_error(tmp_path):
