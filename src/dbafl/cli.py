@@ -340,10 +340,6 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _file_label(strategy: Strategy) -> str:
-    return strategy.label.replace(":", "-")
-
-
 def audit_chain(path: str) -> AuditReport:
     """Re-verify a chain dump file; raises ValueError on a malformed dump."""
     # newline="" lets a "\r" reach the audit, and an undecodable byte reads as
@@ -437,7 +433,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     try:
         for variant in variants:
-            label = _file_label(variant.strategy)
+            label = variant.strategy.label.replace(":", "-")
             for seed in seeds:
                 result = run_scenario(dataclasses.replace(variant, master_seed=seed))
                 target = out / f"metrics_{label}_{seed}.csv"

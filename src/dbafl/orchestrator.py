@@ -16,7 +16,7 @@ import hashlib
 import math
 import re
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -51,15 +51,6 @@ class Role(enum.Enum):
     RSU = "RSU"
 
 
-class StrategyKind(enum.Enum):
-    DBAFL = "DBAFL"
-    BSFL = "BSFL"
-    FEDAVG = "FedAVG"
-    STATIC_EPS = "StaticEps"
-    LOCAL_ONLY = "LocalOnly"
-    AFL = "AFL"
-
-
 # The one spelling of a number in text (fullmatch): plain decimal or exponent
 # digits, not "1_0", " 2" or non-ASCII digits, which float() also reads. The
 # words inf and nan pass, for the caller's finiteness check to name them.
@@ -75,67 +66,46 @@ class StrategyTraits:
     barrier: bool = False        # one aggregation once all K fresh models have arrived
     bootstrap: bool = False      # the serving node trains the first global alone
     size_weighted: bool = False  # barrier mean and objective weights by sample count
-    dynamic_eps: bool = False    # arrival-time epsilon from the accuracy ratio
-    takes_epsilon: bool = False  # arrival-time epsilon from the label; otherwise 1.0
+    takes_epsilon: bool = False  # the label names epsilon, e.g. StaticEps:0.5
+    epsilon: Optional[float] = 1.0  # each model's scaling factor; None: the accuracy ratio
 
 
+# Each strategy's row, keyed by its label (less any epsilon).
 TRAITS = {
-    StrategyKind.DBAFL: StrategyTraits(chain=True, bootstrap=True, dynamic_eps=True),
-    StrategyKind.BSFL: StrategyTraits(chain=True, barrier=True, bootstrap=True),
-    StrategyKind.FEDAVG: StrategyTraits(barrier=True, size_weighted=True),
-    StrategyKind.STATIC_EPS: StrategyTraits(chain=True, bootstrap=True, takes_epsilon=True),
-    StrategyKind.LOCAL_ONLY: StrategyTraits(serves=False),
-    StrategyKind.AFL: StrategyTraits(bootstrap=True),
+    "DBAFL": StrategyTraits(chain=True, bootstrap=True, epsilon=None),
+    "BSFL": StrategyTraits(chain=True, barrier=True, bootstrap=True),
+    "FedAVG": StrategyTraits(barrier=True, size_weighted=True),
+    "StaticEps": StrategyTraits(chain=True, bootstrap=True, takes_epsilon=True),
+    "LocalOnly": StrategyTraits(serves=False),
+    "AFL": StrategyTraits(bootstrap=True),
 }
 
 
 @dataclass(frozen=True)
 class Strategy:
-    """Aggregation discipline; a kind that takes an epsilon carries it."""
+    """Aggregation discipline: its canonical label and its row of TRAITS."""
 
-    kind: StrategyKind
-    epsilon: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.traits.takes_epsilon:
-            if self.epsilon is None or not 0 < self.epsilon < math.inf:
-                raise ValueError(f"{self.kind.value} needs a positive finite epsilon")
-        elif self.epsilon is not None:
-            raise ValueError(f"{self.kind.value} does not take an epsilon")
-
-    @property
-    def traits(self) -> StrategyTraits:
-        return TRAITS[self.kind]
-
-    @property
-    def label(self) -> str:
-        if self.traits.takes_epsilon:
-            return f"{self.kind.value}:{self.epsilon!r}"
-        return self.kind.value
+    label: str
+    traits: StrategyTraits
 
     @classmethod
     def parse(cls, text: str) -> "Strategy":
         name, sep, eps = text.partition(":")
-        try:
-            kind = StrategyKind(name)
-        except ValueError:
-            raise ValueError(f"unknown strategy {text!r}") from None
-        if not TRAITS[kind].takes_epsilon:
+        row = TRAITS.get(name)
+        if row is None:
+            raise ValueError(f"unknown strategy {text!r}")
+        if not row.takes_epsilon:
             if sep:
                 raise ValueError(f"{name} does not take an epsilon")
-            return cls(kind)
+            return cls(name, row)
         if not sep:
             raise ValueError(f"{name} needs an epsilon, e.g. {name}:1.0")
         if not PLAIN_NUMBER.fullmatch(eps):
             raise ValueError(f"{name} epsilon must be a number, got {eps!r}")
-        return cls(kind, float(eps))
-
-    @property
-    def service_epsilon(self) -> Optional[float]:
-        """Fixed scaling factor for arrival-time aggregation; None means dynamic."""
-        if self.traits.dynamic_eps:
-            return None
-        return self.epsilon if self.traits.takes_epsilon else 1.0
+        epsilon = float(eps)
+        if not 0 < epsilon < math.inf:
+            raise ValueError(f"{name} needs a positive finite epsilon")
+        return cls(f"{name}:{epsilon!r}", replace(row, epsilon=epsilon))
 
 
 @dataclass(frozen=True)
@@ -197,7 +167,7 @@ class ScenarioConfig:
     nodes: tuple[NodeConfig, ...] = (  # three RSUs, then two buses at 4x compute
         NodeConfig(0), NodeConfig(1), NodeConfig(2),
         NodeConfig(3, Role.BUS, 4.0), NodeConfig(4, Role.BUS, 4.0))
-    strategy: Strategy = Strategy(StrategyKind.DBAFL)
+    strategy: Strategy = Strategy.parse("DBAFL")
     train: TrainConfig = DEFAULT_TRAIN
     data: DataSpec = DataSpec()
     chain_policy: BlockCutPolicy = BlockCutPolicy()
@@ -373,8 +343,8 @@ def synchronous_round(strategy: Strategy, w_global_prev: ModelParams,
     """One barrier aggregation over all K fresh local models.
 
     FedAVG takes the sample-size-weighted mean; the synchronized chain
-    variant folds the models into the previous global in arrival order
-    with a unit scaling factor each.
+    variant folds the models into the previous global in arrival order,
+    each with the strategy's scaling factor.
     """
     if not strategy.traits.barrier:
         raise ValueError(f"{strategy.label} does not aggregate on a barrier")
@@ -382,7 +352,7 @@ def synchronous_round(strategy: Strategy, w_global_prev: ModelParams,
         return aggregate_fedavg(models, sizes)
     out = w_global_prev
     for m in models:
-        out = aggregate_async(out, m, 1.0)
+        out = aggregate_async(out, m, strategy.traits.epsilon)
     return out
 
 
@@ -404,16 +374,17 @@ class StepOutcome:
 def leader_aggregation_step(global_params: ModelParams, test_data: Dataset,
                             incoming: IncomingModel, c: Optional[Chain],
                             defense: DefensePolicy,
-                            eps_static: Optional[float] = None) -> StepOutcome:
+                            epsilon: Optional[float] = None) -> StepOutcome:
     """Process one model arrival: verify, filter, weigh, aggregate.
 
     With a chain, the upload must hash to the digest recorded for it, sealed
     or still in the open block.  Tampering blacklists the sender (the step's
     one side effect); a blacklisted sender is ignored outright until the
     next election.  Without a chain (AFL) there is nothing to verify against
-    and no blacklist.  eps_static None applies the accuracy-ratio rule on
-    the leader's test_data.  An accepted model yields a new global array;
-    global_params itself is never mutated, and publishing is the caller's.
+    and no blacklist.  epsilon weighs an accepted model; None applies the
+    accuracy-ratio rule on the leader's test_data.  An accepted model yields
+    a new global array; global_params itself is never mutated, and
+    publishing is the caller's.
     """
     if c is not None:
         if c.committee is None:
@@ -423,14 +394,15 @@ def leader_aggregation_step(global_params: ModelParams, test_data: Dataset,
         if not verify_record(c, incoming.params, incoming.record):
             return StepOutcome(StepVerdict.TAMPERED, None, None, None)
     acc_l = acc_g = None
-    if defense.mode is not DefenseMode.OFF or eps_static is None:
+    if defense.mode is not DefenseMode.OFF or epsilon is None:
         acc_l = evaluate_accuracy(incoming.params, test_data)
         acc_g = evaluate_accuracy(global_params, test_data)
         if not defense_filter(acc_l, acc_g, defense):
             return StepOutcome(StepVerdict.DISCARDED, None, acc_l, acc_g)
-    eps = eps_static if eps_static is not None else scaling_factor(acc_l, acc_g)
-    return StepOutcome(StepVerdict.ACCEPTED, eps, acc_l, acc_g,
-                       aggregate_async(global_params, incoming.params, eps))
+    if epsilon is None:
+        epsilon = scaling_factor(acc_l, acc_g)
+    return StepOutcome(StepVerdict.ACCEPTED, epsilon, acc_l, acc_g,
+                       aggregate_async(global_params, incoming.params, epsilon))
 
 
 # ------------------------------------------------------------------ simulation
@@ -493,7 +465,6 @@ class _Simulation:
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
         self.traits = traits = cfg.strategy.traits
-        self.service_eps = cfg.strategy.service_epsilon
         datasets = node_datasets(cfg)
         self.nodes = [
             _NodeRT(nc, tr, te, cfg.train, cfg.payload, tr.features.shape[1], tr.classes)
@@ -514,7 +485,6 @@ class _Simulation:
         self.block_epoch = 0  # blocks opened so far; a "cut" timer seals only its own
         self.svc: deque = deque()  # arrivals to serve; the head is in service
         self.arrivals: list = []
-        self.sync_index = 0
         self.sync_started = 0.0
         self.bootstrap_pending = traits.bootstrap
         self.q = EventQueue()
@@ -729,7 +699,6 @@ class _Simulation:
             self._submit(HashRecord(RecordKind.LOCAL, node.cfg.id, 0, digest), now)
             self._submit(HashRecord(RecordKind.GLOBAL, node.cfg.id, 0, digest), now)
             self.chain.seal(now)  # the initial digests become the first block right away
-        node.marks.setdefault("dl", node.marks["start"])
         self.round_logs.append(RoundLog(
             node.cfg.id, 0, node.marks["start"], node.marks["dl"],
             node.marks["train"], node.marks["test"], now, now))
@@ -764,7 +733,7 @@ class _Simulation:
         server = self.by_id[self._aggregator()]
         outcome = leader_aggregation_step(
             self.global_params, server.test_data, incoming, self.chain,
-            self.cfg.attack.defense, self.service_eps)
+            self.cfg.attack.defense, self.traits.epsilon)
         dur = 0.0
         if outcome.acc_local is not None:
             dur += 2.0 * server.test_time  # incoming and current global, both re-tested
@@ -795,9 +764,8 @@ class _Simulation:
         self._publish_aggregate(new_global, self._aggregator(), now)
         fired = self.arrivals[-1][0]
         self.sync_rounds.append(SyncRoundLog(
-            self.sync_index, self.sync_started,
+            len(self.sync_rounds), self.sync_started,
             tuple((node.cfg.id, t) for t, node, _ in self.arrivals), fired, now))
-        self.sync_index += 1
         for n in self.nodes:
             n.round += 1
         self._start_all(now)

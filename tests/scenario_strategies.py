@@ -21,12 +21,12 @@ def floats(lo, hi, **kw):
 
 
 strategies = st.one_of(
-    st.sampled_from([orch.Strategy(orch.StrategyKind.DBAFL),
-                     orch.Strategy(orch.StrategyKind.BSFL),
-                     orch.Strategy(orch.StrategyKind.FEDAVG),
-                     orch.Strategy(orch.StrategyKind.LOCAL_ONLY),
-                     orch.Strategy(orch.StrategyKind.AFL)]),
-    floats(0.01, 100.0).map(lambda eps: orch.Strategy(orch.StrategyKind.STATIC_EPS, eps)))
+    st.sampled_from([orch.Strategy.parse("DBAFL"),
+                     orch.Strategy.parse("BSFL"),
+                     orch.Strategy.parse("FedAVG"),
+                     orch.Strategy.parse("LocalOnly"),
+                     orch.Strategy.parse("AFL")]),
+    floats(0.01, 100.0).map(lambda eps: orch.Strategy.parse(f"StaticEps:{eps!r}")))
 
 data_specs = st.builds(
     orch.DataSpec, samples_per_node=st.integers(20, 200), features=st.integers(1, 4),

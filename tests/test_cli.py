@@ -85,7 +85,7 @@ def test_empty_config_gives_experiment_defaults(tmp_path):
     rsu, bus = orch.Role.RSU, orch.Role.BUS
     assert [(n.id, n.role, n.compute_time_multiplier) for n in cfg.nodes] == [
         (0, rsu, 1.0), (1, rsu, 1.0), (2, rsu, 1.0), (3, bus, 4.0), (4, bus, 4.0)]
-    assert cfg.strategy == orch.Strategy(orch.StrategyKind.DBAFL)
+    assert cfg.strategy == orch.Strategy.parse("DBAFL")
     assert cfg.train.epochs == 50
     assert cfg.train.learning_rate == 0.01
     assert cfg.train.batch_size == 1500
@@ -216,7 +216,7 @@ def test_static_eps_strategy_from_config(tmp_path):
     for eps in (0.5, 1.0, 1.5):
         path = _write(tmp_path, "eps.yaml", f"strategy: StaticEps:{eps}\n")
         assert cli.load_scenario(path) == orch.ScenarioConfig(
-            strategy=orch.Strategy(orch.StrategyKind.STATIC_EPS, eps))
+            strategy=orch.Strategy.parse(f"StaticEps:{eps}"))
 
 
 def test_unknown_field_is_named(tmp_path):
@@ -235,17 +235,17 @@ def test_non_mapping_config_rejected(tmp_path):
 def test_round_trip_preserves_every_field(tmp_path):
     samples = [
         orch.ScenarioConfig(),
-        orch.ScenarioConfig(strategy=orch.Strategy(orch.StrategyKind.STATIC_EPS, 1.5),
+        orch.ScenarioConfig(strategy=orch.Strategy.parse("StaticEps:1.5"),
                             master_seed=7, duration_s=120.0, metrics_interval_s=2.5,
                             term_blocks=3),
         orch.ScenarioConfig(
-            strategy=orch.Strategy(orch.StrategyKind.AFL),
+            strategy=orch.Strategy.parse("AFL"),
             attack=orch.AttackConfig(
                 poisoners=frozenset({4}), poison_magnitude=12.5,
                 ddos=net.DdosConfig(0.8, 1),
                 defense=agg.DefensePolicy.threshold(0.9))),
         orch.ScenarioConfig(
-            strategy=orch.Strategy(orch.StrategyKind.FEDAVG),
+            strategy=orch.Strategy.parse("FedAVG"),
             nodes=(orch.NodeConfig(0, orch.Role.RSU),
                    orch.NodeConfig(7, orch.Role.BUS, 6.0,
                                    link=net.LinkParams(1e7, 9.5, 2e9))),
@@ -253,7 +253,7 @@ def test_round_trip_preserves_every_field(tmp_path):
             train=orch.TrainConfig(5, 0.1, 64),
             chain_policy=orch.BlockCutPolicy(1.0, 4, 1_000_000),
             payload=net.PayloadSizes(1e6, 128, 4000)),
-        orch.ScenarioConfig(strategy=orch.Strategy(orch.StrategyKind.LOCAL_ONLY),
+        orch.ScenarioConfig(strategy=orch.Strategy.parse("LocalOnly"),
                             nodes=(orch.NodeConfig(3, orch.Role.BUS, 2.0),)),
     ]
     for i, cfg in enumerate(samples):
@@ -266,10 +266,10 @@ def test_round_trip_preserves_every_field(tmp_path):
 # naming its field, never a traceback, a misleading message or a truncation.
 LOADER_CASES = {
     "partial-link": ("nodes: [{id: 0, link: {mobile_snr: 9.0}}]\n", lambda: orch.ScenarioConfig(
-        strategy=orch.Strategy(orch.StrategyKind.DBAFL),
+        strategy=orch.Strategy.parse("DBAFL"),
         nodes=(orch.NodeConfig(0, link=dataclasses.replace(orch.DEFAULT_LINK, mobile_snr=9.0)),))),
     "partial-payload": ("payload: {model_bits: 1.0e6}\n", lambda: orch.ScenarioConfig(
-        strategy=orch.Strategy(orch.StrategyKind.DBAFL),
+        strategy=orch.Strategy.parse("DBAFL"),
         payload=dataclasses.replace(orch.DEFAULT_PAYLOAD, model_bits=1e6))),
     "bare-off-mode": ("attack: {defense: {mode: off, theta: 0.5}}\n", lambda: orch.ScenarioConfig(
         attack=orch.AttackConfig(defense=agg.DefensePolicy(agg.DefenseMode.OFF, 0.5)))),
@@ -613,6 +613,14 @@ def test_run_strategy_and_attack_overrides(tmp_path):
     assert rc == 0
     assert (out / "metrics_StaticEps-1.0_1.csv").exists()
     assert (out / "chain_StaticEps-1.0_1.txt").exists()
+
+
+def test_an_epsilon_names_its_files_by_its_canonical_label(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", _write(tmp_path, "small.yaml", SMALL_CONFIG),
+                     "--out", str(out), "--strategy", "StaticEps:1e0"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "chain_StaticEps-1.0_1.txt", "metrics_StaticEps-1.0_1.csv"]
 
 
 def test_stock_flood_one_term_behind_slows_nothing_and_lag_0_does(tmp_path):

@@ -171,7 +171,7 @@ def test_leader_step_equal_accuracy_gives_exact_midpoint():
     chain.append_block([rec2], timestamp_ms=1)
     out2 = orch.leader_aggregation_step(
         g.copy(), test, orch.IncomingModel(m, rec2), chain, agg.DefensePolicy.off(),
-        eps_static=1.0)
+        epsilon=1.0)
     assert out2.verdict is orch.StepVerdict.ACCEPTED
     assert np.array_equal(out2.global_params, (g + m) / 2)
 
@@ -248,6 +248,22 @@ def test_leader_step_without_a_chain_accepts_an_unrecorded_upload():
     assert out.epsilon == agg.scaling_factor(acc_l, acc_g) != 1.0
     assert np.array_equal(out.global_params,
                           agg.aggregate_async(start, trained, out.epsilon))
+
+
+# The weights are literals, not reads of TRAITS: a strategy row that lost its
+# label's epsilon would agree with itself.
+@pytest.mark.parametrize("label, weight", [
+    ("DBAFL", None), ("AFL", 1.0), ("StaticEps:0.5", 0.5), ("StaticEps:2", 2.0)])
+def test_each_accepted_arrival_is_weighed_as_its_label_says(label, weight):
+    res = orch.run_scenario(small_scenario(orch.Strategy.parse(label)))
+    accepted = [d for d in res.decisions if d.verdict is orch.StepVerdict.ACCEPTED]
+    assert accepted
+    for d in accepted:
+        if weight is None:  # the accuracy ratio
+            assert d.epsilon == agg.scaling_factor(d.acc_local, d.acc_global)
+        else:
+            assert d.epsilon == weight
+            assert d.acc_local is None
 
 
 @pytest.mark.parametrize("strategy", [
@@ -579,10 +595,10 @@ def test_each_strategy_trait_shows_in_a_run(strategy):
 def test_scenario_validation():
     with pytest.raises(ValueError):
         small_scenario(orch.Strategy.parse("DBAFL"), duration=0.0)
-    with pytest.raises(ValueError):
-        orch.Strategy(orch.StrategyKind.STATIC_EPS, 0.0)
-    with pytest.raises(ValueError):
-        orch.Strategy(orch.StrategyKind.DBAFL, epsilon=1.0)
+    with pytest.raises(ValueError, match="^StaticEps needs a positive finite epsilon$"):
+        orch.Strategy.parse("StaticEps:0.0")
+    with pytest.raises(ValueError, match="^DBAFL does not take an epsilon$"):
+        orch.Strategy.parse("DBAFL:1.0")
     dup = (orch.NodeConfig(id=1, role=orch.Role.RSU),
            orch.NodeConfig(id=1, role=orch.Role.BUS))
     with pytest.raises(ValueError):
@@ -644,7 +660,7 @@ def test_static_eps_needs_a_finite_epsilon(text):
 
 def test_an_epsilon_parses_only_from_a_plain_decimal_or_exponent_spelling():
     for text, want in [("2", 2.0), ("+.25", 0.25), ("3.", 3.0), ("8e7", 8e7), ("1.5E-3", 1.5e-3)]:
-        assert orch.Strategy.parse(f"StaticEps:{text}").epsilon == want, text
+        assert orch.Strategy.parse(f"StaticEps:{text}").traits.epsilon == want, text
     for text in ["1_0", " 2", "2 ", "\u0662", "0x1", "e5", ".", "1e", "--1", "infinit", ""]:
         assert not orch.PLAIN_NUMBER.fullmatch(text), text
         with pytest.raises(ValueError, match=r"^StaticEps epsilon must be a number"):
@@ -665,14 +681,18 @@ def test_node_dataset_that_fits_runs():
 
 
 def test_strategy_labels_round_trip():
-    for s in (orch.Strategy(orch.StrategyKind.DBAFL), orch.Strategy(orch.StrategyKind.BSFL),
-              orch.Strategy(orch.StrategyKind.FEDAVG),
-              orch.Strategy(orch.StrategyKind.LOCAL_ONLY),
-              orch.Strategy(orch.StrategyKind.AFL),
-              orch.Strategy(orch.StrategyKind.STATIC_EPS, 1.5)):
+    for label in ("DBAFL", "BSFL", "FedAVG", "LocalOnly", "AFL", "StaticEps:1.5"):
+        s = orch.Strategy.parse(label)
+        assert s.label == label
         assert orch.Strategy.parse(s.label) == s
     with pytest.raises(ValueError):
         orch.Strategy.parse("Gossip")
+
+
+def test_every_spelling_of_an_epsilon_parses_to_one_canonical_label():
+    parsed = [orch.Strategy.parse(f"StaticEps:{text}") for text in ("1", "1.0", "+1.", "1e0")]
+    assert all(s == parsed[0] for s in parsed)
+    assert [s.label for s in parsed] == ["StaticEps:1.0"] * 4
 
 
 def test_full_batch_runs_derive_no_training_seed(monkeypatch):
@@ -807,8 +827,7 @@ def test_trainer_gets_one_item_per_processed_train_event(monkeypatch):
     monkeypatch.setattr(orch._Simulation, "_on_train", processed)
     monkeypatch.setattr(orch.EventQueue, "schedule", scheduled)
     monkeypatch.setattr(orch._Simulation, "_on_dl", downloaded)
-    serving_discards = {orch.StrategyKind.DBAFL, orch.StrategyKind.STATIC_EPS,
-                        orch.StrategyKind.AFL}
+    serving_discards = {"DBAFL", "StaticEps:1.0", "AFL"}
     for strategy in (orch.Strategy.parse("DBAFL"), orch.Strategy.parse("BSFL"),
                      orch.Strategy.parse("FedAVG"), orch.Strategy.parse("StaticEps:1.0"),
                      orch.Strategy.parse("AFL"),
@@ -825,7 +844,7 @@ def test_trainer_gets_one_item_per_processed_train_event(monkeypatch):
         counts.update(dict.fromkeys(counts, 0))
         orch.run_scenario(cfg)
         assert counts["processed"] == eager["processed"], strategy.label
-        if strategy.kind in serving_discards:  # the serving node's results go unread
+        if strategy.label in serving_discards:  # the serving node's results go unread
             assert counts["items"] < counts["processed"], strategy.label
         else:
             assert counts["items"] == counts["processed"], strategy.label
