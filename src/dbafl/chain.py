@@ -111,7 +111,7 @@ class BlockCutPolicy:
     max_block_bytes: int = 10_000_000
 
     def __post_init__(self):
-        if self.max_wait_s <= 0:
+        if not self.max_wait_s > 0:  # NaN fails it too
             raise ValueError(f"max_wait_s must be positive, got {self.max_wait_s}")
         if self.max_records <= 0:
             raise ValueError(f"max_records must be positive, got {self.max_records}")

@@ -22,7 +22,6 @@ import math
 import os
 import re
 import sys
-import tempfile
 import typing
 from pathlib import Path
 from typing import Optional, Sequence
@@ -328,7 +327,9 @@ def _metrics_csv(result: RunResult) -> str:
 
 
 def _write_atomic(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".")
+    # not mkstemp, whose file is 0600 whatever the umask: outputs are for others to audit
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         # newline="": the same bytes on every platform, with no "\r\n"
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:

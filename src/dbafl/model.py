@@ -57,7 +57,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:  # NaN fails it too
             raise ValueError("learning_rate must be > 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")

@@ -31,11 +31,11 @@ class LinkParams:
     ethernet_rate_bps: float
 
     def __post_init__(self) -> None:
-        if self.mobile_bandwidth_hz <= 0:
+        if not self.mobile_bandwidth_hz > 0:  # written so that NaN fails each bound
             raise ValueError("mobile_bandwidth_hz must be positive")
-        if self.mobile_snr < 0:
+        if not self.mobile_snr >= 0:
             raise ValueError("mobile_snr must be non-negative")
-        if self.ethernet_rate_bps <= 0:
+        if not self.ethernet_rate_bps > 0:
             raise ValueError("ethernet_rate_bps must be positive")
 
 
@@ -49,7 +49,7 @@ class PayloadSizes:
 
     def __post_init__(self) -> None:
         for name in ("model_bits", "hash_bits", "block_bits"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # NaN fails it too
                 raise ValueError(f"{name} must be positive")
         if self.hash_bits > self.model_bits:
             raise ValueError("hash_bits must not exceed model_bits")
@@ -192,11 +192,11 @@ class EventQueue:
     def schedule(self, time_s: float, event: Any) -> None:
         if time_s == self.now:
             self._due.append((time_s, event))
-        elif time_s < self.now:
+        elif time_s > self.now:
+            heappush(self._heap, (time_s, next(self._seq), event))
+        else:  # earlier, or NaN, which would sit in the heap unordered
             raise ValueError(
                 f"cannot schedule at t={time_s} before current time t={self.now}")
-        else:
-            heappush(self._heap, (time_s, next(self._seq), event))
 
     def pop(self, until: float = math.inf) -> Optional[tuple[float, Any]]:
         """Next (time, event) pair, advancing the clock; None when empty.

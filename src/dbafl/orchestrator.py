@@ -2,7 +2,7 @@
 
 Every node cycles through download, train, self-test, upload, and a wait
 for the aggregation decision; which of those legs exist, and who serves
-the aggregation, depends on the strategy's row in TRAITS.  Asynchronous
+the aggregation, depends on the strategy's row in STRATEGIES.  Asynchronous
 strategies aggregate each arrival as it lands, synchronous ones hold a
 barrier for all K fresh models.  The simulation is fully deterministic:
 all randomness flows from the master seed through derive_seed, and
@@ -58,9 +58,11 @@ PLAIN_NUMBER = re.compile(r"(?i)[+-]?(([0-9]+\.?[0-9]*|\.[0-9]+)(e[+-]?[0-9]+)?|
 
 
 @dataclass(frozen=True)
-class StrategyTraits:
-    """The decisions that set one strategy apart; the simulator reads only these."""
+class Strategy:
+    """Aggregation discipline: its canonical label and the decisions that set
+    it apart. The simulator reads only the decisions, never the label."""
 
+    label: str
     serves: bool = True          # some node aggregates uploads; else each keeps its own
     chain: bool = False          # digests go on the committee's chain
     barrier: bool = False        # one aggregation once all K fresh models have arrived
@@ -69,35 +71,16 @@ class StrategyTraits:
     takes_epsilon: bool = False  # the label names epsilon, e.g. StaticEps:0.5
     epsilon: Optional[float] = 1.0  # each model's scaling factor; None: the accuracy ratio
 
-
-# Each strategy's row, keyed by its label (less any epsilon).
-TRAITS = {
-    "DBAFL": StrategyTraits(chain=True, bootstrap=True, epsilon=None),
-    "BSFL": StrategyTraits(chain=True, barrier=True, bootstrap=True),
-    "FedAVG": StrategyTraits(barrier=True, size_weighted=True),
-    "StaticEps": StrategyTraits(chain=True, bootstrap=True, takes_epsilon=True),
-    "LocalOnly": StrategyTraits(serves=False),
-    "AFL": StrategyTraits(bootstrap=True),
-}
-
-
-@dataclass(frozen=True)
-class Strategy:
-    """Aggregation discipline: its canonical label and its row of TRAITS."""
-
-    label: str
-    traits: StrategyTraits
-
     @classmethod
     def parse(cls, text: str) -> "Strategy":
         name, sep, eps = text.partition(":")
-        row = TRAITS.get(name)
+        row = STRATEGIES.get(name)
         if row is None:
             raise ValueError(f"unknown strategy {text!r}")
         if not row.takes_epsilon:
             if sep:
                 raise ValueError(f"{name} does not take an epsilon")
-            return cls(name, row)
+            return row
         if not sep:
             raise ValueError(f"{name} needs an epsilon, e.g. {name}:1.0")
         if not PLAIN_NUMBER.fullmatch(eps):
@@ -105,7 +88,18 @@ class Strategy:
         epsilon = float(eps)
         if not 0 < epsilon < math.inf:
             raise ValueError(f"{name} needs a positive finite epsilon")
-        return cls(f"{name}:{epsilon!r}", replace(row, epsilon=epsilon))
+        return replace(row, label=f"{name}:{epsilon!r}", epsilon=epsilon)
+
+
+# Each stock strategy's row, keyed by its label (less any epsilon).
+STRATEGIES = {s.label: s for s in (
+    Strategy("DBAFL", chain=True, bootstrap=True, epsilon=None),
+    Strategy("BSFL", chain=True, barrier=True, bootstrap=True),
+    Strategy("FedAVG", barrier=True, size_weighted=True),
+    Strategy("StaticEps", chain=True, bootstrap=True, takes_epsilon=True),
+    Strategy("LocalOnly", serves=False),
+    Strategy("AFL", bootstrap=True),
+)}
 
 
 @dataclass(frozen=True)
@@ -119,7 +113,7 @@ class NodeConfig:
     def __post_init__(self) -> None:
         if self.id < 0:
             raise ValueError("id must be non-negative")
-        if self.compute_time_multiplier < 1.0:
+        if not self.compute_time_multiplier >= 1.0:  # NaN fails it too
             raise ValueError("compute_time_multiplier must be at least 1")
 
 
@@ -140,7 +134,7 @@ class DataSpec:
             raise ValueError("features must be at least 1")
         if self.classes < 2:
             raise ValueError("classes must be at least 2")
-        if self.separation < 0:
+        if not self.separation >= 0:  # NaN fails it too
             raise ValueError("separation must be non-negative")
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError("test_fraction must lie strictly between 0 and 1")
@@ -155,7 +149,7 @@ class AttackConfig:
     defense: DefensePolicy = DefensePolicy.off()
 
     def __post_init__(self) -> None:
-        if self.poison_magnitude <= 0:
+        if not self.poison_magnitude > 0:  # NaN fails it too
             raise ValueError("poison_magnitude must be positive")
         object.__setattr__(self, "poisoners", frozenset(self.poisoners))
 
@@ -185,7 +179,7 @@ class ScenarioConfig:
         ids = [n.id for n in self.nodes]
         if len(set(ids)) != len(ids):
             raise ValueError("nodes: ids must be unique")
-        if self.strategy.traits.serves and not any(n.role is Role.RSU for n in self.nodes):
+        if self.strategy.serves and not any(n.role is Role.RSU for n in self.nodes):
             raise ValueError(
                 f"nodes: {self.strategy.label} needs at least one RSU to serve")
         # a non-finite horizon or sampling interval would never end a run
@@ -197,6 +191,10 @@ class ScenarioConfig:
             raise ValueError("term_blocks must be at least 1")
         if not self.attack.poisoners <= set(ids):
             raise ValueError("attack.poisoners must reference configured node ids")
+        if self.attack.defense.mode is not DefenseMode.OFF and (
+                self.strategy.barrier or not self.strategy.serves):
+            raise ValueError(f"attack.defense: {self.strategy.label} never applies it; only a "
+                             f"serving node that aggregates each arrival as it lands does")
         for i, n in enumerate(self.nodes):
             if n.dataset is not None:
                 _check_node_dataset(n.dataset, self.data, f"nodes[{i}].dataset.")
@@ -346,13 +344,13 @@ def synchronous_round(strategy: Strategy, w_global_prev: ModelParams,
     variant folds the models into the previous global in arrival order,
     each with the strategy's scaling factor.
     """
-    if not strategy.traits.barrier:
+    if not strategy.barrier:
         raise ValueError(f"{strategy.label} does not aggregate on a barrier")
-    if strategy.traits.size_weighted:
+    if strategy.size_weighted:
         return aggregate_fedavg(models, sizes)
     out = w_global_prev
     for m in models:
-        out = aggregate_async(out, m, strategy.traits.epsilon)
+        out = aggregate_async(out, m, strategy.epsilon)
     return out
 
 
@@ -464,7 +462,7 @@ def _memoized(memo: tuple, params: ModelParams, fn, data: Dataset) -> tuple:
 class _Simulation:
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
-        self.traits = traits = cfg.strategy.traits
+        self.strategy = strategy = cfg.strategy
         datasets = node_datasets(cfg)
         self.nodes = [
             _NodeRT(nc, tr, te, cfg.train, cfg.payload, tr.features.shape[1], tr.classes)
@@ -477,27 +475,26 @@ class _Simulation:
         self.global_version = 0
         self.global_round = 0  # aggregations published; the round of the next GLOBAL record
         rsu_ids = tuple(n.id for n in cfg.nodes if n.role is Role.RSU)
-        self.server_id = rsu_ids[0] if traits.serves else -1  # -1: no node serves
+        self.server_id = rsu_ids[0] if strategy.serves else None  # None: no node serves
         self.chain: Optional[Chain] = None
-        if traits.chain:
+        if strategy.chain:
             committee = CommitteeState(members=rsu_ids, term_blocks=cfg.term_blocks)
             self.chain = Chain(policy=cfg.chain_policy, committee=committee)
         self.block_epoch = 0  # blocks opened so far; a "cut" timer seals only its own
         self.svc: deque = deque()  # arrivals to serve; the head is in service
         self.arrivals: list = []
         self.sync_started = 0.0
-        self.bootstrap_pending = traits.bootstrap
         self.q = EventQueue()
         self.rows: list = []
         self.node_accuracies: list = []
         self.decisions: list = []
         self.round_logs: list = []
         self.sync_rounds: list = []
-        # trainings due within the horizon: node -> (start params, seed) until
-        # trained, then node -> trained params or the error training raised
+        # trainings due within the horizon: node -> (start params, train data, seed)
+        # until trained, then node -> trained params or the error training raised
         self.untrained: dict = {}
         self.trained: dict = {}
-        if traits.size_weighted:
+        if strategy.size_weighted:
             total = sum(n.train_data.n for n in self.nodes)
             for n in self.nodes:
                 n.last_eps = len(self.nodes) * n.train_data.n / total
@@ -511,7 +508,7 @@ class _Simulation:
 
     def _keeper(self) -> Optional[int]:
         """Id of the node serving an asynchronous strategy, which uploads no model."""
-        return None if self.traits.barrier else self._aggregator()
+        return None if self.strategy.barrier else self._aggregator()
 
     def _flood_target(self) -> Optional[int]:
         ddos = self.cfg.attack.ddos
@@ -612,7 +609,7 @@ class _Simulation:
             seed = None
             if node.draws_batches:
                 seed = derive_seed(self.cfg.master_seed, "train", node.cfg.id, node.round)
-            self.untrained[node] = (start, seed)
+            self.untrained[node] = (start, node.train_data, seed)
         self.q.schedule(due, ("train", node))
 
     def _model(self, node: _NodeRT) -> ModelParams:
@@ -628,9 +625,8 @@ class _Simulation:
             if node not in self.trained:
                 keeper = self._keeper()
                 batch = [n for n in self.untrained if n is node or n.cfg.id != keeper]
-                starts, seeds = zip(*map(self.untrained.pop, batch))
-                results = local_train(starts, [n.train_data for n in batch],
-                                      self.cfg.train, seeds)
+                starts, datas, seeds = zip(*map(self.untrained.pop, batch))
+                results = local_train(starts, datas, self.cfg.train, seeds)
                 self.trained.update(zip(batch, results))
             params = self.trained.pop(node)
             if isinstance(params, ArithmeticError):
@@ -677,12 +673,13 @@ class _Simulation:
 
     def _on_test(self, now: float, node: _NodeRT) -> None:
         node.marks["test"] = now
-        if self.bootstrap_pending and node.cfg.id == self.server_id:
+        # the bootstrap upload: nothing is published before it
+        if self.global_version == 0 and self.strategy.bootstrap and node.cfg.id == self.server_id:
             node.switch(now, "communication")
             self.q.schedule(now + self._upload_duration(node),
                             ("boot_up", node, self._model(node).copy()))
             return
-        if self.traits.serves and node.cfg.id != self._keeper():
+        if self.strategy.serves and node.cfg.id != self._keeper():
             incoming = self._upload_payload(node)
             node.switch(now, "communication")
             self.q.schedule(now + self._upload_duration(node), ("up", node, incoming))
@@ -694,7 +691,6 @@ class _Simulation:
         digest = hash_model(params)
         self._publish(params, digest)
         node.base_version = self.global_version
-        self.bootstrap_pending = False
         if self.chain is not None:
             self._submit(HashRecord(RecordKind.LOCAL, node.cfg.id, 0, digest), now)
             self._submit(HashRecord(RecordKind.GLOBAL, node.cfg.id, 0, digest), now)
@@ -716,7 +712,7 @@ class _Simulation:
         if self.chain is not None:
             self._submit(incoming.record, now)
         node.switch(now, "waiting")
-        if self.traits.barrier:
+        if self.strategy.barrier:
             self.arrivals.append((now, node, incoming.params))
             if len(self.arrivals) == len(self.nodes):
                 dur = 0.0
@@ -733,7 +729,7 @@ class _Simulation:
         server = self.by_id[self._aggregator()]
         outcome = leader_aggregation_step(
             self.global_params, server.test_data, incoming, self.chain,
-            self.cfg.attack.defense, self.traits.epsilon)
+            self.cfg.attack.defense, self.strategy.epsilon)
         dur = 0.0
         if outcome.acc_local is not None:
             dur += 2.0 * server.test_time  # incoming and current global, both re-tested
@@ -760,7 +756,7 @@ class _Simulation:
     def _on_sync_done(self, now: float) -> None:
         models = [params for _, _, params in self.arrivals]
         sizes = [node.train_data.n for _, node, _ in self.arrivals]
-        new_global = synchronous_round(self.cfg.strategy, self.global_params, models, sizes)
+        new_global = synchronous_round(self.strategy, self.global_params, models, sizes)
         self._publish_aggregate(new_global, self._aggregator(), now)
         fired = self.arrivals[-1][0]
         self.sync_rounds.append(SyncRoundLog(
@@ -775,7 +771,7 @@ class _Simulation:
             self.chain.seal(now)
 
     def _on_sample(self, now: float) -> None:
-        local_model = not self.traits.serves
+        local_model = not self.strategy.serves
         for n in self.nodes:
             params = self._model(n)
             n.sampled_acc = _memoized(n.sampled_acc, params, evaluate_accuracy, n.test_data)
@@ -808,7 +804,7 @@ class _Simulation:
                 break
             self.q.schedule(min(t, self.cfg.duration_s), ("sample",))
             i += 1
-        if self.traits.bootstrap:
+        if self.strategy.bootstrap:
             self.q.schedule(0.0, ("start", self.by_id[self.server_id]))
         else:
             self._start_all(0.0)

@@ -71,19 +71,20 @@ def node_tuples(draw, spec: orch.DataSpec, needs_rsu: bool) -> tuple:
 
 
 @st.composite
-def attacks(draw, ids: list) -> orch.AttackConfig:
+def attacks(draw, ids: list, defended: bool) -> orch.AttackConfig:
+    """An attack; a threshold defense only when defended, since only then is it applied."""
     return orch.AttackConfig(
         poisoners=frozenset(draw(st.lists(st.sampled_from(ids), max_size=2))),
         poison_magnitude=draw(floats(0.1, 20.0)),
         ddos=draw(st.none() | ddos_configs),
-        defense=draw(defenses))
+        defense=draw(defenses if defended else st.just(agg.DefensePolicy.off())))
 
 
 @st.composite
 def scenarios(draw) -> orch.ScenarioConfig:
     strategy = draw(strategies)
     spec = draw(data_specs)
-    nodes = draw(node_tuples(spec, strategy.traits.serves))
+    nodes = draw(node_tuples(spec, strategy.serves))
     model_bits = draw(floats(1e4, 1e9))
     return orch.ScenarioConfig(
         nodes=nodes, strategy=strategy,
@@ -97,7 +98,7 @@ def scenarios(draw) -> orch.ScenarioConfig:
         term_blocks=draw(st.integers(1, 12)),
         payload=net.PayloadSizes(model_bits, draw(floats(1.0, model_bits)),
                                  draw(floats(1.0, 1e6))),
-        attack=draw(attacks([n.id for n in nodes])),
+        attack=draw(attacks([n.id for n in nodes], strategy.serves and not strategy.barrier)),
         duration_s=draw(floats(1.0, 300.0)),
         master_seed=draw(st.integers(0, 2**32)),
         metrics_interval_s=draw(floats(0.5, 60.0)))

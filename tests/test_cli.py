@@ -3,7 +3,9 @@
 import csv
 import dataclasses
 import hashlib
+import os
 import re
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -613,6 +615,30 @@ def test_run_strategy_and_attack_overrides(tmp_path):
     assert rc == 0
     assert (out / "metrics_StaticEps-1.0_1.csv").exists()
     assert (out / "chain_StaticEps-1.0_1.txt").exists()
+
+
+def test_outputs_are_written_under_the_process_umask(tmp_path):
+    out = tmp_path / "out"
+    old = os.umask(0o022)
+    try:
+        rc = cli.main(["run", "--config", _write(tmp_path, "small.yaml", SMALL_CONFIG),
+                       "--out", str(out)])
+    finally:
+        os.umask(old)
+    assert rc == 0
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
+    assert modes == {"metrics_DBAFL_1.csv": 0o644, "chain_DBAFL_1.txt": 0o644}
+
+
+def test_a_sweep_with_a_defense_its_strategies_never_apply_fails_before_any_run(
+        tmp_path, capsys):
+    cfg_path = _write(tmp_path, "defended.yaml",
+                      SMALL_CONFIG + "attack: {defense: {mode: threshold, theta: 0.9}}\n")
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", cfg_path, "--out", str(out),
+                     "--strategies", "DBAFL,BSFL", "--seeds", "1"]) == 1
+    assert capsys.readouterr().err.startswith("config error: attack.defense: BSFL ")
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_an_epsilon_names_its_files_by_its_canonical_label(tmp_path):

@@ -126,6 +126,13 @@ def test_event_queue_pop_until_leaves_later_events_queued():
     assert q.pop(until=5.0) is None and q.now == 2.0
 
 
+def test_event_queue_rejects_a_nan_time():
+    q = ns.EventQueue()
+    with pytest.raises(ValueError, match="cannot schedule at t=nan"):
+        q.schedule(math.nan, "e")
+    assert len(q) == 0
+
+
 def test_event_queue_rejects_past_and_keeps_clock_monotone():
     q = ns.EventQueue()
     q.schedule(1.0, "a")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import typing
 
 import numpy as np
 import pytest
@@ -250,7 +251,7 @@ def test_leader_step_without_a_chain_accepts_an_unrecorded_upload():
                           agg.aggregate_async(start, trained, out.epsilon))
 
 
-# The weights are literals, not reads of TRAITS: a strategy row that lost its
+# The weights are literals, not reads of STRATEGIES: a strategy row that lost its
 # label's epsilon would agree with itself.
 @pytest.mark.parametrize("label, weight", [
     ("DBAFL", None), ("AFL", 1.0), ("StaticEps:0.5", 0.5), ("StaticEps:2", 2.0)])
@@ -272,9 +273,10 @@ def test_each_accepted_arrival_is_weighed_as_its_label_says(label, weight):
     ids=lambda s: s.label)
 def test_a_chain_run_records_one_global_per_aggregation(strategy):
     # one leader per block, so the leader often changes while a service runs;
-    # the poisoner's uploads that the defense discards must leave no record
-    attack = orch.AttackConfig(poisoners=frozenset({4}),
-                               defense=agg.DefensePolicy.threshold(0.9))
+    # the poisoner's uploads that the defense discards must leave no record.
+    # A barrier round applies no defense, so BSFL's config may not name one.
+    defense = agg.DefensePolicy.off() if strategy.barrier else agg.DefensePolicy.threshold(0.9)
+    attack = orch.AttackConfig(poisoners=frozenset({4}), defense=defense)
     result = orch.run_scenario(small_scenario(strategy, term_blocks=1, attack=attack))
     bootstrap, *rest = result.chain.blocks
     assert [(r.kind, r.round) for r in bootstrap.records] == [
@@ -282,7 +284,7 @@ def test_a_chain_run_records_one_global_per_aggregation(strategy):
     globals_ = [r for b in rest for r in b.records if r.kind is ch.RecordKind.GLOBAL]
     assert [r.round for r in globals_] == list(range(len(globals_)))
     assert {r.node_id for r in globals_} <= set(result.chain.committee.members)
-    if strategy.traits.barrier:
+    if strategy.barrier:
         assert len(globals_) == len(result.sync_rounds) > 0
         return
     accepted = [d.global_digest_after for d in result.decisions
@@ -493,7 +495,7 @@ def test_bus_legs_take_their_round_latency_terms(strategy, nodes, flood):
         terms[n.id] = {}
         for r in (rate, rate * (1 - flood)) if flood is not None else (rate,):
             lat = ns.round_latency(cfg.payload, r, n.link.ethernet_rate_bps)
-            if not cfg.strategy.traits.chain:
+            if not cfg.strategy.chain:
                 up = lat.t_up_model
             elif one_rsu:
                 up = lat.t_up_model + lat.t_up_hash
@@ -571,22 +573,21 @@ def test_bsfl_consumes_exactly_k_fresh_models_per_round():
     orch.Strategy.parse("LocalOnly")],
     ids=lambda s: s.label)
 def test_each_strategy_trait_shows_in_a_run(strategy):
-    traits = strategy.traits
     cfg = small_scenario(strategy)
     res = orch.run_scenario(cfg)
-    assert (res.chain is not None) == traits.chain
-    assert bool(res.sync_rounds) == traits.barrier
-    assert bool(res.decisions) == (traits.serves and not traits.barrier)
-    assert all(r.current_leader == -1 for r in res.rows) == (not traits.serves)
+    assert (res.chain is not None) == strategy.chain
+    assert bool(res.sync_rounds) == strategy.barrier
+    assert bool(res.decisions) == (strategy.serves and not strategy.barrier)
+    assert all(r.current_leader == -1 for r in res.rows) == (not strategy.serves)
     # a bootstrap is the first RSU's round 0, decided before any other round starts
     server = next(n.id for n in cfg.nodes if n.role is orch.Role.RSU)
     logs = res.round_logs
     bootstrapped = bool(logs) and (logs[0].node_id, logs[0].round_index) == (server, 0) \
         and all(r.start_s >= logs[0].decision_s > 0.0 for r in logs[1:])
-    assert bootstrapped == traits.bootstrap
+    assert bootstrapped == strategy.bootstrap
     if res.sync_rounds:
-        assert (res.sync_rounds[0].started_s > 0.0) == traits.bootstrap
-    if not traits.serves:  # nothing is ever published, so no node downloads
+        assert (res.sync_rounds[0].started_s > 0.0) == strategy.bootstrap
+    if not strategy.serves:  # nothing is ever published, so no node downloads
         assert logs and all(r.download_done_s == r.start_s for r in logs)
     for record in (res.rows[-1], *logs[-1:], *res.decisions[-1:]):
         _check_record_protocol(record)
@@ -614,6 +615,52 @@ def test_scenario_validation():
             attack=orch.AttackConfig(poisoners=frozenset({99})))
     with pytest.raises(ValueError):
         orch.NodeConfig(id=0, role=orch.Role.RSU, compute_time_multiplier=0.5)
+
+
+# Every float field of a config dataclass; NaN compares false with every
+# bound, so a check written as `x <= 0` would let it through.
+_FLOAT_FIELDS = [
+    (config, f.name)
+    for config in (orch.DEFAULT_LINK, orch.DEFAULT_PAYLOAD, orch.DEFAULT_TRAIN,
+                   ch.BlockCutPolicy(), orch.NodeConfig(0), orch.DataSpec(),
+                   orch.AttackConfig(), ns.DdosConfig(), agg.DefensePolicy.threshold(0.5),
+                   orch.ScenarioConfig())
+    for f in dataclasses.fields(config)
+    if typing.get_type_hints(type(config))[f.name] is float]
+
+
+@pytest.mark.parametrize("config, name", _FLOAT_FIELDS,
+                         ids=[f"{type(c).__name__}.{n}" for c, n in _FLOAT_FIELDS])
+def test_a_nan_float_field_is_rejected_by_name(config, name):
+    with pytest.raises(ValueError, match=f"^{name} "):
+        dataclasses.replace(config, **{name: math.nan})
+
+
+@pytest.mark.parametrize("label", ["BSFL", "FedAVG", "LocalOnly"])
+def test_a_defense_on_a_strategy_that_never_applies_it_is_rejected(label):
+    attack = orch.AttackConfig(defense=agg.DefensePolicy.threshold(0.9))
+    with pytest.raises(ValueError, match=f"^attack.defense: {label} "):
+        orch.ScenarioConfig(strategy=orch.Strategy.parse(label), attack=attack)
+    off = orch.AttackConfig(defense=agg.DefensePolicy(agg.DefenseMode.OFF, 0.9))
+    orch.ScenarioConfig(strategy=orch.Strategy.parse(label), attack=off)
+
+
+def test_a_training_trains_on_the_rows_it_started_with():
+    cfg = small_scenario(orch.Strategy.parse("LocalOnly"),
+                         train=mdl.TrainConfig(epochs=3, learning_rate=0.1, batch_size=64))
+    sim = orch._Simulation(cfg)
+    node = sim.nodes[0]
+    start, old = node.params, node.train_data
+    sim._schedule_train(0.0, node)
+    # a swap between the training's start and the first read of its result
+    node.train_data = mdl.Dataset(old.features, (old.classes - 1) - old.labels, old.classes)
+    sim._on_train(node.train_time, node)
+    seed = orch.derive_seed(cfg.master_seed, "train", node.cfg.id, 0)
+    want, swapped = mdl.local_train([start, start], [old, node.train_data], cfg.train,
+                                    [seed, seed])
+    got = sim._model(node)
+    assert np.array_equal(got, want)
+    assert not np.array_equal(got, swapped)
 
 
 @pytest.mark.parametrize("features, labels, classes, field", [
@@ -660,7 +707,7 @@ def test_static_eps_needs_a_finite_epsilon(text):
 
 def test_an_epsilon_parses_only_from_a_plain_decimal_or_exponent_spelling():
     for text, want in [("2", 2.0), ("+.25", 0.25), ("3.", 3.0), ("8e7", 8e7), ("1.5E-3", 1.5e-3)]:
-        assert orch.Strategy.parse(f"StaticEps:{text}").traits.epsilon == want, text
+        assert orch.Strategy.parse(f"StaticEps:{text}").epsilon == want, text
     for text in ["1_0", " 2", "2 ", "\u0662", "0x1", "e5", ".", "1e", "--1", "infinit", ""]:
         assert not orch.PLAIN_NUMBER.fullmatch(text), text
         with pytest.raises(ValueError, match=r"^StaticEps epsilon must be a number"):
@@ -780,7 +827,7 @@ def test_batched_training_equals_training_one_node_per_call(monkeypatch, name):
     if name == "two-sizes":
         assert max(len(set(shapes)) for shapes in calls) == 2
     assert cli._metrics_csv(batched) == cli._metrics_csv(alone)
-    if cfg.strategy.traits.chain:
+    if cfg.strategy.chain:
         assert ch.dump_chain(batched.chain) == ch.dump_chain(alone.chain)
     assert batched.decisions == alone.decisions
     assert batched.round_logs == alone.round_logs
@@ -879,7 +926,7 @@ def test_on_demand_training_equals_eager_training(monkeypatch, name):
         _read_at_train_event(m)
         eager = orch.run_scenario(cfg)
     assert cli._metrics_csv(on_demand) == cli._metrics_csv(eager)
-    if cfg.strategy.traits.chain:
+    if cfg.strategy.chain:
         assert ch.dump_chain(on_demand.chain) == ch.dump_chain(eager.chain)
     assert on_demand.decisions == eager.decisions
     assert on_demand.round_logs == eager.round_logs
