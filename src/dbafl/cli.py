@@ -303,8 +303,9 @@ def parse_seed_range(text: str) -> Sequence[int]:
         raise ValueError("empty seed range")
     if "," in text:
         return tuple(map(_parse_seed, text.split(",")))
-    if "-" in text[1:]:  # a leading '-' would be a negative seed, not a range
-        lo, hi = map(_parse_seed, text.split("-", 1))
+    dash = text.find("-", 1)  # a leading '-' belongs to a negative seed, not a range
+    if dash > 0:
+        lo, hi = _parse_seed(text[:dash]), _parse_seed(text[dash + 1:])
         if hi < lo:
             raise ValueError(f"seed range {text!r} runs backwards")
         return range(lo, hi + 1)

@@ -111,8 +111,8 @@ class NodeConfig:
     link: LinkParams = DEFAULT_LINK
 
     def __post_init__(self) -> None:
-        if self.id < 0:
-            raise ValueError("id must be non-negative")
+        if not 0 <= self.id < 1 << 64:  # chain records pack it as an unsigned 64-bit field
+            raise ValueError(f"id must be in [0, 2**64), got {self.id}")
         if not self.compute_time_multiplier >= 1.0:  # NaN fails it too
             raise ValueError("compute_time_multiplier must be at least 1")
 
@@ -480,7 +480,6 @@ class _Simulation:
         if strategy.chain:
             committee = CommitteeState(members=rsu_ids, term_blocks=cfg.term_blocks)
             self.chain = Chain(policy=cfg.chain_policy, committee=committee)
-        self.block_epoch = 0  # blocks opened so far; a "cut" timer seals only its own
         self.svc: deque = deque()  # arrivals to serve; the head is in service
         self.arrivals: list = []
         self.sync_started = 0.0
@@ -566,11 +565,9 @@ class _Simulation:
         return lat.t_ag if len(self.chain.committee.members) > 1 else lat.t_up_hash
 
     def _submit(self, record: HashRecord, now: float) -> None:
-        """Record on the chain; a block this opens gets its max-wait timer."""
+        """Record on the chain; a block this opens gets a max-wait timer naming its index."""
         if self.chain.submit(record, now):
-            self.block_epoch += 1
-            self.q.schedule(now + self.chain.policy.max_wait_s,
-                            ("cut", self.block_epoch))
+            self.q.schedule(now + self.chain.policy.max_wait_s, ("cut", len(self.chain)))
 
     def _publish(self, params: ModelParams, digest: bytes) -> None:
         """Make a new global visible to downloads and sampling."""
@@ -677,7 +674,7 @@ class _Simulation:
         if self.global_version == 0 and self.strategy.bootstrap and node.cfg.id == self.server_id:
             node.switch(now, "communication")
             self.q.schedule(now + self._upload_duration(node),
-                            ("boot_up", node, self._model(node).copy()))
+                            ("boot_up", node, self._model(node)))
             return
         if self.strategy.serves and node.cfg.id != self._keeper():
             incoming = self._upload_payload(node)
@@ -766,8 +763,8 @@ class _Simulation:
             n.round += 1
         self._start_all(now)
 
-    def _on_cut(self, now: float, epoch: int) -> None:
-        if epoch == self.block_epoch:  # no block has opened since this timer was set
+    def _on_cut(self, now: float, index: int) -> None:
+        if len(self.chain) == index:  # no block has been sealed since this timer was set
             self.chain.seal(now)
 
     def _on_sample(self, now: float) -> None:

@@ -103,9 +103,10 @@ def test_verify_chain_rejects_a_tampered_chain(tamper):
     for i in range(4):
         c.append_block([_rec(i % 3, i, str(i).encode())], timestamp_ms=1500 * i)
     assert ch.verify_chain(c) is True
-    for i, block in tamper(c.blocks).items():
-        c.blocks[i] = block
+    (bad, block), = tamper(c.blocks).items()
+    c.blocks[bad] = block
     assert ch.verify_chain(c) is False
+    assert ch.audit_dump(ch.dump_chain(c)).first_bad_block == bad
 
 
 def test_append_rejects_empty_and_oversize():

@@ -328,6 +328,8 @@ RANGE_CASES = {
     "learning-rate": ("train: {learning_rate: 0}\n", "train.learning_rate"),
     "batch-size": ("train: {batch_size: 0}\n", "train.batch_size"),
     "node-id": ("nodes: [{id: -1}]\n", "nodes[0].id"),
+    "node-id-u64": ("nodes: [{id: 18446744073709551616, role: RSU}, {id: 1, role: RSU}]\n",
+                    "nodes[0].id"),
     "bandwidth": ("nodes: [{id: 0, link: {mobile_bandwidth_hz: 0}}]\n",
                   "nodes[0].link.mobile_bandwidth_hz"),
     "snr": ("nodes: [{id: 0, link: {mobile_snr: -1}}]\n", "nodes[0].link.mobile_snr"),
@@ -581,6 +583,8 @@ def test_rerun_is_byte_identical(tmp_path):
 
 # No workload with golden digests draws mini-batches, so these digests, from
 # before training seeds were derived only for runs that use them, pin the draws.
+# No workload's cut policy binds either, so the chain_policy runs pin the
+# max-wait timer and the count and byte cuts.
 MINI_BATCH_CONFIG = """\
 nodes:
   - {id: 0, role: RSU}
@@ -592,17 +596,29 @@ duration_s: 60
 metrics_interval_s: 20
 master_seed: 5
 """
-MINI_BATCH_SHA256 = {
-    "metrics_DBAFL_5.csv": "ca61c2ad46239d8f0767cb125d91c4297091ac556bf341f13ea716b73f25babb",
-    "chain_DBAFL_5.txt": "c2fb77731c217917cddd618da7b0caee8072d6365f1d52db0601f38a0488b7c4",
+MINI_BATCH_SHA256 = {  # chain_policy line -> (metrics digest, chain digest)
+    "": ("ca61c2ad46239d8f0767cb125d91c4297091ac556bf341f13ea716b73f25babb",
+         "c2fb77731c217917cddd618da7b0caee8072d6365f1d52db0601f38a0488b7c4"),
+    "chain_policy: {max_records: 1}\n":
+        ("0ee328f8fb0db717f0609fc48a933bff225fd73f6162a01e847c8c605e5408b1",
+         "cfffccf4bd09983b1a27b7985ca17918631672dde47db874a835b32cb3ad13aa"),
+    "chain_policy: {max_records: 2, max_wait_s: 0.1}\n":
+        ("03645ffbcfaf550201640f5f4c61e0a014587f86cbc357b62f68e3d230c9aa29",
+         "c03bb4e4f3b9816d441b0017149f755c50471e0e2971145101ede5cd52f07085"),
+    "chain_policy: {max_block_bytes: 150}\n":
+        ("ed8c69ce0ca45f577610078388d10c6c1500a0db910dfb4d0e8d5fe301e7df3c",
+         "aca2bfbc1d42d6ae7b881e6c40f3efcb12a9a65c8561737ec408608172197032"),
 }
 
 
-def test_mini_batch_run_matches_its_recorded_digests(tmp_path):
+@pytest.mark.parametrize("policy, digests", MINI_BATCH_SHA256.items(),
+                         ids=["stock-cuts", "max-records-1", "max-records-2-wait-0.1",
+                              "max-block-bytes-150"])
+def test_mini_batch_run_matches_its_recorded_digests(tmp_path, policy, digests):
     out = tmp_path / "out"
-    assert cli.main(["run", "--config", _write(tmp_path, "mini.yaml", MINI_BATCH_CONFIG),
+    assert cli.main(["run", "--config", _write(tmp_path, "mini.yaml", MINI_BATCH_CONFIG + policy),
                      "--out", str(out)]) == 0
-    for name, digest in MINI_BATCH_SHA256.items():
+    for name, digest in zip(("metrics_DBAFL_5.csv", "chain_DBAFL_5.txt"), digests):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
@@ -773,6 +789,8 @@ def test_sweep_seed_ranges(tmp_path):
     assert tuple(cli.parse_seed_range("7")) == (7,)
     assert tuple(cli.parse_seed_range("2,5,9")) == (2, 5, 9)
     assert tuple(cli.parse_seed_range("-4")) == (-4,)
+    assert tuple(cli.parse_seed_range("-3-1")) == (-3, -2, -1, 0, 1)
+    assert tuple(cli.parse_seed_range("-5--3")) == (-5, -4, -3)
     with pytest.raises(ValueError):
         cli.parse_seed_range("5-1")
     with pytest.raises(ValueError):
