@@ -11,12 +11,13 @@ from __future__ import annotations
 import enum
 import hashlib
 import struct
+from collections import namedtuple
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .model import all_finite
-from .records import frozen_record
 
 ZERO_HASH = b"\x00" * 32
 
@@ -41,30 +42,30 @@ class RecordKind(enum.Enum):
     GLOBAL = "G"
 
     # Members are singletons, so identity hashes them as well as their names
-    # do, in C. Hashes serve membership and lookup only: no set or dict of
-    # kinds is iterated into an output.
+    # do, in C. A HashRecord's hash includes its kind's, and record and kind
+    # hashes serve membership and lookup only: no set or dict of them is
+    # iterated into an output.
     __hash__ = object.__hash__
 
 
 _DIGEST_LENGTH = "digest must be exactly 32 bytes"
 
 
-# Records and blocks live as long as the chain, one per upload or cut, so they
-# keep their fields in slots rather than a per-instance __dict__.
-@frozen_record
-class HashRecord:
-    kind: RecordKind
-    node_id: int
-    round: int
-    digest: bytes
+# Records and blocks live as long as the chain, one per upload or cut: named
+# tuples, immutable and with no per-instance __dict__. HashRecord checks its
+# digest in __new__, which a typing.NamedTuple class may not define, and
+# _replace builds through _make, so it checks there too.
+class HashRecord(namedtuple("HashRecord", "kind node_id round digest")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.digest) != 32:
+    def __new__(cls, kind: RecordKind, node_id: int, round: int, digest: bytes):
+        if len(digest) != 32:
             raise ValueError(_DIGEST_LENGTH)
+        return tuple.__new__(cls, (kind, node_id, round, digest))
 
-    def __hash__(self):
-        # equal records have equal digests, and a bytes object keeps its hash
-        return hash(self.digest)
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 _RECORD = struct.Struct("<BQQ32s")  # the digest is always 32 bytes
@@ -95,8 +96,7 @@ def serialize_block_body(index: int, prev_hash: bytes, records, timestamp_ms: in
     return _block_body(index, prev_hash, b"".join(map(serialize_record, records)), timestamp_ms)
 
 
-@frozen_record
-class Block:
+class Block(NamedTuple):
     index: int
     prev_hash: bytes
     records: tuple
@@ -264,8 +264,7 @@ def verify_record(c: Chain, claimed_model, record: HashRecord) -> bool:
 # index|prev_hash_hex|timestamp_ms|kind,node,round,digest_hex;...|block_hash_hex
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     ok: bool
     first_bad_block: int | None = None
 

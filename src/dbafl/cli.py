@@ -315,14 +315,10 @@ def parse_seed_range(text: str) -> Sequence[int]:
 def _metrics_csv(result: RunResult) -> str:
     label = result.config.strategy.label
     seed = result.config.master_seed
-    names = [f.name for f in dataclasses.fields(MetricsRow)]
     buf = io.StringIO()
-    buf.write(",".join(names + ["strategy", "seed"]) + "\n")
+    buf.write(",".join(MetricsRow._fields + ("strategy", "seed")) + "\n")
     for row in result.rows:
-        cells = []
-        for name in names:
-            value = getattr(row, name)
-            cells.append(repr(value) if isinstance(value, float) else str(value))
+        cells = [repr(value) if isinstance(value, float) else str(value) for value in row]
         buf.write(",".join(cells + [label, str(seed)]) + "\n")
     return buf.getvalue()
 

@@ -14,7 +14,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,7 @@ class PayloadSizes:
             raise ValueError("hash_bits must not exceed model_bits")
 
 
-@dataclass(frozen=True)
-class LatencyBreakdown:
+class LatencyBreakdown(NamedTuple):
     """Per-stage latencies of one contribution round, in seconds.
 
     t_local and t_bg are zero here: local compute is charged by the

@@ -17,7 +17,7 @@ import math
 import re
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .model import (Dataset, ModelParams, TrainConfig, draws_batches, evaluate_a
                     init_params, local_loss, local_train, split_dataset)
 from .netsim import (DdosConfig, EventQueue, LatencyBreakdown, LinkParams, PayloadSizes,
                      ddos_effective_rate, round_latency, shannon_rate, tx_time)
-from .records import frozen_record
 
 DEFAULT_LINK = LinkParams(mobile_bandwidth_hz=20e6, mobile_snr=3.0,
                           ethernet_rate_bps=1e9)
@@ -38,6 +37,8 @@ DEFAULT_PAYLOAD = PayloadSizes(model_bits=80_000_000, hash_bits=256, block_bits=
 DEFAULT_TRAIN = TrainConfig(epochs=50, learning_rate=0.01, batch_size=1500)
 
 STAGES = ("training", "testing", "communication", "waiting")
+# The most duration_s / metrics_interval_s: run() schedules every sample up front.
+MAX_SAMPLES = 10**6
 
 
 def derive_seed(master: int, purpose: str, *indices: int) -> int:
@@ -187,6 +188,10 @@ class ScenarioConfig:
             raise ValueError("duration_s must be positive and finite")
         if not 0 < self.metrics_interval_s < math.inf:
             raise ValueError("metrics_interval_s must be positive and finite")
+        if self.duration_s / self.metrics_interval_s > MAX_SAMPLES:
+            raise ValueError(f"metrics_interval_s must leave at most {MAX_SAMPLES} samples "
+                             f"in duration_s = {self.duration_s!r}, got "
+                             f"{self.metrics_interval_s!r}")
         if self.term_blocks < 1:
             raise ValueError("term_blocks must be at least 1")
         if not self.attack.poisoners <= set(ids):
@@ -223,11 +228,10 @@ def _check_node_dataset(ds: Dataset, spec: DataSpec, where: str) -> None:
         raise ValueError(f"{where.rstrip('.')}: data.{exc}") from None
 
 
-# The records made per sample, round, arrival or decision keep their fields
-# in slots, not a per-instance __dict__: a chain-heavy run holds thousands,
-# and builds most of them on the leader's per-decision path.
-@frozen_record
-class MetricsRow:
+# The records made per sample, round, arrival or decision are named tuples,
+# immutable and with no per-instance __dict__: a chain-heavy run holds
+# thousands, and builds most of them on the leader's per-decision path.
+class MetricsRow(NamedTuple):
     sim_time_s: float
     avg_test_accuracy: float
     global_objective: float
@@ -239,8 +243,7 @@ class MetricsRow:
     current_leader: int     # -1 when no node serves aggregations
 
 
-@frozen_record
-class RoundLog:
+class RoundLog(NamedTuple):
     node_id: int
     round_index: int
     start_s: float
@@ -258,8 +261,7 @@ class StepVerdict(enum.Enum):
     IGNORED = "Ignored"
 
 
-@frozen_record
-class DecisionLog:
+class DecisionLog(NamedTuple):
     time_s: float
     node_id: int
     round_index: int
@@ -272,8 +274,7 @@ class DecisionLog:
     global_digest_after: bytes
 
 
-@dataclass(frozen=True)
-class SyncRoundLog:
+class SyncRoundLog(NamedTuple):
     round_index: int
     started_s: float
     upload_done_s: tuple    # ((node_id, time), ...) in arrival order
@@ -354,14 +355,12 @@ def synchronous_round(strategy: Strategy, w_global_prev: ModelParams,
     return out
 
 
-@frozen_record
-class IncomingModel:
+class IncomingModel(NamedTuple):
     params: ModelParams
     record: HashRecord  # names the uploader and its round
 
 
-@frozen_record
-class StepOutcome:
+class StepOutcome(NamedTuple):
     verdict: StepVerdict
     epsilon: Optional[float]
     acc_local: Optional[float]

@@ -1,6 +1,5 @@
 """Tests for dbafl.chain: ledger, block cutting, elections, fairness, tampering."""
 
-import dataclasses
 import hashlib
 import re
 import struct
@@ -82,17 +81,16 @@ def test_append_chains_blocks_and_verifies():
 
 def _forged(block, **changes):
     """block with changes, and a block hash that matches them."""
-    block = dataclasses.replace(block, **changes)
+    block = block._replace(**changes)
     body = ch.serialize_block_body(block.index, block.prev_hash, block.records,
                                    block.timestamp_ms)
-    return dataclasses.replace(block, block_hash=ch.hash_bytes(body))
+    return block._replace(block_hash=ch.hash_bytes(body))
 
 
 # Each tamper leaves the rest of the chain consistent, so only one check sees it.
 TAMPERS = {
     "relinked-tip": lambda blocks: {3: _forged(blocks[3], prev_hash=blocks[1].block_hash)},
-    "edited-record": lambda blocks: {1: dataclasses.replace(blocks[1],
-                                                            records=(_rec(1, 1, b"forged"),))},
+    "edited-record": lambda blocks: {1: blocks[1]._replace(records=(_rec(1, 1, b"forged"),))},
     "tip-index": lambda blocks: {3: _forged(blocks[3], index=4)},
 }
 
@@ -287,6 +285,11 @@ def test_verify_record_accepts_a_digest_in_the_open_block():
     c.submit(record, 0.0)
     assert len(c) == 0 and c.has_record(record)
     assert ch.verify_record(c, params, record) is True
+    # lookup is by value: every field counts, not the digest alone
+    twin = ch.HashRecord(ch.RecordKind.LOCAL, 1, 0, ch.hash_model(params.copy()))
+    assert twin is not record and c.has_record(twin)
+    assert not c.has_record(record._replace(node_id=2))
+    assert not c.has_record(record._replace(round=1))
     ghost = ch.HashRecord(ch.RecordKind.LOCAL, node_id=1, round=9, digest=ch.hash_bytes(b"?"))
     assert not c.has_record(ghost)
     with pytest.raises(ValueError):
@@ -381,6 +384,8 @@ def test_record_digest_must_be_32_bytes():
     with pytest.raises(ValueError, match="^digest must be exactly 32 bytes$"):
         ch.HashRecord(kind=ch.RecordKind.LOCAL, node_id=0, round=0, digest=b"x" * 33)
     record = ch.HashRecord(digest=b"x" * 32, round=2, node_id=1, kind=ch.RecordKind.GLOBAL)
+    with pytest.raises(ValueError, match="^digest must be exactly 32 bytes$"):
+        record._replace(digest=b"x" * 31)
     assert record == ch.HashRecord(ch.RecordKind.GLOBAL, 1, 2, b"x" * 32)
     assert record != ch.HashRecord(ch.RecordKind.GLOBAL, 1, 3, b"x" * 32)
     assert repr(record) == ("HashRecord(kind=<RecordKind.GLOBAL: 'G'>, node_id=1, round=2, "

@@ -355,6 +355,7 @@ RANGE_CASES = {
     "term-blocks": ("term_blocks: 0\n", "term_blocks"),
     "duration": ("duration_s: 0\n", "duration_s"),
     "interval": ("metrics_interval_s: 0\n", "metrics_interval_s"),
+    "interval-too-fine": ("metrics_interval_s: 1.0e-9\n", "metrics_interval_s"),
     "duplicate-ids": ("nodes: [{id: 0}, {id: 0}]\n", "nodes"),
     "no-rsu": ("nodes: [{id: 0, role: Bus}]\n", "nodes"),
 }

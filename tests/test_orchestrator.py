@@ -93,8 +93,8 @@ def test_synchronous_round_rejects_async_strategies():
 
 
 def _check_record_protocol(record):
-    """A per-event record rebuilds from its fields by keyword and prints as a dataclass."""
-    values = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+    """A record rebuilds from its fields by keyword and prints as a named tuple."""
+    values = {name: getattr(record, name) for name in record._fields}
     rebuilt = type(record)(**values)
     assert rebuilt == record and rebuilt is not record
     fields = ", ".join(f"{name}={value!r}" for name, value in values.items())
@@ -699,6 +699,15 @@ def test_non_finite_horizon_or_interval_is_rejected(field, value):
         orch.ScenarioConfig(**{field: value})
 
 
+def test_a_sampling_interval_that_leaves_over_a_million_samples_is_rejected():
+    # run() schedules every sample up front: 1e-9 s over 600 s would be 6e11 of them
+    with pytest.raises(ValueError, match=r"^metrics_interval_s must leave at most 1000000 "):
+        orch.ScenarioConfig(metrics_interval_s=1e-9)
+    with pytest.raises(ValueError, match=r"^metrics_interval_s "):
+        orch.ScenarioConfig(duration_s=500_000.5, metrics_interval_s=0.5)
+    orch.ScenarioConfig(duration_s=500_000.0, metrics_interval_s=0.5)  # exactly the limit
+
+
 @pytest.mark.parametrize("text", ["StaticEps:nan", "StaticEps:inf"])
 def test_static_eps_needs_a_finite_epsilon(text):
     with pytest.raises(ValueError, match="finite"):
@@ -980,33 +989,37 @@ def test_every_sealed_block_goes_through_append_block(monkeypatch):
     assert values and all(type(v) is float for row in values for v in row)
 
 
-# ------------------------------------------------------ per-event records
+# ---------------------------------------------------------------- records
 
 _RECORD = ch.HashRecord(ch.RecordKind.LOCAL, 3, 2, b"\x01" * 32)
-PER_EVENT_RECORDS = (
+RECORDS = (
     _RECORD,
     ch.Block(0, b"\x00" * 32, (_RECORD,), 2000, b"\x02" * 32),
+    ch.AuditReport(ok=False, first_bad_block=2),
     orch.MetricsRow(60.0, 0.5, 0.7, 10.0, 1.0, 2.0, 3.0, 4, 0),
     orch.RoundLog(3, 2, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0),
     orch.DecisionLog(6.0, 3, 2, orch.StepVerdict.ACCEPTED, 1.0, 0.5, 0.5,
                      b"\x01" * 32, b"\x03" * 32, b"\x04" * 32),
+    orch.SyncRoundLog(0, 1.0, ((3, 2.0),), 2.5, 3.0),
     orch.IncomingModel(np.arange(6.0), _RECORD),
     orch.StepOutcome(orch.StepVerdict.DISCARDED, None, 0.2, 0.5),
+    ns.round_latency(orch.DEFAULT_PAYLOAD, 1e6, 1e9),
 )
 
 
-@pytest.mark.parametrize("record", PER_EVENT_RECORDS, ids=lambda r: type(r).__name__)
-def test_per_event_records_are_frozen_dataclasses_in_slots(record):
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_records_are_named_tuples(record):
     # a chain-heavy run keeps thousands of these; a __dict__ each costs ~45 bytes
-    assert "__slots__" in vars(type(record))
+    assert isinstance(record, tuple) and "__slots__" in vars(type(record))
     assert not hasattr(record, "__dict__")
-    first = dataclasses.fields(record)[0].name
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    first = record._fields[0]
+    with pytest.raises(AttributeError):
         setattr(record, first, getattr(record, first))
-    copy = dataclasses.replace(record)
+    copy = record._replace()
     assert copy == record and copy is not record
+    _check_record_protocol(record)
     # an ndarray is never hashable, so hash a copy that holds its bytes instead
-    arrays = {f.name: getattr(record, f.name).tobytes() for f in dataclasses.fields(record)
-              if isinstance(getattr(record, f.name), np.ndarray)}
-    hashable = dataclasses.replace(record, **arrays)
-    assert hash(hashable) == hash(dataclasses.replace(hashable))
+    arrays = {name: value.tobytes() for name, value in record._asdict().items()
+              if isinstance(value, np.ndarray)}
+    hashable = record._replace(**arrays)
+    assert hash(hashable) == hash(hashable._replace())
