@@ -137,13 +137,15 @@ class CommitteeState:
     members: tuple
     term_blocks: int
     leader: int | None = None
-    blocks_in_term: int = 0
     blacklist: set = field(default_factory=set)
     leader_history: list = field(default_factory=list)
 
+    def __post_init__(self):
+        if self.term_blocks < 1:  # append_block elects at indexes divisible by it
+            raise ValueError(f"term_blocks must be at least 1, got {self.term_blocks}")
+
     def elect_from(self, block_hash: bytes):
         self.leader = self.members[elect_leader(block_hash, len(self.members))]
-        self.blocks_in_term = 0
         self.blacklist.clear()
         self.leader_history.append(self.leader)
 
@@ -183,13 +185,9 @@ class Chain:
                       timestamp_ms=timestamp_ms, block_hash=hash_bytes(body))
         self.blocks.append(block)
         self._recorded.update(records)
-        if self.committee is not None:
-            if block.index == 0:
-                self.committee.elect_from(block.block_hash)  # initial election off the genesis
-            else:
-                self.committee.blocks_in_term += 1
-                if self.committee.blocks_in_term >= self.committee.term_blocks:
-                    self.committee.elect_from(block.block_hash)
+        # the genesis block and every term_blocks-th block after it elect the leader
+        if self.committee is not None and index % self.committee.term_blocks == 0:
+            self.committee.elect_from(block.block_hash)
         return block
 
     def submit(self, record: HashRecord, now_s: float) -> bool:

@@ -74,8 +74,14 @@ def _as_int(value, path: str, spec=None) -> int:
 
 
 def _as_array(value, dtype, path: str) -> np.ndarray:
+    lists = set()  # ids of the lists read; an alias of an anchored list is that list again
+
     def read(leaf):  # numpy alone would read "1_0" as 10.0 and " 1" as 1.0
         if isinstance(leaf, list):
+            # each repeat doubles the numbers to read, so nested ones never finish
+            if id(leaf) in lists:
+                raise ValueError(f"{path} must not repeat a YAML anchor")
+            lists.add(id(leaf))
             return [read(item) for item in leaf]
         if isinstance(leaf, str) and _WHOLE.fullmatch(leaf):
             return int(leaf)
@@ -239,6 +245,13 @@ def _unique_key_loader(base: type) -> type:
                                          f"{key.start_mark.line + 1} (first on line "
                                          f"{seen.start_mark.line + 1})")
             super().flatten_mapping(node)
+            # keep each key's last pair, the one construction keeps: a mapping
+            # that merges another twice would otherwise double at each level
+            last = {}
+            for pair in node.value:
+                key = pair[0]
+                last[(key.tag, key.value) if isinstance(key, yaml.ScalarNode) else key] = pair
+            node.value = list(last.values())
 
     for tag in ("int", "float"):  # an explicit !!int 010 is text too
         UniqueKeyLoader.add_constructor("tag:yaml.org,2002:" + tag, base.construct_scalar)

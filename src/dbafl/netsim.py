@@ -185,9 +185,6 @@ class EventQueue:
         self._seq = itertools.count()  # insertion order, the tie-break of equal times
         self.now = 0.0
 
-    def __len__(self) -> int:
-        return len(self._heap) + len(self._due)
-
     def schedule(self, time_s: float, event: Any) -> None:
         if time_s == self.now:
             self._due.append((time_s, event))

@@ -192,6 +192,10 @@ class ScenarioConfig:
             raise ValueError(f"metrics_interval_s must leave at most {MAX_SAMPLES} samples "
                              f"in duration_s = {self.duration_s!r}, got "
                              f"{self.metrics_interval_s!r}")
+        rows = self.data.samples_per_node * len(self.nodes)
+        if self.data.classes > rows:  # the shared pool needs a row of each class
+            raise ValueError(f"data.classes must not exceed the {rows} rows of the shared "
+                             f"pool (data.samples_per_node * len(nodes)), got {self.data.classes}")
         if self.term_blocks < 1:
             raise ValueError("term_blocks must be at least 1")
         if not self.attack.poisoners <= set(ids):
@@ -409,7 +413,7 @@ class _NodeRT:
     """Mutable per-node runtime state and stage accounting."""
 
     def __init__(self, cfg: NodeConfig, train_data: Dataset, test_data: Dataset,
-                 train_cfg: TrainConfig, payload: PayloadSizes, features: int, classes: int):
+                 train_cfg: TrainConfig, payload: PayloadSizes):
         self.cfg = cfg
         # link constants; a radio rate's round_latency is built at its first
         # use, since a zero rate must fail only when a transfer needs the radio
@@ -419,13 +423,12 @@ class _NodeRT:
         self.eth_hash_s = tx_time(payload.hash_bits, cfg.link.ethernet_rate_bps)
         self.train_data = train_data
         self.test_data = test_data
-        self.params = init_params(features, classes)
+        self.params = init_params(train_data.features.shape[1], train_data.classes)
         self.base_version = 0
         self.round = 0
         self.last_eps = 1.0
         self.train_time = cfg.compute_time_multiplier * train_cfg.epochs \
             * train_data.n / 1000.0
-        self.draws_batches = draws_batches(train_cfg, train_data)  # only then is a seed read
         self.test_time = cfg.compute_time_multiplier * test_data.n / 1000.0
         self.unread = False  # from a train event until its result is read or discarded
         self.stage = "waiting"
@@ -463,16 +466,12 @@ class _Simulation:
         self.cfg = cfg
         self.strategy = strategy = cfg.strategy
         datasets = node_datasets(cfg)
-        self.nodes = [
-            _NodeRT(nc, tr, te, cfg.train, cfg.payload, tr.features.shape[1], tr.classes)
-            for nc, (tr, te) in zip(cfg.nodes, datasets)]
+        self.nodes = [_NodeRT(nc, tr, te, cfg.train, cfg.payload)
+                      for nc, (tr, te) in zip(cfg.nodes, datasets)]
         self.by_id = {n.cfg.id: n for n in self.nodes}
-        first = self.nodes[0]
-        self.global_params = init_params(first.train_data.features.shape[1],
-                                         first.train_data.classes)
+        self.global_params = init_params(cfg.data.features, cfg.data.classes)
         self.global_digest: Optional[bytes] = None  # of global_params once published
         self.global_version = 0
-        self.global_round = 0  # aggregations published; the round of the next GLOBAL record
         rsu_ids = tuple(n.id for n in cfg.nodes if n.role is Role.RSU)
         self.server_id = rsu_ids[0] if strategy.serves else None  # None: no node serves
         self.chain: Optional[Chain] = None
@@ -508,10 +507,7 @@ class _Simulation:
         """Id of the node serving an asynchronous strategy, which uploads no model."""
         return None if self.strategy.barrier else self._aggregator()
 
-    def _flood_target(self) -> Optional[int]:
-        ddos = self.cfg.attack.ddos
-        if ddos is None or ddos.attack_fraction == 0.0:
-            return None
+    def _flood_target(self, ddos: DdosConfig) -> Optional[int]:
         if self.chain is None:
             return self.server_id  # a static server is trivially tracked
         history = self.chain.committee.leader_history
@@ -523,7 +519,7 @@ class _Simulation:
         rate = node.radio_bps
         ddos = self.cfg.attack.ddos
         if ddos is not None:
-            rate = ddos_effective_rate(rate, ddos, self._flood_target() == endpoint)
+            rate = ddos_effective_rate(rate, ddos, self._flood_target(ddos) == endpoint)
         lat = node.latency.get(rate)
         if lat is None:
             lat = node.latency[rate] = round_latency(
@@ -576,11 +572,11 @@ class _Simulation:
 
     def _publish_aggregate(self, params: ModelParams, server_id: int, now: float) -> None:
         """Publish an aggregation's new global and record its digest as server_id's."""
+        # the aggregations published before this one; the bootstrap's global is none
+        round_ = self.global_version - self.strategy.bootstrap
         self._publish(params, hash_model(params))
         if self.chain is not None:
-            self._submit(HashRecord(RecordKind.GLOBAL, server_id, self.global_round,
-                                    self.global_digest), now)
-        self.global_round += 1
+            self._submit(HashRecord(RecordKind.GLOBAL, server_id, round_, self.global_digest), now)
 
     def _upload_payload(self, node: _NodeRT) -> IncomingModel:
         params = self._model(node)  # never mutated, like every params array
@@ -603,7 +599,7 @@ class _Simulation:
         due = now + node.train_time
         if due <= self.cfg.duration_s:  # run() processes exactly the events due by then
             seed = None
-            if node.draws_batches:
+            if draws_batches(self.cfg.train, node.train_data):
                 seed = derive_seed(self.cfg.master_seed, "train", node.cfg.id, node.round)
             self.untrained[node] = (start, node.train_data, seed)
         self.q.schedule(due, ("train", node))
@@ -711,10 +707,8 @@ class _Simulation:
         if self.strategy.barrier:
             self.arrivals.append((now, node, incoming.params))
             if len(self.arrivals) == len(self.nodes):
-                dur = 0.0
-                if self.chain is not None:
-                    dur = self._service_extras(self.by_id[self._aggregator()])
-                self.q.schedule(now + dur, ("sync_done",))
+                server = self.by_id[self._aggregator()]
+                self.q.schedule(now + self._service_extras(server), ("sync_done",))
             return
         self.svc.append((now, node, incoming))
         if len(self.svc) == 1:

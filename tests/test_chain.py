@@ -130,11 +130,13 @@ def test_term_cadence_and_blacklist_reset():
     c.append_block([_rec(1, 10, b"ten")], timestamp_ms=10)  # 10th append ends the term
     assert len(committee.leader_history) == 2
     assert committee.blacklist == set()
-    assert committee.blocks_in_term == 0
+    assert committee.leader == committee.members[ch.elect_leader(c.blocks[10].block_hash, 5)]
     # exactly one election per term_blocks appends
     for i in range(11, 21):
         c.append_block([_rec(1, i, str(i).encode())], timestamp_ms=i)
     assert len(committee.leader_history) == 3
+    with pytest.raises(ValueError, match="^term_blocks must be at least 1, got 0$"):
+        _committee(term_blocks=0)
 
 
 def test_elect_leader_contract():
@@ -372,6 +374,9 @@ def test_submit_and_seal_match_the_reference_open_block(policy, ops, term_blocks
     assert _replay(new_chain.submit, new_chain.seal, ops) == expected
     assert ch.dump_chain(new_chain) == ch.dump_chain(ref_chain)
     assert new_chain.committee.leader_history == ref_chain.committee.leader_history
+    members = new_chain.committee.members  # the genesis and every term_blocks-th block elect
+    assert new_chain.committee.leader_history == [
+        members[ch.elect_leader(b.block_hash, 3)] for b in new_chain.blocks[::term_blocks]]
     for block in new_chain.blocks:
         assert all(new_chain.has_record(r) for r in block.records)
 

@@ -340,6 +340,7 @@ RANGE_CASES = {
     "samples": ("data: {samples_per_node: 9}\n", "data.samples_per_node"),
     "features": ("data: {features: 0}\n", "data.features"),
     "classes": ("data: {classes: 1}\n", "data.classes"),
+    "classes-over-pool": ("data: {classes: 9000}\n", "data.classes"),  # 5 x 1500 rows
     "separation": ("data: {separation: -1}\n", "data.separation"),
     "test-fraction": ("data: {test_fraction: 1}\n", "data.test_fraction"),
     "model-bits": ("payload: {model_bits: 0}\n", "payload.model_bits"),
@@ -397,6 +398,26 @@ def test_repeated_nested_field_is_rejected_naming_key_and_line(tmp_path, monkeyp
         assert [(n.id, n.role) for n in cfg.nodes] == [(0, orch.Role.RSU), (1, orch.Role.RSU)]
         assert yaml.load(chained, Loader=cli._UniqueKeyLoader) == {
             "c": {"k": "0"}, "outer": {"b": {"k": "1"}}, "x": {"k": "1"}}
+
+
+def test_nested_anchor_repeats_load_in_linear_time(tmp_path, monkeypatch):
+    # each level repeats the one below twice: read repeat by repeat, 2**40 copies
+    depth = 40
+    rows = "&a0 [1.0]"
+    for k in range(1, depth + 1):
+        rows = f"&a{k} [{rows}, *a{k - 1}]"
+    nested = _write(tmp_path, "nested.yaml", "nodes:\n  - {id: 0}\n"
+                    f"  - {{id: 1, dataset: {{features: {rows}, labels: [0]}}}}\n")
+    merges = ["nodes:", "  - &m0 {id: 0, compute_time_multiplier: 2.0}"]
+    merges += [f"  - &m{k} {{<<: [*m{k - 1}, *m{k - 1}], id: {k}}}" for k in range(1, depth + 1)]
+    merged = _write(tmp_path, "merged.yaml", "\n".join(merges) + "\n")
+    for _ in _each_loader_base(monkeypatch):
+        with pytest.raises(ValueError, match=r"^nodes\[1\]\.dataset\.features must not "
+                                             r"repeat a YAML anchor$"):
+            cli.load_scenario(nested)
+        cfg = cli.load_scenario(merged)
+        assert [(n.id, n.compute_time_multiplier) for n in cfg.nodes] == [
+            (k, 2.0) for k in range(depth + 1)]
 
 
 def test_exponent_numbers_without_a_dot_still_load(tmp_path, monkeypatch):

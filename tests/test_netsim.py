@@ -121,8 +121,8 @@ def test_event_queue_pop_until_leaves_later_events_queued():
     q.schedule(2.0, "b")
     assert q.pop(until=1.5) == (1.0, "a")
     assert q.pop(until=1.5) is None
-    assert q.now == 1.0 and len(q) == 1  # neither the clock nor the queue moved
-    assert q.pop(until=2.0) == (2.0, "b")  # an event due at until itself pops
+    assert q.now == 1.0  # the clock did not move
+    assert q.pop(until=2.0) == (2.0, "b")  # nor did the queue: an event due at until pops
     assert q.pop(until=5.0) is None and q.now == 2.0
 
 
@@ -130,7 +130,7 @@ def test_event_queue_rejects_a_nan_time():
     q = ns.EventQueue()
     with pytest.raises(ValueError, match="cannot schedule at t=nan"):
         q.schedule(math.nan, "e")
-    assert len(q) == 0
+    assert q.pop() is None  # nothing was queued
 
 
 def test_event_queue_rejects_past_and_keeps_clock_monotone():
@@ -153,9 +153,6 @@ class _HeapQueue:
 
     def __init__(self):
         self.heap, self.seq, self.now = [], 0, 0.0
-
-    def __len__(self):
-        return len(self.heap)
 
     def schedule(self, time_s, event):
         if time_s < self.now:
@@ -197,10 +194,11 @@ def test_event_queue_matches_a_heap_only_queue(ops):
         else:
             until = math.inf if offset is None else q.now + offset
             assert q.pop(until) == ref.pop(until)
-        assert (q.now, len(q)) == (ref.now, len(ref))
-    while (item := q.pop()) is not None:  # drain: the rest fires in the same order
+        assert q.now == ref.now
+    # drain: the rest fires in the same order, so both held the same events all along
+    while (item := q.pop()) is not None:
         assert item == ref.pop()
-    assert ref.pop() is None and (q.now, len(q)) == (ref.now, 0)
+    assert ref.pop() is None and q.now == ref.now
 
 
 def test_payload_and_link_validation():

@@ -520,6 +520,20 @@ def test_bus_legs_take_their_round_latency_terms(strategy, nodes, flood):
     assert used == {r for at in terms.values() for r in at}  # under a flood, both rates
 
 
+@pytest.mark.parametrize("label", ["DBAFL", "BSFL", "AFL"])
+def test_a_zero_flood_leaves_every_output_unchanged(label):
+    # one-block terms and no lag aim the flood at each new leader at once
+    def outputs(ddos):
+        cfg = small_scenario(orch.Strategy.parse(label), term_blocks=1,
+                             attack=orch.AttackConfig(ddos=ddos))
+        result = orch.run_scenario(cfg)
+        return cli._metrics_csv(result), result.chain and ch.dump_chain(result.chain)
+
+    unflooded = outputs(None)
+    assert outputs(ns.DdosConfig(0.0, 0)) == unflooded
+    assert outputs(ns.DdosConfig(0.5, 0)) != unflooded  # the flood does land on transfers
+
+
 def test_a_zero_snr_rsu_fails_only_once_a_transfer_needs_its_radio():
     dead = dataclasses.replace(orch.DEFAULT_LINK, mobile_snr=0.0)
     nodes = (orch.NodeConfig(0, link=dead),) + _ONE_RSU[1:]
