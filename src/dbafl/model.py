@@ -78,8 +78,7 @@ def _unpack(params: ModelParams, f: int, classes: int):
         raise ValueError(
             f"parameter vector of length {len(params)} does not match dimension {param_dim(f, classes)}"
         )
-    cut = f * classes
-    return params[:cut].reshape(f, classes), params[cut:]
+    return _split(params, f, classes)
 
 
 def _split(params: np.ndarray, f: int, classes: int):

@@ -39,6 +39,8 @@ DEFAULT_TRAIN = TrainConfig(epochs=50, learning_rate=0.01, batch_size=1500)
 STAGES = ("training", "testing", "communication", "waiting")
 # The most duration_s / metrics_interval_s: run() schedules every sample up front.
 MAX_SAMPLES = 10**6
+# The most values in the shared pool, rows times (features + classes): 80 MB of float64.
+MAX_POOL_VALUES = 10**7
 
 
 def derive_seed(master: int, purpose: str, *indices: int) -> int:
@@ -196,6 +198,11 @@ class ScenarioConfig:
         if self.data.classes > rows:  # the shared pool needs a row of each class
             raise ValueError(f"data.classes must not exceed the {rows} rows of the shared "
                              f"pool (data.samples_per_node * len(nodes)), got {self.data.classes}")
+        values = rows * (self.data.features + self.data.classes)
+        if values > MAX_POOL_VALUES:
+            raise ValueError(f"data: the shared pool holds data.samples_per_node * len(nodes) "
+                             f"* (data.features + data.classes) = {values} values, more "
+                             f"than {MAX_POOL_VALUES}")
         if self.term_blocks < 1:
             raise ValueError("term_blocks must be at least 1")
         if not self.attack.poisoners <= set(ids):
@@ -278,14 +285,6 @@ class DecisionLog(NamedTuple):
     global_digest_after: bytes
 
 
-class SyncRoundLog(NamedTuple):
-    round_index: int
-    started_s: float
-    upload_done_s: tuple    # ((node_id, time), ...) in arrival order
-    fired_s: float
-    decision_s: float
-
-
 @dataclass
 class RunResult:
     config: ScenarioConfig
@@ -294,8 +293,7 @@ class RunResult:
     chain: Optional[Chain]
     stage_totals: dict      # node id -> {stage: cumulative seconds at duration}
     decisions: list
-    round_logs: list
-    sync_rounds: list
+    round_logs: list        # every finished round; a barrier round is K sharing a decision_s
 
 
 def node_datasets(cfg: ScenarioConfig) -> list:
@@ -418,7 +416,7 @@ class _NodeRT:
         # link constants; a radio rate's round_latency is built at its first
         # use, since a zero rate must fail only when a transfer needs the radio
         self.radio_bps = shannon_rate(cfg.link)
-        self.latency: dict = {}  # radio rate -> LatencyBreakdown at that rate
+        self.latency: dict = {}  # (radio rate, serving node's backbone rate) -> LatencyBreakdown
         self.eth_model_s = tx_time(payload.model_bits, cfg.link.ethernet_rate_bps)
         self.eth_hash_s = tx_time(payload.hash_bits, cfg.link.ethernet_rate_bps)
         self.train_data = train_data
@@ -478,15 +476,14 @@ class _Simulation:
         if strategy.chain:
             committee = CommitteeState(members=rsu_ids, term_blocks=cfg.term_blocks)
             self.chain = Chain(policy=cfg.chain_policy, committee=committee)
-        self.svc: deque = deque()  # arrivals to serve; the head is in service
-        self.arrivals: list = []
-        self.sync_started = 0.0
+        # (time, node, incoming) per upload: an asynchronous service serves the
+        # head, a barrier waits for all K
+        self.arrivals: deque = deque()
         self.q = EventQueue()
         self.rows: list = []
         self.node_accuracies: list = []
         self.decisions: list = []
         self.round_logs: list = []
-        self.sync_rounds: list = []
         # trainings due within the horizon: node -> (start params, train data, seed)
         # until trained, then node -> trained params or the error training raised
         self.untrained: dict = {}
@@ -515,15 +512,16 @@ class _Simulation:
         return history[idx] if idx >= 0 else None
 
     def _radio(self, node: _NodeRT, endpoint: int) -> LatencyBreakdown:
-        """node's stage latencies at the radio rate a flood on endpoint leaves it."""
+        """node's stage latencies at the radio rate a flood on endpoint leaves it,
+        with endpoint, the serving node, mirroring over its own backbone."""
         rate = node.radio_bps
         ddos = self.cfg.attack.ddos
         if ddos is not None:
             rate = ddos_effective_rate(rate, ddos, self._flood_target(ddos) == endpoint)
-        lat = node.latency.get(rate)
+        key = (rate, self.by_id[endpoint].cfg.link.ethernet_rate_bps)
+        lat = node.latency.get(key)
         if lat is None:
-            lat = node.latency[rate] = round_latency(
-                self.cfg.payload, rate, node.cfg.link.ethernet_rate_bps)
+            lat = node.latency[key] = round_latency(self.cfg.payload, *key)
         return lat
 
     def _download_duration(self, node: _NodeRT) -> float:
@@ -626,14 +624,12 @@ class _Simulation:
             node.params = params
         return node.params
 
-    def _finish_round(self, node: _NodeRT, now: float, upload_done: float,
-                      decision: float) -> None:
+    def _finish_round(self, node: _NodeRT, upload_done: float, decision: float) -> None:
         m = node.marks
         self.round_logs.append(RoundLog(
             node.cfg.id, node.round, m["start"], m["dl"], m["train"], m["test"],
             upload_done, decision))
         node.round += 1
-        self.q.schedule(now, ("start", node))
 
     # -------------------------------------------------------------- handlers
 
@@ -649,10 +645,10 @@ class _Simulation:
 
     def _on_dl(self, now: float, node: _NodeRT, version: int,
                snapshot: ModelParams) -> None:
-        if node.unread:  # the download replaces a result nobody read: never compute it
-            node.unread = False
-            self.untrained.pop(node, None)
-            self.trained.pop(node, None)
+        # the download replaces a result nobody read, if any: never compute it
+        node.unread = False
+        self.untrained.pop(node, None)
+        self.trained.pop(node, None)
         node.params = snapshot
         node.base_version = version
         self._schedule_train(now, node)
@@ -665,8 +661,8 @@ class _Simulation:
 
     def _on_test(self, now: float, node: _NodeRT) -> None:
         node.marks["test"] = now
-        # the bootstrap upload: nothing is published before it
-        if self.global_version == 0 and self.strategy.bootstrap and node.cfg.id == self.server_id:
+        # the bootstrap upload: nothing is published before it, so only the server runs
+        if self.global_version == 0 and self.strategy.bootstrap:
             node.switch(now, "communication")
             self.q.schedule(now + self._upload_duration(node),
                             ("boot_up", node, self._model(node)))
@@ -677,7 +673,8 @@ class _Simulation:
             self.q.schedule(now + self._upload_duration(node), ("up", node, incoming))
             return
         # the serving node, or any node when none serves, keeps its model and trains on
-        self._finish_round(node, now, now, now)
+        self._finish_round(node, now, now)
+        self.q.schedule(now, ("start", node))
 
     def _on_boot_up(self, now: float, node: _NodeRT, params: ModelParams) -> None:
         digest = hash_model(params)
@@ -687,16 +684,12 @@ class _Simulation:
             self._submit(HashRecord(RecordKind.LOCAL, node.cfg.id, 0, digest), now)
             self._submit(HashRecord(RecordKind.GLOBAL, node.cfg.id, 0, digest), now)
             self.chain.seal(now)  # the initial digests become the first block right away
-        self.round_logs.append(RoundLog(
-            node.cfg.id, 0, node.marks["start"], node.marks["dl"],
-            node.marks["train"], node.marks["test"], now, now))
-        node.round = 1
+        self._finish_round(node, now, now)
         self._start_all(now)
 
     def _start_all(self, now: float) -> None:
         """Start every node at now; a barrier strategy's round opens with them."""
-        self.arrivals = []
-        self.sync_started = now
+        self.arrivals.clear()
         for node in self.nodes:
             self.q.schedule(now, ("start", node))
 
@@ -704,18 +697,16 @@ class _Simulation:
         if self.chain is not None:
             self._submit(incoming.record, now)
         node.switch(now, "waiting")
+        self.arrivals.append((now, node, incoming))
         if self.strategy.barrier:
-            self.arrivals.append((now, node, incoming.params))
             if len(self.arrivals) == len(self.nodes):
                 server = self.by_id[self._aggregator()]
                 self.q.schedule(now + self._service_extras(server), ("sync_done",))
-            return
-        self.svc.append((now, node, incoming))
-        if len(self.svc) == 1:
+        elif len(self.arrivals) == 1:
             self.q.schedule(now, ("svc",))
 
     def _on_svc(self, now: float) -> None:
-        _, _, incoming = self.svc[0]
+        _, _, incoming = self.arrivals[0]
         server = self.by_id[self._aggregator()]
         outcome = leader_aggregation_step(
             self.global_params, server.test_data, incoming, self.chain,
@@ -730,7 +721,7 @@ class _Simulation:
 
     def _on_svc_done(self, now: float, outcome: StepOutcome, server_id: int) -> None:
         # the step's new global goes public only once its service time is charged
-        arrived, node, incoming = self.svc.popleft()
+        arrived, node, incoming = self.arrivals.popleft()
         before = self.global_digest
         if outcome.verdict is StepVerdict.ACCEPTED:
             self._publish_aggregate(outcome.global_params, server_id, now)
@@ -739,21 +730,18 @@ class _Simulation:
             now, node.cfg.id, incoming.record.round, outcome.verdict, outcome.epsilon,
             outcome.acc_local, outcome.acc_global, incoming.record.digest, before,
             self.global_digest))
-        self._finish_round(node, now, arrived, now)
-        if self.svc:
+        self._finish_round(node, arrived, now)
+        self.q.schedule(now, ("start", node))
+        if self.arrivals:
             self.q.schedule(now, ("svc",))
 
     def _on_sync_done(self, now: float) -> None:
-        models = [params for _, _, params in self.arrivals]
+        models = [incoming.params for _, _, incoming in self.arrivals]
         sizes = [node.train_data.n for _, node, _ in self.arrivals]
         new_global = synchronous_round(self.strategy, self.global_params, models, sizes)
         self._publish_aggregate(new_global, self._aggregator(), now)
-        fired = self.arrivals[-1][0]
-        self.sync_rounds.append(SyncRoundLog(
-            len(self.sync_rounds), self.sync_started,
-            tuple((node.cfg.id, t) for t, node, _ in self.arrivals), fired, now))
-        for n in self.nodes:
-            n.round += 1
+        for arrived, node, _ in self.arrivals:
+            self._finish_round(node, arrived, now)
         self._start_all(now)
 
     def _on_cut(self, now: float, index: int) -> None:
@@ -817,8 +805,7 @@ class _Simulation:
             config=self.cfg, rows=self.rows, node_accuracies=self.node_accuracies,
             chain=self.chain,
             stage_totals={n.cfg.id: dict(n.committed) for n in self.nodes},
-            decisions=self.decisions, round_logs=self.round_logs,
-            sync_rounds=self.sync_rounds)
+            decisions=self.decisions, round_logs=self.round_logs)
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunResult:

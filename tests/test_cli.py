@@ -341,6 +341,9 @@ RANGE_CASES = {
     "features": ("data: {features: 0}\n", "data.features"),
     "classes": ("data: {classes: 1}\n", "data.classes"),
     "classes-over-pool": ("data: {classes: 9000}\n", "data.classes"),  # 5 x 1500 rows
+    # shared pools of 3.73 GiB and 279 GiB of float64, which numpy cannot allocate
+    "pool-rows": ("data: {samples_per_node: 100000000}\n", "data"),
+    "pool-features": ("data: {features: 10000000}\n", "data"),
     "separation": ("data: {separation: -1}\n", "data.separation"),
     "test-fraction": ("data: {test_fraction: 1}\n", "data.test_fraction"),
     "model-bits": ("payload: {model_bits: 0}\n", "payload.model_bits"),

@@ -1,6 +1,7 @@
 """Tests for dbafl.orchestrator: node scheduling, aggregation service, attacks, metrics."""
 
 import dataclasses
+import itertools
 import math
 import typing
 
@@ -19,6 +20,14 @@ def small_scenario(strategy, seed=3, duration=150.0, **overrides):
     overrides.setdefault("data", orch.DataSpec(samples_per_node=200))
     return orch.ScenarioConfig(
         strategy=strategy, master_seed=seed, duration_s=duration, **overrides)
+
+
+def _barrier_rounds(result):
+    """A barrier run's rounds, each the RoundLogs that share its decision, in
+    arrival order; a bootstrap's round, decided alone before them, is left out."""
+    rounds = [list(logs) for _, logs in
+              itertools.groupby(result.round_logs, key=lambda r: r.decision_s)]
+    return rounds[result.config.strategy.bootstrap:]
 
 
 # ---------------------------------------------------------------- poison
@@ -285,7 +294,7 @@ def test_a_chain_run_records_one_global_per_aggregation(strategy):
     assert [r.round for r in globals_] == list(range(len(globals_)))
     assert {r.node_id for r in globals_} <= set(result.chain.committee.members)
     if strategy.barrier:
-        assert len(globals_) == len(result.sync_rounds) > 0
+        assert len(globals_) == len(_barrier_rounds(result)) > 0
         return
     accepted = [d.global_digest_after for d in result.decisions
                 if d.verdict is orch.StepVerdict.ACCEPTED]
@@ -487,6 +496,8 @@ def test_bus_legs_take_their_round_latency_terms(strategy, nodes, flood):
     cfg = small_scenario(orch.Strategy.parse(strategy), duration=300.0, **kw)
     res = orch.run_scenario(cfg)
     one_rsu = sum(n.role is orch.Role.RSU for n in cfg.nodes) == 1
+    # the serving RSU mirrors an upload over its backbone; all RSUs share one rate here
+    backbone, = {n.link.ethernet_rate_bps for n in cfg.nodes if n.role is orch.Role.RSU}
     terms = {}  # bus id -> radio rate -> (upload term, download term) at that rate
     for n in cfg.nodes:
         if n.role is not orch.Role.BUS:
@@ -494,7 +505,7 @@ def test_bus_legs_take_their_round_latency_terms(strategy, nodes, flood):
         rate = ns.shannon_rate(n.link)
         terms[n.id] = {}
         for r in (rate, rate * (1 - flood)) if flood is not None else (rate,):
-            lat = ns.round_latency(cfg.payload, r, n.link.ethernet_rate_bps)
+            lat = ns.round_latency(cfg.payload, r, backbone)
             if not cfg.strategy.chain:
                 up = lat.t_up_model
             elif one_rsu:
@@ -518,6 +529,21 @@ def test_bus_legs_take_their_round_latency_terms(strategy, nodes, flood):
             used |= dns
     assert downloads
     assert used == {r for at in terms.values() for r in at}  # under a flood, both rates
+
+
+def test_a_bus_backbone_rate_leaves_its_upload_legs_unchanged():
+    # the serving RSU mirrors a bus's upload over the RSU's own backbone
+    def upload_legs(cfg):
+        res = orch.run_scenario(cfg)
+        return [r.upload_done_s - r.test_done_s for r in res.round_logs if r.node_id == 3]
+
+    stock = orch.ScenarioConfig()
+    nodes = list(stock.nodes)
+    nodes[3] = dataclasses.replace(
+        nodes[3], link=dataclasses.replace(nodes[3].link, ethernet_rate_bps=1e6))
+    legs = upload_legs(stock)
+    assert legs and upload_legs(dataclasses.replace(stock, nodes=nodes)) == legs
+    assert legs[0] == pytest.approx(2.0800064)
 
 
 @pytest.mark.parametrize("label", ["DBAFL", "BSFL", "AFL"])
@@ -553,31 +579,32 @@ def test_a_zero_snr_rsu_fails_only_once_a_transfer_needs_its_radio():
 def test_fedavg_round_fires_on_last_arrival():
     cfg = small_scenario(orch.Strategy.parse("FedAVG"), duration=150.0)
     res = orch.run_scenario(cfg)
-    assert len(res.sync_rounds) >= 2
+    rounds = _barrier_rounds(res)
+    assert len(rounds) >= 2
     k = len(cfg.nodes)
-    for log in res.sync_rounds:
-        assert len(log.upload_done_s) == k
-        uploads = [t for _, t in log.upload_done_s]
-        assert log.fired_s == max(uploads)
+    for logs in rounds:
+        assert len(logs) == k
+        uploads = [r.upload_done_s for r in logs]
+        decision, fired = logs[0].decision_s, uploads[-1]  # fired by the last arrival
+        assert fired == max(uploads)
         # fastest uploader carries the whole spread as waiting
         slow, fast = max(uploads), min(uploads)
-        waits = [log.decision_s - t for _, t in log.upload_done_s]
-        assert abs(max(waits) - (slow - fast) - (log.decision_s - log.fired_s)) <= 1e-9
+        waits = [decision - t for t in uploads]
+        assert abs(max(waits) - (slow - fast) - (decision - fired)) <= 1e-9
     # rounds are back to back: the next round starts when the decision lands
-    starts = [log.started_s for log in res.sync_rounds]
-    decisions = [log.decision_s for log in res.sync_rounds]
-    for nxt, dec in zip(starts[1:], decisions[:-1]):
-        assert nxt == dec
+    for nxt, prev in zip(rounds[1:], rounds[:-1]):
+        assert {r.start_s for r in nxt} == {prev[0].decision_s}
 
 
 def test_bsfl_consumes_exactly_k_fresh_models_per_round():
     cfg = small_scenario(orch.Strategy.parse("BSFL"), duration=150.0)
     res = orch.run_scenario(cfg)
-    assert res.sync_rounds
+    rounds = _barrier_rounds(res)
+    assert rounds
     k = len(cfg.nodes)
-    for log in res.sync_rounds:
-        assert len(log.upload_done_s) == k
-        assert len({n for n, _ in log.upload_done_s}) == k
+    for logs in rounds:
+        assert len(logs) == k
+        assert len({r.node_id for r in logs}) == k
     assert ch.audit_dump(ch.dump_chain(res.chain)).ok
 
 
@@ -590,7 +617,10 @@ def test_each_strategy_trait_shows_in_a_run(strategy):
     cfg = small_scenario(strategy)
     res = orch.run_scenario(cfg)
     assert (res.chain is not None) == strategy.chain
-    assert bool(res.sync_rounds) == strategy.barrier
+    # a barrier round is all K nodes' logs, which share the one decision
+    rounds = _barrier_rounds(res)
+    whole = [len({r.node_id for r in logs}) == len(cfg.nodes) for logs in rounds]
+    assert (bool(whole) and all(whole)) == strategy.barrier
     assert bool(res.decisions) == (strategy.serves and not strategy.barrier)
     assert all(r.current_leader == -1 for r in res.rows) == (not strategy.serves)
     # a bootstrap is the first RSU's round 0, decided before any other round starts
@@ -599,8 +629,8 @@ def test_each_strategy_trait_shows_in_a_run(strategy):
     bootstrapped = bool(logs) and (logs[0].node_id, logs[0].round_index) == (server, 0) \
         and all(r.start_s >= logs[0].decision_s > 0.0 for r in logs[1:])
     assert bootstrapped == strategy.bootstrap
-    if res.sync_rounds:
-        assert (res.sync_rounds[0].started_s > 0.0) == strategy.bootstrap
+    if strategy.barrier:
+        assert (rounds[0][0].start_s > 0.0) == strategy.bootstrap
     if not strategy.serves:  # nothing is ever published, so no node downloads
         assert logs and all(r.download_done_s == r.start_s for r in logs)
     for record in (res.rows[-1], *logs[-1:], *res.decisions[-1:]):
@@ -854,7 +884,6 @@ def test_batched_training_equals_training_one_node_per_call(monkeypatch, name):
         assert ch.dump_chain(batched.chain) == ch.dump_chain(alone.chain)
     assert batched.decisions == alone.decisions
     assert batched.round_logs == alone.round_logs
-    assert batched.sync_rounds == alone.sync_rounds
     assert batched.stage_totals == alone.stage_totals
 
 
@@ -953,7 +982,6 @@ def test_on_demand_training_equals_eager_training(monkeypatch, name):
         assert ch.dump_chain(on_demand.chain) == ch.dump_chain(eager.chain)
     assert on_demand.decisions == eager.decisions
     assert on_demand.round_logs == eager.round_logs
-    assert on_demand.sync_rounds == eager.sync_rounds
     assert on_demand.stage_totals == eager.stage_totals
 
 
@@ -1014,7 +1042,6 @@ RECORDS = (
     orch.RoundLog(3, 2, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0),
     orch.DecisionLog(6.0, 3, 2, orch.StepVerdict.ACCEPTED, 1.0, 0.5, 0.5,
                      b"\x01" * 32, b"\x03" * 32, b"\x04" * 32),
-    orch.SyncRoundLog(0, 1.0, ((3, 2.0),), 2.5, 3.0),
     orch.IncomingModel(np.arange(6.0), _RECORD),
     orch.StepOutcome(orch.StepVerdict.DISCARDED, None, 0.2, 0.5),
     ns.round_latency(orch.DEFAULT_PAYLOAD, 1e6, 1e9),
