@@ -31,8 +31,8 @@ class Dataset:
     """Feature matrix (n x f) and integer labels in [0, classes).
 
     Frozen, and its arrays are never mutated in place, so the model calls
-    derive their constants from it once (`_prepared`). To change a dataset,
-    build a new one.
+    derive their constants from it once (`_prepared`, its one-item stack).
+    To change a dataset, build a new one.
     """
 
     features: np.ndarray
@@ -44,8 +44,8 @@ class Dataset:
         return len(self.labels)
 
     @functools.cached_property
-    def _prepared(self) -> _Prepared:
-        return _Prepared(self.features, self.labels, self.classes)
+    def _prepared(self) -> DataStack:
+        return DataStack((self,))
 
 
 @dataclass(frozen=True)
@@ -158,32 +158,55 @@ def evaluate_accuracy(params: ModelParams, data: Dataset) -> float:
     return int(np.count_nonzero(logits.argmax(axis=1) == data.labels)) / n
 
 
-def local_loss(params: ModelParams, data: Dataset) -> float:
-    """Mean cross-entropy over the dataset (log-sum-exp stable)."""
-    weights, biases = _check(params, data)
-    p = data._prepared
-    logp = _stacks(*weights.shape).step(1, data.n).log_softmax(weights, biases, p.x)
-    return float(-logp.take(p.label_at).mean())
+def local_loss(params: ModelParams, stack: DataStack) -> list:
+    """Each item's mean cross-entropy on its dataset (log-sum-exp stable), as Python floats.
+
+    params is one flat vector that every item is scored with, or a k x dim
+    stack of one vector per item. Item i's loss is bit-identical to a
+    one-item call on its own dataset.
+    """
+    k, n, f = stack.x.shape
+    if n == 0:
+        raise ValueError("empty dataset")
+    params = np.asarray(params, dtype=float)
+    if params.ndim == 2:
+        if len(params) != k:
+            raise ValueError(f"{len(params)} parameter vectors for a stack of {k} datasets")
+        _unpack(params[0], f, stack.classes)  # params is rectangular, so this checks every item
+        weights, biases = _split(params, f, stack.classes)
+    else:
+        weights, biases = _unpack(params, f, stack.classes)
+    return _stacks(f, stack.classes).step(k, n).losses(weights, biases, stack.x,
+                                                       stack.label_at).tolist()
 
 
-def _one_hot(labels: np.ndarray, classes: int) -> np.ndarray:
-    onehot = np.zeros((len(labels), classes))
-    onehot[np.arange(len(labels)), labels] = 1.0
-    return onehot
+class DataStack:
+    """k datasets of one shape (n rows, f features, classes), stacked once for the model calls.
 
-
-class _Prepared:
-    """A dataset's per-call constants, built once and shared by every model call on it.
-
-    Holds the C-contiguous float64 features and the one-hot labels, each as
-    a one-item stack (1 x n x ...), and the flat indices of logp[rows, labels].
+    Holds the C-contiguous float64 features (k x n x f) and the flat
+    indices of each row's label in a k x n x classes array, and builds the
+    one-hot labels (k x n x classes) at their first use. Every model call
+    on a dataset uses its one-item stack (`Dataset._prepared`); a caller
+    that scores many datasets together builds their stack once.
     """
 
-    def __init__(self, features: np.ndarray, labels: np.ndarray, classes: int):
-        self.x = np.ascontiguousarray(features, dtype=float)[None]
-        self.onehot = _one_hot(labels, classes)[None]
-        # logp[rows, labels] through flat indices, which numpy gathers faster
-        self.label_at = np.arange(0, len(labels) * classes, classes) + labels
+    def __init__(self, datas):
+        self.classes = datas[0].classes
+        if any(d.classes != self.classes for d in datas):
+            raise ValueError("a stack needs datasets with one number of classes")
+        x = [np.ascontiguousarray(d.features, dtype=float) for d in datas]
+        self.x = x[0][None] if len(x) == 1 else np.stack(x)  # one item: no copy
+        labels = np.stack([d.labels for d in datas])
+        k, n = labels.shape
+        # logp[item, rows, labels] through flat indices, which numpy gathers faster
+        self.label_at = (np.arange(0, k * n * self.classes, self.classes).reshape(k, n)
+                         + labels).ravel()
+
+    @functools.cached_property
+    def onehot(self) -> np.ndarray:
+        onehot = np.zeros(self.x.shape[:2] + (self.classes,))
+        np.put(onehot, self.label_at, 1.0)
+        return onehot
 
 
 class _Stacks:
@@ -305,6 +328,14 @@ class _GradientStep:
             col -= row
         return z
 
+    def losses(self, weights, biases, x, label_at) -> np.ndarray:
+        """Each item's mean of -logp at the flat indices label_at of the logits, as k floats."""
+        # the row buffer's log totals are spent; mode="clip" writes straight to
+        # out (label_at is in range), where numpy buffers out under "raise"
+        picked = self.log_softmax(weights, biases, x).take(label_at, out=self.row, mode="clip")
+        means = picked.reshape(len(self.bias), -1).mean(axis=1)
+        return np.negative(means, out=means)
+
     def __call__(self, weights, biases, x, onehot):
         """Flat gradients on batches (x, onehot), one row per item, left in this step's grad buffer."""
         p = self.probs
@@ -330,6 +361,14 @@ def draws_batches(cfg: TrainConfig, data: Dataset) -> bool:
     return cfg.batch_size < data.n
 
 
+def shape_groups(datas) -> list:
+    """The indices of datas, grouped by shape (n, f, classes) in order of first appearance."""
+    groups = {}
+    for i, data in enumerate(datas):
+        groups.setdefault((data.n, data.features.shape[1], data.classes), []).append(i)
+    return list(groups.values())
+
+
 def local_train(starts, datas, cfg: TrainConfig, seeds) -> list:
     """Item i: cfg.epochs passes of mini-batch gradient descent from starts[i] on datas[i].
 
@@ -344,11 +383,8 @@ def local_train(starts, datas, cfg: TrainConfig, seeds) -> list:
     """
     if not len(starts) == len(datas) == len(seeds):
         raise ValueError("local_train needs one start, dataset and seed per item")
-    groups = {}
-    for i, data in enumerate(datas):
-        groups.setdefault((data.n, data.features.shape[1], data.classes), []).append(i)
     out = [None] * len(datas)
-    for items in groups.values():
+    for items in shape_groups(datas):
         w = np.array([starts[i] for i in items], dtype=float)  # a copy: no start is written to
         _check(w[0], datas[items[0]])  # w is rectangular, so this checks every item
         _train_stack(w, [datas[i] for i in items], cfg, [seeds[i] for i in items])

@@ -25,9 +25,10 @@ from .aggregation import (DefenseMode, DefensePolicy, aggregate_async, aggregate
                           defense_filter, scaling_factor)
 from .chain import (Chain, CommitteeState, BlockCutPolicy, HashRecord, RecordKind,
                     hash_model, verify_record)
-from .model import (Dataset, ModelParams, TrainConfig, draws_batches, evaluate_accuracy,
-                    generate_synthetic_dataset, global_objective, holdout_rows,
-                    init_params, local_loss, local_train, split_dataset)
+from .model import (DataStack, Dataset, ModelParams, TrainConfig, draws_batches,
+                    evaluate_accuracy, generate_synthetic_dataset, global_objective,
+                    holdout_rows, init_params, local_loss, local_train, shape_groups,
+                    split_dataset)
 from .netsim import (DdosConfig, EventQueue, LatencyBreakdown, LinkParams, PayloadSizes,
                      ddos_effective_rate, round_latency, shannon_rate, tx_time)
 
@@ -433,7 +434,9 @@ class _NodeRT:
         self.since = 0.0
         self.committed = dict.fromkeys(STAGES, 0.0)
         self.marks = {}
-        # (params, value) of the last sampled accuracy and loss; see _memoized
+        # (params, value) of the last sampled accuracy and loss; the params
+        # array's identity is enough, since no params array is mutated after
+        # it is created: training copies its start, aggregation returns new arrays
         self.sampled_acc = (None, 0.0)
         self.sampled_loss = (None, 0.0)
 
@@ -448,17 +451,6 @@ class _NodeRT:
         return out
 
 
-def _memoized(memo: tuple, params: ModelParams, fn, data: Dataset) -> tuple:
-    """(params, fn(params, data)), reusing memo when it holds this very array.
-
-    Identity is enough because no params array is mutated after it is
-    created: training copies its start and aggregation returns new arrays.
-    """
-    if memo[0] is not params:
-        memo = (params, fn(params, data))
-    return memo
-
-
 class _Simulation:
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
@@ -467,6 +459,10 @@ class _Simulation:
         self.nodes = [_NodeRT(nc, tr, te, cfg.train, cfg.payload)
                       for nc, (tr, te) in zip(cfg.nodes, datasets)]
         self.by_id = {n.cfg.id: n for n in self.nodes}
+        # the nodes' training rows, stacked once per shape for the sampled losses
+        trains = [n.train_data for n in self.nodes]
+        self.loss_stacks = [([self.nodes[i] for i in items], DataStack([trains[i] for i in items]))
+                            for items in shape_groups(trains)]
         self.global_params = init_params(cfg.data.features, cfg.data.classes)
         self.global_digest: Optional[bytes] = None  # of global_params once published
         self.global_version = 0
@@ -748,14 +744,29 @@ class _Simulation:
         if len(self.chain) == index:  # no block has been sealed since this timer was set
             self.chain.seal(now)
 
+    def _sample_losses(self) -> None:
+        """Each node's loss of the model the objective scores: the global, or its own
+        when no node serves. One local_loss call per shape group scores every node
+        of the group whose scored model changed since the last sample."""
+        serves = self.strategy.serves
+        for group, stack in self.loss_stacks:
+            scored = [self.global_params if serves else n.params for n in group]
+            stale = [i for i, (n, p) in enumerate(zip(group, scored))
+                     if n.sampled_loss[0] is not p]
+            if not stale:
+                continue
+            if len(stale) < len(group):  # some nodes' own models did not change
+                stack = DataStack([group[i].train_data for i in stale])
+            params = self.global_params if serves else np.array([scored[i] for i in stale])
+            for i, loss in zip(stale, local_loss(params, stack)):
+                group[i].sampled_loss = (scored[i], loss)
+
     def _on_sample(self, now: float) -> None:
-        local_model = not self.strategy.serves
         for n in self.nodes:
             params = self._model(n)
-            n.sampled_acc = _memoized(n.sampled_acc, params, evaluate_accuracy, n.test_data)
-            n.sampled_loss = _memoized(
-                n.sampled_loss, params if local_model else self.global_params,
-                local_loss, n.train_data)
+            if n.sampled_acc[0] is not params:
+                n.sampled_acc = (params, evaluate_accuracy(params, n.test_data))
+        self._sample_losses()
         accs = tuple(n.sampled_acc[1] for n in self.nodes)
         losses = [n.sampled_loss[1] for n in self.nodes]
         objective = global_objective([n.last_eps for n in self.nodes], losses,
@@ -775,13 +786,14 @@ class _Simulation:
     # ------------------------------------------------------------------ loop
 
     def run(self) -> RunResult:
+        horizon, interval = self.cfg.duration_s, self.cfg.metrics_interval_s
+        # samples on the grid 0, interval, 2 * interval ... and a last one at the
+        # horizon; a grid time within 1e-9 s of the horizon is taken as the horizon
         i = 0
-        while True:
-            t = i * self.cfg.metrics_interval_s
-            if t > self.cfg.duration_s + 1e-9:
-                break
-            self.q.schedule(min(t, self.cfg.duration_s), ("sample",))
+        while (t := i * interval) < horizon - 1e-9:
+            self.q.schedule(t, ("sample",))
             i += 1
+        self.q.schedule(horizon, ("sample",))
         if self.strategy.bootstrap:
             self.q.schedule(0.0, ("start", self.by_id[self.server_id]))
         else:

@@ -36,12 +36,13 @@ def _separable_by_lp(features, labels):
 def _numeric_grad(params, data, step=1e-6):
     """Central finite differences of local_loss, one coordinate at a time."""
     grad = np.zeros_like(params)
+    stack = model.DataStack([data])
     for i in range(len(params)):
         up = params.copy()
         dn = params.copy()
         up[i] += step
         dn[i] -= step
-        grad[i] = (model.local_loss(up, data) - model.local_loss(dn, data)) / (2 * step)
+        grad[i] = (model.local_loss(up, stack)[0] - model.local_loss(dn, stack)[0]) / (2 * step)
     return grad
 
 
@@ -237,24 +238,56 @@ def test_fused_training_is_bit_identical_to_the_reference_loop():
 def test_fused_loss_is_bit_identical_to_the_textbook_form():
     # classes 2..10 cross the 8-class fold; large scales push some rows'
     # probabilities to exactly 0 or 1, and rounded parameters give exact ties.
+    # Each item of a stack of k datasets, scored with one shared vector or
+    # with its own, must give the textbook loss of its dataset alone.
     rng = np.random.default_rng(4048)
     trials = 0
     for classes in range(2, 11):
         for f in (1, 2, 5):
             for n in (1, 7, 1200):
-                trials += 1
-                scale = (0.1, 1.0, 8.0, 50.0)[trials % 4]
-                x = rng.normal(scale=2.0, size=(n, f))
-                labels = rng.integers(0, classes, size=n)
-                params = rng.normal(scale=scale, size=model.param_dim(f, classes))
-                if trials % 3 == 0:
-                    x, params = np.round(x), np.round(params)
-                data = model.Dataset(x, labels, classes)
-                for p in (params, model.init_params(f, classes)):
-                    got = model.local_loss(p, data)
-                    want = _reference_loss(p, data)
-                    assert np.float64(got).tobytes() == np.float64(want).tobytes(), \
-                        (classes, f, n, scale, got, want)
+                for k in (1, 3, 40):
+                    trials += 1
+                    scale = (0.1, 1.0, 8.0, 50.0)[trials % 4]
+                    xs = rng.normal(scale=2.0, size=(k, n, f))
+                    own = rng.normal(scale=scale, size=(k, model.param_dim(f, classes)))
+                    if trials % 5 == 0:
+                        xs, own = np.round(xs), np.round(own)
+                    datas = [model.Dataset(x, rng.integers(0, classes, size=n), classes)
+                             for x in xs]
+                    stack = model.DataStack(datas)
+                    for params in (own[0], model.init_params(f, classes), own):
+                        got = model.local_loss(params, stack)
+                        assert len(got) == k
+                        for i, (data, loss) in enumerate(zip(datas, got)):
+                            want = _reference_loss(params[i] if params.ndim == 2 else params,
+                                                   data)
+                            assert type(loss) is float, type(loss)
+                            assert np.float64(loss).tobytes() == np.float64(want).tobytes(), \
+                                (classes, f, n, k, i, params.ndim, scale, loss, want)
+
+
+def test_mixed_shape_datasets_score_as_one_stack_per_shape():
+    # Two shapes, interleaved as a node list may hold them: a stack takes one
+    # shape only, and each shape's stack scores its items as they score alone.
+    rng = np.random.default_rng(4049)
+    datas = [model.generate_synthetic_dataset(seed=s, n=(30, 45)[s % 2], f=3, classes=4,
+                                              separation=1.0) for s in range(7)]
+    with pytest.raises(ValueError):
+        model.DataStack(datas[:2])
+    groups = {}
+    for data in datas:
+        groups.setdefault(data.n, []).append(data)
+    assert sorted(map(len, groups.values())) == [3, 4]
+    shared = rng.normal(size=model.param_dim(3, 4))
+    for group in groups.values():
+        stack = model.DataStack(group)
+        own = rng.normal(size=(len(group), model.param_dim(3, 4)))
+        for data, a, b, p in zip(group, model.local_loss(shared, stack),
+                                 model.local_loss(own, stack), own):
+            assert np.float64(a).tobytes() == np.float64(_reference_loss(shared, data)).tobytes()
+            assert np.float64(b).tobytes() == np.float64(_reference_loss(p, data)).tobytes()
+        with pytest.raises(ValueError):
+            model.local_loss(own[1:], stack)  # one vector short
 
 
 def test_full_batch_training_builds_no_generator(monkeypatch):
@@ -300,23 +333,25 @@ def test_accuracy_invariant_to_logit_scaling():
 
 def test_uniform_predictor_loss_is_ln2():
     data = model.generate_synthetic_dataset(seed=4, n=50, f=2, classes=2, separation=1.0)
-    assert abs(model.local_loss(model.init_params(2, 2), data) - math.log(2)) < 1e-9
+    assert abs(model.local_loss(model.init_params(2, 2), model.DataStack([data]))[0]
+               - math.log(2)) < 1e-9
 
 
 def test_confident_correct_single_sample_loss_is_zero():
     data = model.Dataset(features=np.zeros((1, 2)), labels=np.array([1]), classes=2)
     params = np.concatenate([np.zeros(4), [-50.0, 50.0]])
-    assert model.local_loss(params, data) < 1e-9
+    assert model.local_loss(params, model.DataStack([data]))[0] < 1e-9
 
 
 def test_fullbatch_loss_trace_is_monotone_nonincreasing():
     data = model.generate_synthetic_dataset(seed=3, n=80, f=2, classes=3, separation=2.0)
     cfg = model.TrainConfig(epochs=1, learning_rate=0.05, batch_size=1500)
     w = model.init_params(2, 3)
-    losses = [model.local_loss(w, data)]
+    stack = model.DataStack([data])
+    losses = model.local_loss(w, stack)
     for _ in range(30):
         w = model.local_train([w], [data], cfg, [0])[0]
-        losses.append(model.local_loss(w, data))
+        losses += model.local_loss(w, stack)
     for prev, cur in zip(losses, losses[1:]):
         assert cur <= prev + 1e-12
 
@@ -328,7 +363,7 @@ def test_loss_and_accuracy_bounds_on_random_inputs():
         params = rng.normal(scale=rng.uniform(0.1, 5.0), size=model.param_dim(2, 3))
         acc = model.evaluate_accuracy(params, data)
         assert 0.0 <= acc <= 1.0
-        assert model.local_loss(params, data) >= 0.0
+        assert model.local_loss(params, model.DataStack([data]))[0] >= 0.0
 
 
 def test_evaluate_accuracy_is_a_python_float_equal_to_the_textbook_mean():
@@ -360,7 +395,7 @@ def test_empty_dataset_rejected():
     with pytest.raises(ValueError):
         model.evaluate_accuracy(params, empty)
     with pytest.raises(ValueError):
-        model.local_loss(params, empty)
+        model.local_loss(params, model.DataStack([empty]))
 
 
 def test_global_objective_values():
@@ -408,7 +443,7 @@ def _call(kind, params, data):
     if kind == "train_mini":
         return model.local_train([params], [data], _MINI, [5])[0]
     if kind == "loss":
-        return np.float64(model.local_loss(params, data))
+        return np.float64(model.local_loss(params, model.DataStack([data]))[0])
     if kind == "gradient":
         return model.loss_gradient(params, data)
     return np.float64(model.evaluate_accuracy(params, data))
@@ -443,7 +478,7 @@ def test_interleaved_model_calls_match_calls_on_fresh_datasets(classes):
 
 def _assert_model_calls_match_the_references(params, data, cfg, rng_seed):
     """local_loss, loss_gradient, local_train and evaluate_accuracy against the textbook forms."""
-    assert np.float64(model.local_loss(params, data)).tobytes() \
+    assert np.float64(model.local_loss(params, model.DataStack([data]))[0]).tobytes() \
         == np.float64(_reference_loss(params, data)).tobytes()
     assert model.loss_gradient(params, data).tobytes() \
         == _reference_gradient(params, data).tobytes()

@@ -430,26 +430,56 @@ def test_defense_discards_are_bitwise_noops_in_a_full_run():
         assert d.global_digest_before == d.global_digest_after
 
 
-def _record_sampling_evaluations(monkeypatch):
-    """Patch counters onto the evaluations _on_sample makes; returns the call lists."""
-    calls = {"evaluate_accuracy": [], "local_loss": []}
+def _record_sampling_evaluations(monkeypatch, cfg):
+    """Patch counters onto the evaluations _on_sample makes.
+
+    Returns the (params, test data) of each accuracy call, the (params bytes,
+    node position) of each item a local_loss call scores, and the number of
+    local_loss calls each sample made.
+    """
+    position = {train.features.tobytes(): i
+                for i, (train, _) in enumerate(orch.node_datasets(cfg))}
+    accuracies, losses, loss_calls = [], [], []
     sampling = [False]
-    for name, log in calls.items():
-        def counted(params, data, fn=getattr(orch, name), log=log):
-            if sampling[0]:
-                log.append((params, data))
-            return fn(params, data)
-        monkeypatch.setattr(orch, name, counted)
+    evaluate, score = orch.evaluate_accuracy, orch.local_loss
+
+    def counted_accuracy(params, data):
+        if sampling[0]:
+            accuracies.append((params, data))
+        return evaluate(params, data)
+
+    def counted_loss(params, stack):
+        if sampling[0]:
+            loss_calls[-1] += 1
+            for i, x in enumerate(stack.x):
+                item = params if params.ndim == 1 else params[i]
+                losses.append((item.tobytes(), position[x.tobytes()]))
+        return score(params, stack)
+
+    monkeypatch.setattr(orch, "evaluate_accuracy", counted_accuracy)
+    monkeypatch.setattr(orch, "local_loss", counted_loss)
     on_sample = orch._Simulation._on_sample
 
     def flagged(self, now):
         sampling[0] = True
+        loss_calls.append(0)
         try:
             on_sample(self, now)
         finally:
             sampling[0] = False
     monkeypatch.setattr(orch._Simulation, "_on_sample", flagged)
-    return calls
+    return accuracies, losses, loss_calls
+
+
+def _forget_sampled_values(monkeypatch):
+    """Make every sample evaluate every node afresh, as if nothing were memoized."""
+    on_sample = orch._Simulation._on_sample
+
+    def forgetful(self, now):
+        for n in self.nodes:
+            n.sampled_acc = n.sampled_loss = (None, 0.0)
+        on_sample(self, now)
+    monkeypatch.setattr(orch._Simulation, "_on_sample", forgetful)
 
 
 @pytest.mark.parametrize("strategy", [orch.Strategy.parse("DBAFL"),
@@ -458,17 +488,49 @@ def _record_sampling_evaluations(monkeypatch):
 def test_sampling_evaluates_each_params_object_once_per_node(monkeypatch, strategy):
     cfg = orch.ScenarioConfig(strategy=strategy, master_seed=3)
     with monkeypatch.context() as m:
-        m.setattr(orch, "_memoized", lambda memo, params, fn, data: (params, fn(params, data)))
+        _forget_sampled_values(m)
         bypassed = orch.run_scenario(cfg)
-    calls = _record_sampling_evaluations(monkeypatch)
+    accuracies, losses, loss_calls = _record_sampling_evaluations(monkeypatch, cfg)
     res = orch.run_scenario(cfg)
     assert res.rows == bypassed.rows
     assert res.node_accuracies == bypassed.node_accuracies
     samples = len(res.rows) * len(cfg.nodes)
-    for name, log in calls.items():
-        for i, (params, data) in enumerate(log):
-            assert not any(p is params and d is data for p, d in log[:i]), name
-        assert len(log) < samples / 4, name  # the stock run repeats most models
+    for i, (params, data) in enumerate(accuracies):
+        assert not any(p is params and d is data for p, d in accuracies[:i])
+    assert len(set(losses)) == len(losses)  # each (params, node) scored once
+    for log in (accuracies, losses):
+        assert len(log) < samples / 4  # the stock run repeats most models
+    assert len(loss_calls) == len(res.rows)
+    if strategy.serves:  # the stock nodes' rows are one shape: one stack
+        assert max(loss_calls) == 1
+
+
+@pytest.mark.parametrize("strategy", ["DBAFL", "LocalOnly"])
+def test_sampled_losses_of_two_shapes_equal_each_node_scored_alone(monkeypatch, strategy):
+    # Nodes 1 and 3 bring rows of their own, so the training rows form two
+    # stacks; every node's sampled loss must still be its one-item loss.
+    cfg = small_scenario(orch.Strategy.parse(strategy), nodes=_two_dataset_sizes())
+
+    def alone(self):
+        for n in self.nodes:
+            params = self.global_params if self.strategy.serves else n.params
+            n.sampled_loss = (params, mdl.local_loss(params, mdl.DataStack([n.train_data]))[0])
+
+    with monkeypatch.context() as m:
+        m.setattr(orch._Simulation, "_sample_losses", alone)
+        want = orch.run_scenario(cfg)
+    sizes = []
+    stacked = orch.DataStack
+
+    def counted(datas):
+        sizes.append(len(datas))
+        return stacked(datas)
+
+    monkeypatch.setattr(orch, "DataStack", counted)
+    got = orch.run_scenario(cfg)
+    assert sizes[:2] == [3, 2]  # one stack per shape, in node order
+    assert len({r.global_objective for r in got.rows}) > 2  # the losses move
+    assert got.rows == want.rows
 
 
 def test_dbafl_buses_barely_wait():
@@ -750,6 +812,20 @@ def test_a_sampling_interval_that_leaves_over_a_million_samples_is_rejected():
     with pytest.raises(ValueError, match=r"^metrics_interval_s "):
         orch.ScenarioConfig(duration_s=500_000.5, metrics_interval_s=0.5)
     orch.ScenarioConfig(duration_s=500_000.0, metrics_interval_s=0.5)  # exactly the limit
+
+
+@pytest.mark.parametrize("strategy", ["DBAFL", "LocalOnly"])
+def test_the_last_metrics_row_is_at_the_horizon_off_the_sampling_grid(strategy):
+    # 10 s sampled every 4 s: the grid gives 0, 4 and 8 s, and the horizon adds 10 s
+    cfg = small_scenario(orch.Strategy.parse(strategy), duration=10.0,
+                         metrics_interval_s=4.0)
+    res = orch.run_scenario(cfg)
+    assert [r.sim_time_s for r in res.rows] == [0.0, 4.0, 8.0, 10.0]
+    last = res.rows[-1]
+    stages = last.t_training + last.t_testing + last.t_communication + last.t_waiting
+    assert stages == pytest.approx(len(cfg.nodes) * 10.0)
+    on_grid = orch.run_scenario(dataclasses.replace(cfg, metrics_interval_s=5.0))
+    assert [r.sim_time_s for r in on_grid.rows] == [0.0, 5.0, 10.0]
 
 
 @pytest.mark.parametrize("text", ["StaticEps:nan", "StaticEps:inf"])
