@@ -3,6 +3,8 @@
 import dataclasses
 import functools
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -621,3 +623,123 @@ def test_a_diverging_item_fails_alone(batch_size, classes):
     for i in (0, 2, 3):
         solo = model.local_train([starts[i]], [datas[i]], cfg, [seeds[i]])[0]
         assert got[i].tobytes() == solo.tobytes(), i
+
+
+# ------------------------------------------------------- training in shares
+
+
+def _share_items(k, classes, seed=90):
+    """k items of 30 rows: random starts, and an int seed each."""
+    datas = [model.generate_synthetic_dataset(seed=seed + i, n=30, f=2, classes=classes,
+                                              separation=1.0) for i in range(k)]
+    rng = np.random.default_rng(seed)
+    starts = [rng.normal(size=model.param_dim(2, classes)) for _ in range(k)]
+    return starts, datas, [seed + 100 + i for i in range(k)]
+
+
+def _in_shares(count):
+    """A share rule for model._local_train: every stack in count shares, whatever its work."""
+    return lambda row_epochs: count
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("k, shares", [(2, 2), (2, 3), (3, 2), (3, 3), (17, 2), (17, 3)])
+def test_shares_are_bit_identical_to_one_stack(k, shares, forks, capfd):
+    for classes in (2, 3, 4):
+        starts, datas, seeds = _share_items(k, classes)
+        for batch_size in (30, 7):  # full batch, and ragged mini-batches drawn from the seeds
+            cfg = model.TrainConfig(epochs=3, learning_rate=0.5, batch_size=batch_size)
+            one = model._local_train(starts, datas, cfg, seeds, _in_shares(1))
+            split = model._local_train(starts, datas, cfg, seeds, _in_shares(shares))
+            assert [p.tobytes() for p in split] == [p.tobytes() for p in one], \
+                (classes, batch_size)
+            _assert_no_child_left()
+    assert forks[0] == 3 * 2 * (min(k, shares) - 1)  # at most one share per item
+    assert capfd.readouterr() == ("", "")  # no child prints or flushes a buffer
+
+
+@pytest.mark.parametrize("batch_size", [7, 30])  # mini-batch and full batch
+def test_a_diverging_item_in_a_childs_share_fails_in_its_place(batch_size, forks):
+    starts, datas, seeds = _share_items(4, 3)
+    starts[3] = np.full_like(starts[3], 1e308)  # the second share, which a child trains
+    cfg = model.TrainConfig(epochs=3, learning_rate=0.5, batch_size=batch_size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        one = model._local_train(starts, datas, cfg, seeds, _in_shares(1))
+        split = model._local_train(starts, datas, cfg, seeds, _in_shares(2))
+    assert forks[0] == 1
+    for err in (one[3], split[3]):
+        assert isinstance(err, ArithmeticError) and "diverged" in str(err)
+    assert [p.tobytes() for p in split[:3]] == [p.tobytes() for p in one[:3]]
+    _assert_no_child_left()
+
+
+def test_a_bad_item_in_the_back_share_raises_before_any_fork(forks):
+    starts, datas, seeds = _share_items(4, 2)
+    mini = model.TrainConfig(epochs=1, learning_rate=0.5, batch_size=7)
+    cases = {"None seed": (starts, seeds[:3] + [None]),
+             "one short start": (starts[:3] + [np.zeros(5)], seeds),
+             "short starts": ([np.zeros(5)] * 4, seeds)}
+    for case, (bad_starts, bad_seeds) in cases.items():
+        with pytest.raises(ValueError) as one:
+            model._local_train(bad_starts, datas, mini, bad_seeds, _in_shares(1))
+        with pytest.raises(ValueError) as split:
+            model._local_train(bad_starts, datas, mini, bad_seeds, _in_shares(2))
+        assert str(split.value) == str(one.value), case
+    with pytest.raises(ValueError, match="^a seed is None, but batch_size 7 < 30 rows"):
+        model.local_train(starts, datas, mini, seeds[:3] + [None])
+    assert forks[0] == 0
+
+
+def test_a_failing_child_makes_the_call_raise_and_prints_nothing(monkeypatch, capfd):
+    parent, train_stack = os.getpid(), model._train_stack
+
+    def fails_in_a_child(*args):
+        if os.getpid() != parent:
+            raise MemoryError("the child's share")
+        train_stack(*args)
+
+    monkeypatch.setattr(model, "_train_stack", fails_in_a_child)
+    starts, datas, seeds = _share_items(5, 2)
+    cfg = model.TrainConfig(epochs=2, learning_rate=0.5, batch_size=7)
+    with pytest.raises(RuntimeError, match="^the child process training items 3 to 4 of a "
+                                           "stack failed: exit code 1, 0 of 96 bytes$"):
+        model._local_train(starts, datas, cfg, seeds, _in_shares(2))
+    _assert_no_child_left()
+    assert capfd.readouterr() == ("", "")
+
+
+def test_a_failing_own_share_kills_and_reaps_the_children(monkeypatch):
+    parent, train_stack = os.getpid(), model._train_stack
+
+    def fails_in_the_parent(*args):
+        if os.getpid() == parent:
+            raise KeyError("the parent's share")
+        time.sleep(60)  # the call must not wait for it
+        train_stack(*args)
+
+    monkeypatch.setattr(model, "_train_stack", fails_in_the_parent)
+    starts, datas, seeds = _share_items(3, 2)
+    cfg = model.TrainConfig(epochs=2, learning_rate=0.5, batch_size=7)
+    began = time.monotonic()
+    with pytest.raises(KeyError, match="the parent's share"):
+        model._local_train(starts, datas, cfg, seeds, _in_shares(3))
+    assert time.monotonic() - began < 30
+    _assert_no_child_left()
+
+
+def test_the_share_count_follows_the_work_the_cpus_and_fork(monkeypatch):
+    least = model.MIN_SHARE_ROW_EPOCHS
+    cpus = len(os.sched_getaffinity(0))
+    assert model._share_count(2 * least - 1) == 1
+    assert model._share_count(3 * least) == min(3, cpus)
+    assert model._share_count(40 * least) == min(40, cpus)
+    for name in ("fork", "sched_getaffinity"):
+        with monkeypatch.context() as m:
+            m.delattr(os, name)
+            assert model._share_count(40 * least) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert model._share_count(40 * least) == 1

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import os
 import typing
 
 import numpy as np
@@ -1140,3 +1141,38 @@ def test_records_are_named_tuples(record):
               if isinstance(value, np.ndarray)}
     hashable = record._replace(**arrays)
     assert hash(hashable) == hash(hashable._replace())
+
+
+# ------------------------------------------------------- training in shares
+
+
+def _fleet(rsus, buses, **overrides):
+    """rsus RSUs, then buses at 4x compute, as the benchmark's workloads build them."""
+    nodes = [orch.NodeConfig(i) for i in range(rsus)]
+    nodes += [orch.NodeConfig(rsus + i, orch.Role.BUS, 4.0) for i in range(buses)]
+    return orch.ScenarioConfig(nodes=tuple(nodes), **overrides)
+
+
+@pytest.mark.parametrize("label", ["DBAFL", "BSFL", "FedAVG", "StaticEps:1.0", "AFL",
+                                   "LocalOnly"])
+def test_the_stock_scenario_trains_in_one_process(label, forks):
+    orch.run_scenario(orch.ScenarioConfig(strategy=orch.Strategy.parse(label)))
+    assert forks[0] == 0
+
+
+def test_a_churn_run_trains_in_one_process(forks):
+    orch.run_scenario(_fleet(
+        12, 8, train=mdl.TrainConfig(epochs=1, learning_rate=0.01, batch_size=1500),
+        data=orch.DataSpec(samples_per_node=50),
+        payload=ns.PayloadSizes(model_bits=8.0e4, hash_bits=256, block_bits=8000),
+        duration_s=120.0, metrics_interval_s=60.0))
+    assert forks[0] == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="a stack trains in shares only on two or more allowed CPUs")
+def test_a_forty_node_run_trains_its_large_stacks_in_shares(forks):
+    attack = orch.AttackConfig(poisoners=frozenset({39}),
+                               defense=agg.DefensePolicy.threshold(0.9))
+    orch.run_scenario(_fleet(24, 16, attack=attack))
+    assert forks[0] >= 1
