@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -370,7 +371,7 @@ def shape_groups(datas) -> list:
     return list(groups.values())
 
 
-def local_train(starts, datas, cfg: TrainConfig, seeds) -> list:
+def local_train(starts, datas, cfg: TrainConfig, seeds, pool: TrainPool | None = None) -> list:
     """Item i: cfg.epochs passes of mini-batch gradient descent from starts[i] on datas[i].
 
     Full batch when batch_size >= n. Deterministic given the item's (start,
@@ -378,19 +379,15 @@ def local_train(starts, datas, cfg: TrainConfig, seeds) -> list:
     is mutated. seeds[i] is read only when draws_batches(cfg, datas[i]), and
     must then be an int. Items whose datasets share a shape (n, f, classes)
     train together as one stack, each with its own mini-batch order drawn
-    from its own seed. A stack of at least twice MIN_SHARE_ROW_EPOCHS of work
-    (rows x epochs) trains in contiguous shares, at most one per CPU this
-    process may run on: this process trains the first, and a forked child
-    each other one (`_train_shares`); no result depends on the split.
-    Returns one entry per item: its trained parameters, or an
-    ArithmeticError when they diverged to non-finite values. ValueError if
-    an item's arguments are invalid.
+    from its own seed. Every stack trains in this process, unless pool is
+    given: then a stack of its datasets with at least twice
+    MIN_SHARE_ROW_EPOCHS of work (rows x epochs) trains in contiguous
+    shares, this process training the first and the pool's helpers, forked
+    once for the pool's life, each other one (`TrainPool.train`); no result
+    depends on the split. Returns one entry per item: its trained
+    parameters, or an ArithmeticError when they diverged to non-finite
+    values. ValueError if an item's arguments are invalid.
     """
-    return _local_train(starts, datas, cfg, seeds, _share_count)
-
-
-def _local_train(starts, datas, cfg: TrainConfig, seeds, shares) -> list:
-    """local_train, with shares(row_epochs) the number of shares a stack of that much work trains in."""
     if not len(starts) == len(datas) == len(seeds):
         raise ValueError("local_train needs one start, dataset and seed per item")
     stacks = []  # every item is checked before any stack trains
@@ -404,9 +401,9 @@ def _local_train(starts, datas, cfg: TrainConfig, seeds, shares) -> list:
                              f"draws mini-batches, which needs an int seed")
         stacks.append((items, w, [datas[i] for i in items], stack_seeds))
     out = [None] * len(datas)
+    train = _train_stack if pool is None else pool.train
     for items, w, stack_datas, stack_seeds in stacks:
-        count = shares(len(items) * stack_datas[0].n * cfg.epochs)
-        _train_shares(w, stack_datas, cfg, stack_seeds, count)
+        train(w, stack_datas, cfg, stack_seeds)
         finite = all_finite(w)  # else each item is tested on its own
         for i, params in zip(items, w):
             out[i] = params if finite or all_finite(params) else \
@@ -416,98 +413,171 @@ def _local_train(starts, datas, cfg: TrainConfig, seeds, shares) -> list:
 
 # The least work, in rows x epochs, of a share of a stack, so a stack splits
 # from twice this on: eight stock items of 1200 rows x 50 epochs. On a 2-vCPU
-# VM a fork cost about 0.9 ms, its child started 0.9 ms after it returned, and
-# each of two shares ran about 20% slower beside the other. So two shares
-# against one read +19 to +25% at four stock items, -5 to +9% at six to eight
-# and -10 to -26% from nine on.
+# VM, once a run's helper runs, two shares beat one from two stock items on
+# (-12 to -15% at two and three, -21 to -42% from four to sixteen). But the
+# run's first split forks the helper: at eight items it took 13.1 ms, a later
+# split 9.4 ms and one share 14.6 ms, and the fork's copy-on-write faults fall
+# on the rest of the run. The stock scenario's calls train at most five items
+# and never split; at 120_000 or 60_000 each stock run forked a helper, took
+# about 700 minor faults more and ran 5 to 11% slower (DBAFL and FedAVG).
 MIN_SHARE_ROW_EPOCHS = 240_000
 
 
-def _share_count(row_epochs: int) -> int:
-    """Shares for a stack of row_epochs: at most one per allowed CPU, each of at least
-    MIN_SHARE_ROW_EPOCHS; one where the platform has no fork or CPU affinity."""
-    shares = row_epochs // MIN_SHARE_ROW_EPOCHS
-    if shares < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return min(shares, len(os.sched_getaffinity(0)))
+# A request's items, epochs, batch size and learning rate; then each item's
+# position in the pool's datasets and its seed (int64), then its start rows.
+_REQUEST = struct.Struct("<3qd")
 
 
-def _train_shares(w: np.ndarray, datas, cfg: TrainConfig, seeds, count: int) -> None:
-    """_train_stack on count contiguous shares of the items of w (at most one per item): the
-    first, the largest, in this process, each other in a forked child that sends back its
-    trained rows. With one share it is exactly _train_stack(w, datas, cfg, seeds). No child
-    outlives the call; RuntimeError if one failed.
+class TrainPool:
+    """Helper processes that train shares of stacks on the datasets the pool was made with.
+
+    Forks nothing until the first stack that splits, then as many helpers as
+    that stack has shares after the first, and keeps them for every later
+    split. A helper inherits the datasets at its fork, so a request carries
+    only each item's position in them, its seed, the TrainConfig and the
+    start rows, and the reply only the trained rows. A helper runs under the
+    numpy floating-point error handling in force at its fork. `close` ends
+    and reaps every helper; the owner calls it on every exit path.
     """
-    k = len(w)
-    count = min(k, count)
-    if count == 1:  # most calls: no pipe, slice or try
-        return _train_stack(w, datas, cfg, seeds)
-    cuts = [-(-k * j // count) for j in range(count + 1)]  # ceilings: the first share is largest
-    spans = list(zip(cuts, cuts[1:]))
-    children = []  # (pid, read end of its pipe), one per span after the first
-    try:
-        for lo, hi in spans[1:]:
-            children.append(_fork_share(w[lo:hi], datas[lo:hi], cfg, seeds[lo:hi]))
-        lo, hi = spans[0]
-        _train_stack(w[lo:hi], datas[lo:hi], cfg, seeds[lo:hi])
-    except BaseException:
-        import signal  # only this path needs it, and its import costs about 1 ms
 
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        received = [_reap(pid, fd) for pid, fd in children]
-    for (lo, hi), (status, rows) in zip(spans[1:], received):
-        share = w[lo:hi]
-        if status or len(rows) != share.nbytes:
-            raise RuntimeError(f"the child process training items {lo} to {hi - 1} of a stack "
-                               f"failed: exit code {os.waitstatus_to_exitcode(status)}, "
-                               f"{len(rows)} of {share.nbytes} bytes")
-        share[...] = np.frombuffer(rows).reshape(share.shape)
+    def __init__(self, datas, shares=None):
+        """shares(row_epochs) is the number of shares a stack of that much work trains
+        in. By default each share has at least MIN_SHARE_ROW_EPOCHS, and there is at
+        most one per CPU this process may run on, a count read here once: one where the
+        platform has no fork or CPU affinity."""
+        self.datas = tuple(datas)
+        self.positions = {data: i for i, data in enumerate(self.datas)}
+        if shares is None:
+            cpus = 1
+            if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+                cpus = len(os.sched_getaffinity(0))
 
+            def shares(row_epochs: int) -> int:
+                return max(1, min(row_epochs // MIN_SHARE_ROW_EPOCHS, cpus))
+        self.shares = shares
+        self.helpers = []  # (pid, request pipe, reply pipe) of each forked helper
 
-def _fork_share(w: np.ndarray, datas, cfg: TrainConfig, seeds) -> tuple:
-    """(pid, pipe read end) of a forked child that trains the rows w and writes them to the pipe.
-
-    The child inherits the datasets and leaves through os._exit, so it runs
-    no exit handler and flushes none of this process's buffers; its exit
-    code is 1 on any exception, which it does not print.
-    """
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    if pid == 0:
-        code = 1
+    def train(self, w: np.ndarray, datas, cfg: TrainConfig, seeds) -> None:
+        """_train_stack(w, datas, cfg, seeds) on contiguous shares of the items of w (at
+        most one per item): the first, the largest, in this process and each other in a
+        helper. The whole stack trains here when it has one share, a dataset the pool was
+        not made with, a seed that is not an int in [0, 2**63), or a fork is refused.
+        RuntimeError if a helper failed; on any error every helper is killed and reaped.
+        """
+        k, n = len(w), datas[0].n
+        count = min(k, self.shares(k * n * cfg.epochs))
+        if count == 1:  # most calls
+            return _train_stack(w, datas, cfg, seeds)
+        draws = draws_batches(cfg, datas[0])
+        if (not all(d in self.positions for d in datas)
+                or draws and not all(type(s) is int and 0 <= s < 1 << 63 for s in seeds)
+                or not self._start(count - 1)):
+            return _train_stack(w, datas, cfg, seeds)
+        cuts = [-(-k * j // count) for j in range(count + 1)]  # ceilings: the first share is largest
+        spans = list(zip(cuts, cuts[1:]))
+        # any batch of n rows or more is the full batch, so an int64 holds the size
+        head = (cfg.epochs, min(cfg.batch_size, n), cfg.learning_rate)
+        positions = [self.positions[d] for d in datas]
+        sent = seeds if draws else [0] * k  # a helper reads no seed when nothing draws one
+        helpers = self.helpers[: count - 1]
         try:
-            _train_stack(w, datas, cfg, seeds)
-            with open(write_end, "wb") as pipe:
-                pipe.write(w.tobytes())
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_end)  # the read ends only once no process but the child holds this end
-    return pid, read_end
+            for (_, requests, _), (lo, hi) in zip(helpers, spans[1:]):
+                ints = np.array(positions[lo:hi] + sent[lo:hi], dtype=np.int64)
+                _send(requests, _REQUEST.pack(hi - lo, *head), ints, w[lo:hi])
+            lo, hi = spans[0]
+            _train_stack(w[lo:hi], datas[lo:hi], cfg, seeds[lo:hi])
+            received = [replies.readinto(w[lo:hi])
+                        for (_, _, replies), (lo, hi) in zip(helpers, spans[1:])]
+        except BaseException:
+            self.close(kill=True)
+            raise
+        for slot, ((lo, hi), got) in enumerate(zip(spans[1:], received)):
+            if got != w[lo:hi].nbytes:
+                status = self.close(kill=True)[slot]
+                raise RuntimeError(f"the child process training items {lo} to {hi - 1} of a "
+                                   f"stack failed: exit code {os.waitstatus_to_exitcode(status)}, "
+                                   f"{got} of {w[lo:hi].nbytes} bytes")
+
+    def _start(self, count: int) -> bool:
+        """True once the pool has at least count helpers, forking those it lacks; False
+        if the system refuses a pipe or a fork."""
+        try:
+            while len(self.helpers) < count:
+                self.helpers.append(self._fork())
+        except OSError:
+            return False
+        return True
+
+    def _fork(self) -> tuple:
+        """(pid, request pipe, reply pipe) of a new helper, which serves until the
+        request pipe ends. It leaves through os._exit, so it runs no exit handler and
+        flushes none of this process's buffers; its exit code is 1 on any exception,
+        which it does not print."""
+        fds = os.pipe() + os.pipe()  # requests: read, write; replies: read, write
+        try:
+            pid = os.fork()
+        except BaseException:
+            for fd in fds:
+                os.close(fd)
+            raise
+        if pid == 0:
+            code = 1
+            try:
+                # an earlier helper sees the end of its requests only once no
+                # process but this one holds their write end
+                for _, requests, replies in self.helpers:
+                    os.close(requests.fileno())
+                    os.close(replies.fileno())
+                os.close(fds[1])
+                os.close(fds[2])
+                _serve(self.datas, open(fds[0], "rb"), open(fds[3], "wb", buffering=0))
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(fds[0])
+        os.close(fds[3])
+        return pid, open(fds[1], "wb", buffering=0), open(fds[2], "rb")
+
+    def close(self, kill: bool = False) -> list:
+        """Ends every helper, killing it first when kill, and reaps it; returns their
+        wait statuses. A helper that is not killed exits at the end of its requests."""
+        helpers, self.helpers = self.helpers, []
+        if kill and helpers:
+            import signal  # only this path needs it, and its import costs about 1 ms
+        for pid, requests, replies in helpers:
+            requests.close()
+            replies.close()
+            if kill:
+                os.kill(pid, signal.SIGKILL)
+        return [os.waitpid(pid, 0)[1] for pid, _, _ in helpers]
 
 
-def _reap(pid: int, read_end: int) -> tuple:
-    """(wait status, bytes) of a forked child: reads its pipe to the end, then waits for it."""
-    try:
-        with open(read_end, "rb") as pipe:
-            rows = pipe.read()
-    finally:
-        status = os.waitpid(pid, 0)[1]
-    return status, rows
+def _send(pipe, *parts) -> None:
+    """Writes each buffer of parts to the unbuffered pipe in full: a write may take part of one."""
+    for part in parts:
+        view = memoryview(part).cast("B")
+        while view:
+            view = view[pipe.write(view):]
+
+
+def _serve(datas, requests, replies) -> None:
+    """A helper's loop: trains the rows of each request on datas and sends them back,
+    until the requests end."""
+    while head := requests.read(_REQUEST.size):
+        k, epochs, batch_size, learning_rate = _REQUEST.unpack(head)
+        ints = np.frombuffer(requests.read(16 * k), dtype=np.int64).tolist()
+        share = [datas[i] for i in ints[:k]]
+        data = share[0]
+        w = np.empty((k, param_dim(data.features.shape[1], data.classes)))
+        requests.readinto(w)
+        _train_stack(w, share, TrainConfig(epochs, learning_rate, batch_size), ints[k:])
+        _send(replies, w)
 
 
 def _train_stack(w: np.ndarray, datas, cfg: TrainConfig, seeds) -> None:
     """Trains the k x dim parameters w in place, item i on datas[i]; the datas share one shape.
 
-    Its arguments are checked by _local_train.
+    Its arguments are checked by local_train.
     """
     k, data = len(datas), datas[0]
     n, f, classes = data.n, data.features.shape[1], data.classes

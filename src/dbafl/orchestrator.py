@@ -25,7 +25,7 @@ from .aggregation import (DefenseMode, DefensePolicy, aggregate_async, aggregate
                           defense_filter, scaling_factor)
 from .chain import (Chain, CommitteeState, BlockCutPolicy, HashRecord, RecordKind,
                     hash_model, verify_record)
-from .model import (DataStack, Dataset, ModelParams, TrainConfig, draws_batches,
+from .model import (DataStack, Dataset, ModelParams, TrainConfig, TrainPool, draws_batches,
                     evaluate_accuracy, generate_synthetic_dataset, global_objective,
                     holdout_rows, init_params, local_loss, local_train, shape_groups,
                     split_dataset)
@@ -463,6 +463,7 @@ class _Simulation:
         trains = [n.train_data for n in self.nodes]
         self.loss_stacks = [([self.nodes[i] for i in items], DataStack([trains[i] for i in items]))
                             for items in shape_groups(trains)]
+        self.pool = TrainPool(trains)  # its helpers live until run_scenario closes it
         self.global_params = init_params(cfg.data.features, cfg.data.classes)
         self.global_digest: Optional[bytes] = None  # of global_params once published
         self.global_version = 0
@@ -612,7 +613,7 @@ class _Simulation:
                 keeper = self._keeper()
                 batch = [n for n in self.untrained if n is node or n.cfg.id != keeper]
                 starts, datas, seeds = zip(*map(self.untrained.pop, batch))
-                results = local_train(starts, datas, self.cfg.train, seeds)
+                results = local_train(starts, datas, self.cfg.train, seeds, self.pool)
                 self.trained.update(zip(batch, results))
             params = self.trained.pop(node)
             if isinstance(params, ArithmeticError):
@@ -822,4 +823,8 @@ class _Simulation:
 
 def run_scenario(cfg: ScenarioConfig) -> RunResult:
     """Execute one scenario to its horizon; deterministic given the config."""
-    return _Simulation(cfg).run()
+    sim = _Simulation(cfg)
+    try:
+        return sim.run()
+    finally:
+        sim.pool.close()

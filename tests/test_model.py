@@ -1,6 +1,7 @@
 """Tests for dbafl.model: synthetic data, training, evaluation."""
 
 import dataclasses
+import errno
 import functools
 import math
 import os
@@ -638,7 +639,7 @@ def _share_items(k, classes, seed=90):
 
 
 def _in_shares(count):
-    """A share rule for model._local_train: every stack in count shares, whatever its work."""
+    """A share rule for model.TrainPool: every stack in count shares, whatever its work."""
     return lambda row_epochs: count
 
 
@@ -649,27 +650,35 @@ def _assert_no_child_left():
 
 @pytest.mark.parametrize("k, shares", [(2, 2), (2, 3), (3, 2), (3, 3), (17, 2), (17, 3)])
 def test_shares_are_bit_identical_to_one_stack(k, shares, forks, capfd):
-    for classes in (2, 3, 4):
-        starts, datas, seeds = _share_items(k, classes)
-        for batch_size in (30, 7):  # full batch, and ragged mini-batches drawn from the seeds
-            cfg = model.TrainConfig(epochs=3, learning_rate=0.5, batch_size=batch_size)
-            one = model._local_train(starts, datas, cfg, seeds, _in_shares(1))
-            split = model._local_train(starts, datas, cfg, seeds, _in_shares(shares))
-            assert [p.tobytes() for p in split] == [p.tobytes() for p in one], \
-                (classes, batch_size)
-            _assert_no_child_left()
-    assert forks[0] == 3 * 2 * (min(k, shares) - 1)  # at most one share per item
-    assert capfd.readouterr() == ("", "")  # no child prints or flushes a buffer
+    items = {classes: _share_items(k, classes) for classes in (2, 3, 4)}
+    pool = model.TrainPool([d for _, datas, _ in items.values() for d in datas],
+                           _in_shares(shares))
+    try:
+        for classes, (starts, datas, seeds) in items.items():
+            for batch_size in (30, 7):  # full batch, and ragged mini-batches drawn from the seeds
+                cfg = model.TrainConfig(epochs=3, learning_rate=0.5, batch_size=batch_size)
+                one = model.local_train(starts, datas, cfg, seeds)
+                split = model.local_train(starts, datas, cfg, seeds, pool)
+                assert [p.tobytes() for p in split] == [p.tobytes() for p in one], \
+                    (classes, batch_size)
+    finally:
+        pool.close()
+    _assert_no_child_left()
+    # one pool serves all six calls: one fork per helper, at most one share per item
+    assert forks[0] == min(k, shares) - 1
+    assert capfd.readouterr() == ("", "")  # no helper prints or flushes a buffer
 
 
 @pytest.mark.parametrize("batch_size", [7, 30])  # mini-batch and full batch
 def test_a_diverging_item_in_a_childs_share_fails_in_its_place(batch_size, forks):
     starts, datas, seeds = _share_items(4, 3)
-    starts[3] = np.full_like(starts[3], 1e308)  # the second share, which a child trains
+    starts[3] = np.full_like(starts[3], 1e308)  # the second share, which a helper trains
     cfg = model.TrainConfig(epochs=3, learning_rate=0.5, batch_size=batch_size)
+    pool = model.TrainPool(datas, _in_shares(2))
     with np.errstate(over="ignore", invalid="ignore"):
-        one = model._local_train(starts, datas, cfg, seeds, _in_shares(1))
-        split = model._local_train(starts, datas, cfg, seeds, _in_shares(2))
+        one = model.local_train(starts, datas, cfg, seeds)
+        split = model.local_train(starts, datas, cfg, seeds, pool)
+    pool.close()
     assert forks[0] == 1
     for err in (one[3], split[3]):
         assert isinstance(err, ArithmeticError) and "diverged" in str(err)
@@ -680,18 +689,20 @@ def test_a_diverging_item_in_a_childs_share_fails_in_its_place(batch_size, forks
 def test_a_bad_item_in_the_back_share_raises_before_any_fork(forks):
     starts, datas, seeds = _share_items(4, 2)
     mini = model.TrainConfig(epochs=1, learning_rate=0.5, batch_size=7)
+    pool = model.TrainPool(datas, _in_shares(2))
     cases = {"None seed": (starts, seeds[:3] + [None]),
              "one short start": (starts[:3] + [np.zeros(5)], seeds),
              "short starts": ([np.zeros(5)] * 4, seeds)}
     for case, (bad_starts, bad_seeds) in cases.items():
         with pytest.raises(ValueError) as one:
-            model._local_train(bad_starts, datas, mini, bad_seeds, _in_shares(1))
+            model.local_train(bad_starts, datas, mini, bad_seeds)
         with pytest.raises(ValueError) as split:
-            model._local_train(bad_starts, datas, mini, bad_seeds, _in_shares(2))
+            model.local_train(bad_starts, datas, mini, bad_seeds, pool)
         assert str(split.value) == str(one.value), case
     with pytest.raises(ValueError, match="^a seed is None, but batch_size 7 < 30 rows"):
-        model.local_train(starts, datas, mini, seeds[:3] + [None])
+        model.local_train(starts, datas, mini, seeds[:3] + [None], pool)
     assert forks[0] == 0
+    assert pool.helpers == []
 
 
 def test_a_failing_child_makes_the_call_raise_and_prints_nothing(monkeypatch, capfd):
@@ -705,9 +716,11 @@ def test_a_failing_child_makes_the_call_raise_and_prints_nothing(monkeypatch, ca
     monkeypatch.setattr(model, "_train_stack", fails_in_a_child)
     starts, datas, seeds = _share_items(5, 2)
     cfg = model.TrainConfig(epochs=2, learning_rate=0.5, batch_size=7)
+    pool = model.TrainPool(datas, _in_shares(2))
     with pytest.raises(RuntimeError, match="^the child process training items 3 to 4 of a "
                                            "stack failed: exit code 1, 0 of 96 bytes$"):
-        model._local_train(starts, datas, cfg, seeds, _in_shares(2))
+        model.local_train(starts, datas, cfg, seeds, pool)
+    assert pool.helpers == []  # the failure closed the pool
     _assert_no_child_left()
     assert capfd.readouterr() == ("", "")
 
@@ -724,22 +737,90 @@ def test_a_failing_own_share_kills_and_reaps_the_children(monkeypatch):
     monkeypatch.setattr(model, "_train_stack", fails_in_the_parent)
     starts, datas, seeds = _share_items(3, 2)
     cfg = model.TrainConfig(epochs=2, learning_rate=0.5, batch_size=7)
+    pool = model.TrainPool(datas, _in_shares(3))
     began = time.monotonic()
     with pytest.raises(KeyError, match="the parent's share"):
-        model._local_train(starts, datas, cfg, seeds, _in_shares(3))
+        model.local_train(starts, datas, cfg, seeds, pool)
     assert time.monotonic() - began < 30
+    assert pool.helpers == []
+    _assert_no_child_left()
+
+
+def test_a_stack_with_a_dataset_the_pool_does_not_know_trains_here(forks):
+    starts, datas, seeds = _share_items(4, 2)
+    cfg = model.TrainConfig(epochs=2, learning_rate=0.5, batch_size=7)
+    pool = model.TrainPool(datas[:3], _in_shares(2))
+    one = model.local_train(starts, datas, cfg, seeds)
+    split = model.local_train(starts, datas, cfg, seeds, pool)
+    assert [p.tobytes() for p in split] == [p.tobytes() for p in one]
+    assert forks[0] == 0 and pool.helpers == []
+
+
+def test_a_seed_the_pool_cannot_send_trains_here(forks):
+    starts, datas, seeds = _share_items(2, 2)
+    cfg = model.TrainConfig(epochs=2, learning_rate=0.5, batch_size=7)
+    pool = model.TrainPool(datas, _in_shares(2))
+    big = [seeds[0], 1 << 64]  # numpy draws from any int; an int64 holds less
+    one = model.local_train(starts, datas, cfg, big)
+    split = model.local_train(starts, datas, cfg, big, pool)
+    assert [p.tobytes() for p in split] == [p.tobytes() for p in one]
+    assert forks[0] == 0 and pool.helpers == []
+
+
+@pytest.mark.parametrize("code", [errno.EAGAIN, errno.ENOMEM])
+def test_a_refused_fork_trains_the_stack_here(monkeypatch, code):
+    def refused():
+        raise OSError(code, os.strerror(code))
+
+    monkeypatch.setattr(os, "fork", refused)
+    starts, datas, seeds = _share_items(3, 2)
+    cfg = model.TrainConfig(epochs=2, learning_rate=0.5, batch_size=7)
+    pool = model.TrainPool(datas, _in_shares(2))
+    one = model.local_train(starts, datas, cfg, seeds)
+    split = model.local_train(starts, datas, cfg, seeds, pool)
+    assert [p.tobytes() for p in split] == [p.tobytes() for p in one]
+    assert pool.helpers == []
+
+
+def test_a_pool_of_three_helpers_closes_without_hanging(forks):
+    import signal
+
+    starts, datas, seeds = _share_items(4, 2)
+    cfg = model.TrainConfig(epochs=1, learning_rate=0.5, batch_size=30)
+    pool = model.TrainPool(datas, _in_shares(4))
+    model.local_train(starts, datas, cfg, seeds, pool)
+    assert forks[0] == len(pool.helpers) == 3
+
+    def hung(*_):
+        raise TimeoutError("a helper never saw the end of its requests")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    try:
+        # The first helper exits once the pool ends its requests, though the
+        # later helpers were forked while the pool held their write end.
+        pid, requests, _ = pool.helpers[0]
+        requests.close()
+        assert os.waitpid(pid, 0)[1] == 0
+        pool.helpers.pop(0)[2].close()
+        pool.close()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
     _assert_no_child_left()
 
 
 def test_the_share_count_follows_the_work_the_cpus_and_fork(monkeypatch):
     least = model.MIN_SHARE_ROW_EPOCHS
     cpus = len(os.sched_getaffinity(0))
-    assert model._share_count(2 * least - 1) == 1
-    assert model._share_count(3 * least) == min(3, cpus)
-    assert model._share_count(40 * least) == min(40, cpus)
+    shares = model.TrainPool([]).shares
+    assert shares(2 * least - 1) == 1
+    assert shares(3 * least) == min(3, cpus)
+    assert shares(40 * least) == min(40, cpus)
     for name in ("fork", "sched_getaffinity"):
         with monkeypatch.context() as m:
             m.delattr(os, name)
-            assert model._share_count(40 * least) == 1
+            assert model.TrainPool([]).shares(40 * least) == 1
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert model._share_count(40 * least) == 1
+    assert model.TrainPool([]).shares(40 * least) == 1
+    assert shares(40 * least) == min(40, cpus)  # a pool reads the CPUs once, when made

@@ -1,6 +1,7 @@
 """Tests for dbafl.orchestrator: node scheduling, aggregation service, attacks, metrics."""
 
 import dataclasses
+import errno
 import itertools
 import math
 import os
@@ -916,12 +917,12 @@ def _run_with_trainer(monkeypatch, cfg, one_at_a_time=False):
     calls = []
     batched = orch.local_train
 
-    def trainer(starts, datas, train_cfg, seeds):
+    def trainer(starts, datas, train_cfg, seeds, pool):
         calls.append([(d.n, d.features.shape[1], d.classes) for d in datas])
         if one_at_a_time:
-            return [batched([s], [d], train_cfg, [seed])[0]
+            return [batched([s], [d], train_cfg, [seed], pool)[0]
                     for s, d, seed in zip(starts, datas, seeds)]
-        return batched(starts, datas, train_cfg, seeds)
+        return batched(starts, datas, train_cfg, seeds, pool)
 
     with monkeypatch.context() as m:
         m.setattr(orch, "local_train", trainer)
@@ -982,9 +983,9 @@ def test_trainer_gets_one_item_per_processed_train_event(monkeypatch):
         orch.EventQueue.schedule
     on_dl = orch._Simulation._on_dl
 
-    def trainer(starts, datas, train_cfg, seeds):
+    def trainer(starts, datas, train_cfg, seeds, pool):
         counts["items"] += len(starts)
-        return batched(starts, datas, train_cfg, seeds)
+        return batched(starts, datas, train_cfg, seeds, pool)
 
     def processed(self, now, node):
         counts["processed"] += 1
@@ -1169,10 +1170,52 @@ def test_a_churn_run_trains_in_one_process(forks):
     assert forks[0] == 0
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
-                    reason="a stack trains in shares only on two or more allowed CPUs")
-def test_a_forty_node_run_trains_its_large_stacks_in_shares(forks):
+def _forty_nodes(**overrides):
+    """The 40-node benchmark scenario: a poisoner and the threshold defense."""
     attack = orch.AttackConfig(poisoners=frozenset({39}),
                                defense=agg.DefensePolicy.threshold(0.9))
-    orch.run_scenario(_fleet(24, 16, attack=attack))
+    return _fleet(24, 16, attack=attack, **overrides)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+_SPLITS = pytest.mark.skipif(_CPUS < 2, reason="a stack trains in shares only on two or "
+                                               "more allowed CPUs")
+
+
+@_SPLITS
+def test_a_forty_node_run_trains_its_large_stacks_in_shares(forks):
+    orch.run_scenario(_forty_nodes())
+    # the run's pool forks its helpers at the first split and keeps them
+    assert 1 <= forks[0] <= _CPUS - 1
+    _assert_no_child_left()
+
+
+@_SPLITS
+def test_a_run_that_raises_leaves_no_child(forks):
+    # Steps of 1e300 keep every node finite but the last bus, whose features are
+    # 1e10 times as large, in the stack of the others' shape: its first step overflows.
+    data = mdl.generate_synthetic_dataset(seed=5, n=1500, f=2, classes=2, separation=4.0)
+    blown = mdl.Dataset(data.features * 1e10, data.labels, data.classes)
+    cfg = _forty_nodes(train=mdl.TrainConfig(epochs=50, learning_rate=1e300, batch_size=1500))
+    nodes = cfg.nodes[:-1] + (dataclasses.replace(cfg.nodes[-1], dataset=blown),)
+    with np.errstate(all="ignore"), pytest.raises(ArithmeticError, match="diverged"):
+        orch.run_scenario(dataclasses.replace(cfg, nodes=nodes))
     assert forks[0] >= 1
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("code", [errno.EAGAIN, errno.ENOMEM])
+def test_a_refused_fork_gives_the_same_run(monkeypatch, code):
+    def refused():
+        raise OSError(code, os.strerror(code))
+
+    want = orch.run_scenario(_forty_nodes())
+    monkeypatch.setattr(os, "fork", refused)
+    got = orch.run_scenario(_forty_nodes())
+    assert cli._metrics_csv(got) == cli._metrics_csv(want)
+    assert ch.dump_chain(got.chain) == ch.dump_chain(want.chain)
