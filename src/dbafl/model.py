@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import math
 import os
-import struct
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -423,11 +423,6 @@ def local_train(starts, datas, cfg: TrainConfig, seeds, pool: TrainPool | None =
 MIN_SHARE_ROW_EPOCHS = 240_000
 
 
-# A request's items, epochs, batch size and learning rate; then each item's
-# position in the pool's datasets and its seed (int64), then its start rows.
-_REQUEST = struct.Struct("<3qd")
-
-
 class TrainPool:
     """Helper processes that train shares of stacks on the datasets the pool was made with.
 
@@ -435,9 +430,10 @@ class TrainPool:
     that stack has shares after the first, and keeps them for every later
     split. A helper inherits the datasets at its fork, so a request carries
     only each item's position in them, its seed, the TrainConfig and the
-    start rows, and the reply only the trained rows. A helper runs under the
-    numpy floating-point error handling in force at its fork. `close` ends
-    and reaps every helper; the owner calls it on every exit path.
+    start rows, and the reply only the trained rows; both are pickled. A
+    helper runs under the numpy floating-point error handling in force at
+    its fork. `close` ends and reaps every helper; the owner calls it on
+    every exit path.
     """
 
     def __init__(self, datas, shares=None):
@@ -461,42 +457,36 @@ class TrainPool:
         """_train_stack(w, datas, cfg, seeds) on contiguous shares of the items of w (at
         most one per item): the first, the largest, in this process and each other in a
         helper. The whole stack trains here when it has one share, a dataset the pool was
-        not made with, a seed that is not an int in [0, 2**63), or a fork is refused.
-        RuntimeError if a helper failed; on any error every helper is killed and reaped.
+        not made with, or a fork is refused. RuntimeError naming a helper's items and exit
+        code if a request to it or its reply fails; on any error every helper is killed
+        and reaped.
         """
         k, n = len(w), datas[0].n
         count = min(k, self.shares(k * n * cfg.epochs))
         if count == 1:  # most calls
             return _train_stack(w, datas, cfg, seeds)
-        draws = draws_batches(cfg, datas[0])
-        if (not all(d in self.positions for d in datas)
-                or draws and not all(type(s) is int and 0 <= s < 1 << 63 for s in seeds)
-                or not self._start(count - 1)):
+        if not all(d in self.positions for d in datas) or not self._start(count - 1):
             return _train_stack(w, datas, cfg, seeds)
         cuts = [-(-k * j // count) for j in range(count + 1)]  # ceilings: the first share is largest
         spans = list(zip(cuts, cuts[1:]))
-        # any batch of n rows or more is the full batch, so an int64 holds the size
-        head = (cfg.epochs, min(cfg.batch_size, n), cfg.learning_rate)
         positions = [self.positions[d] for d in datas]
-        sent = seeds if draws else [0] * k  # a helper reads no seed when nothing draws one
-        helpers = self.helpers[: count - 1]
+        slot = None  # the helper whose request or reply is under way
         try:
-            for (_, requests, _), (lo, hi) in zip(helpers, spans[1:]):
-                ints = np.array(positions[lo:hi] + sent[lo:hi], dtype=np.int64)
-                _send(requests, _REQUEST.pack(hi - lo, *head), ints, w[lo:hi])
+            for slot, (lo, hi) in enumerate(spans[1:]):
+                _send(self.helpers[slot][1], (positions[lo:hi], seeds[lo:hi], cfg, w[lo:hi]))
+            slot = None
             lo, hi = spans[0]
             _train_stack(w[lo:hi], datas[lo:hi], cfg, seeds[lo:hi])
-            received = [replies.readinto(w[lo:hi])
-                        for (_, _, replies), (lo, hi) in zip(helpers, spans[1:])]
-        except BaseException:
-            self.close(kill=True)
-            raise
-        for slot, ((lo, hi), got) in enumerate(zip(spans[1:], received)):
-            if got != w[lo:hi].nbytes:
-                status = self.close(kill=True)[slot]
-                raise RuntimeError(f"the child process training items {lo} to {hi - 1} of a "
-                                   f"stack failed: exit code {os.waitstatus_to_exitcode(status)}, "
-                                   f"{got} of {w[lo:hi].nbytes} bytes")
+            for slot, (lo, hi) in enumerate(spans[1:]):
+                w[lo:hi] = pickle.load(self.helpers[slot][2])
+        except BaseException as error:
+            statuses = self.close(kill=True)
+            if slot is None or not isinstance(error, (OSError, EOFError, pickle.UnpicklingError)):
+                raise
+            lo, hi = spans[slot + 1]
+            raise RuntimeError(f"the child process training items {lo} to {hi - 1} of a stack "
+                               f"failed: exit code {os.waitstatus_to_exitcode(statuses[slot])}") \
+                from error
 
     def _start(self, count: int) -> bool:
         """True once the pool has at least count helpers, forking those it lacks; False
@@ -530,7 +520,9 @@ class TrainPool:
                     os.close(replies.fileno())
                 os.close(fds[1])
                 os.close(fds[2])
-                _serve(self.datas, open(fds[0], "rb"), open(fds[3], "wb", buffering=0))
+                # held to the exit, so a reply ends only once the helper's exit code is set
+                pipes = open(fds[0], "rb"), open(fds[3], "wb", buffering=0)
+                _serve(self.datas, *pipes)
                 code = 0
             finally:
                 os._exit(code)
@@ -552,25 +544,20 @@ class TrainPool:
         return [os.waitpid(pid, 0)[1] for pid, _, _ in helpers]
 
 
-def _send(pipe, *parts) -> None:
-    """Writes each buffer of parts to the unbuffered pipe in full: a write may take part of one."""
-    for part in parts:
-        view = memoryview(part).cast("B")
-        while view:
-            view = view[pipe.write(view):]
+def _send(pipe, obj) -> None:
+    """Pickles obj to the unbuffered pipe in full: a write may take part of it. Protocol 5
+    carries an array's data as a bytearray, so its rows unpickle writable."""
+    view = memoryview(pickle.dumps(obj, protocol=5))
+    while view:
+        view = view[pipe.write(view):]
 
 
 def _serve(datas, requests, replies) -> None:
-    """A helper's loop: trains the rows of each request on datas and sends them back,
-    until the requests end."""
-    while head := requests.read(_REQUEST.size):
-        k, epochs, batch_size, learning_rate = _REQUEST.unpack(head)
-        ints = np.frombuffer(requests.read(16 * k), dtype=np.int64).tolist()
-        share = [datas[i] for i in ints[:k]]
-        data = share[0]
-        w = np.empty((k, param_dim(data.features.shape[1], data.classes)))
-        requests.readinto(w)
-        _train_stack(w, share, TrainConfig(epochs, learning_rate, batch_size), ints[k:])
+    """A helper's loop: trains the start rows of each request on datas and sends them
+    back, until the requests end."""
+    while requests.peek(1):
+        positions, seeds, cfg, w = pickle.load(requests)
+        _train_stack(w, [datas[i] for i in positions], cfg, seeds)
         _send(replies, w)
 
 

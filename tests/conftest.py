@@ -1,5 +1,6 @@
 """Hypothesis profiles: `tier1` draws the same examples on every run, `explore` fresh ones;
-and the `forks` fixture, which counts the processes a test forks.
+the `forks` fixture, which counts the processes a test forks; and
+`assert_no_child_left`, which tests that fork import from here.
 
 Set HYPOTHESIS_PROFILE=explore to draw new examples; a test's own settings,
 such as its example count, hold under either profile.
@@ -27,3 +28,9 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", counted)
     return count
+
+
+def assert_no_child_left():
+    """Fails if this process has a child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -5,10 +5,13 @@ import errno
 import functools
 import math
 import os
+import pickle
+import signal
 import time
 
 import numpy as np
 import pytest
+from conftest import assert_no_child_left
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
@@ -643,11 +646,6 @@ def _in_shares(count):
     return lambda row_epochs: count
 
 
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.mark.parametrize("k, shares", [(2, 2), (2, 3), (3, 2), (3, 3), (17, 2), (17, 3)])
 def test_shares_are_bit_identical_to_one_stack(k, shares, forks, capfd):
     items = {classes: _share_items(k, classes) for classes in (2, 3, 4)}
@@ -663,7 +661,7 @@ def test_shares_are_bit_identical_to_one_stack(k, shares, forks, capfd):
                     (classes, batch_size)
     finally:
         pool.close()
-    _assert_no_child_left()
+    assert_no_child_left()
     # one pool serves all six calls: one fork per helper, at most one share per item
     assert forks[0] == min(k, shares) - 1
     assert capfd.readouterr() == ("", "")  # no helper prints or flushes a buffer
@@ -683,7 +681,7 @@ def test_a_diverging_item_in_a_childs_share_fails_in_its_place(batch_size, forks
     for err in (one[3], split[3]):
         assert isinstance(err, ArithmeticError) and "diverged" in str(err)
     assert [p.tobytes() for p in split[:3]] == [p.tobytes() for p in one[:3]]
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_a_bad_item_in_the_back_share_raises_before_any_fork(forks):
@@ -718,10 +716,11 @@ def test_a_failing_child_makes_the_call_raise_and_prints_nothing(monkeypatch, ca
     cfg = model.TrainConfig(epochs=2, learning_rate=0.5, batch_size=7)
     pool = model.TrainPool(datas, _in_shares(2))
     with pytest.raises(RuntimeError, match="^the child process training items 3 to 4 of a "
-                                           "stack failed: exit code 1, 0 of 96 bytes$"):
+                                           "stack failed: exit code 1$") as failed:
         model.local_train(starts, datas, cfg, seeds, pool)
+    assert isinstance(failed.value.__cause__, EOFError)  # the helper replied nothing
     assert pool.helpers == []  # the failure closed the pool
-    _assert_no_child_left()
+    assert_no_child_left()
     assert capfd.readouterr() == ("", "")
 
 
@@ -743,7 +742,7 @@ def test_a_failing_own_share_kills_and_reaps_the_children(monkeypatch):
         model.local_train(starts, datas, cfg, seeds, pool)
     assert time.monotonic() - began < 30
     assert pool.helpers == []
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_a_stack_with_a_dataset_the_pool_does_not_know_trains_here(forks):
@@ -756,15 +755,58 @@ def test_a_stack_with_a_dataset_the_pool_does_not_know_trains_here(forks):
     assert forks[0] == 0 and pool.helpers == []
 
 
-def test_a_seed_the_pool_cannot_send_trains_here(forks):
-    starts, datas, seeds = _share_items(2, 2)
+def test_a_helper_that_died_idle_fails_the_next_split(forks):
+    starts, datas, seeds = _share_items(4, 2)
     cfg = model.TrainConfig(epochs=2, learning_rate=0.5, batch_size=7)
     pool = model.TrainPool(datas, _in_shares(2))
-    big = [seeds[0], 1 << 64]  # numpy draws from any int; an int64 holds less
-    one = model.local_train(starts, datas, cfg, big)
-    split = model.local_train(starts, datas, cfg, big, pool)
-    assert [p.tobytes() for p in split] == [p.tobytes() for p in one]
-    assert forks[0] == 0 and pool.helpers == []
+    model.local_train(starts, datas, cfg, seeds, pool)
+    pid = pool.helpers[0][0]
+    os.kill(pid, signal.SIGKILL)
+    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # dead, and not reaped
+    with pytest.raises(RuntimeError, match="^the child process training items 2 to 3 of a "
+                                           "stack failed: exit code -9$") as failed:
+        model.local_train(starts, datas, cfg, seeds, pool)
+    assert isinstance(failed.value.__cause__, BrokenPipeError)  # the request found no reader
+    assert forks[0] == 1
+    assert pool.helpers == []
+    assert_no_child_left()
+
+
+def test_a_truncated_reply_makes_the_call_raise(monkeypatch, capfd):
+    def truncates(datas, requests, replies):
+        start_rows = pickle.load(requests)[-1]
+        reply = pickle.dumps(start_rows, protocol=5)
+        replies.write(reply[: len(reply) // 2])  # then exits 0
+
+    monkeypatch.setattr(model, "_serve", truncates)
+    starts, datas, seeds = _share_items(5, 2)
+    cfg = model.TrainConfig(epochs=2, learning_rate=0.5, batch_size=7)
+    pool = model.TrainPool(datas, _in_shares(2))
+    with pytest.raises(RuntimeError, match="^the child process training items 3 to 4 of a "
+                                           "stack failed: exit code 0$") as failed:
+        model.local_train(starts, datas, cfg, seeds, pool)
+    assert isinstance(failed.value.__cause__, pickle.UnpicklingError)
+    assert pool.helpers == []
+    assert_no_child_left()
+    assert capfd.readouterr() == ("", "")
+
+
+def test_a_seed_or_batch_size_past_int64_splits(forks):
+    starts, datas, seeds = _share_items(4, 2)
+    any_seeds = [seeds[0], 1 << 64, np.int64(seeds[2]), 1 << 64 | 5]  # numpy draws from any int
+    mini = model.TrainConfig(epochs=2, learning_rate=0.5, batch_size=7)
+    full = model.TrainConfig(epochs=2, learning_rate=0.5, batch_size=1 << 64)
+    pool = model.TrainPool(datas, _in_shares(2))
+    try:
+        for cfg in (mini, full):
+            one = model.local_train(starts, datas, cfg, any_seeds)
+            split = model.local_train(starts, datas, cfg, any_seeds, pool)
+            assert [p.tobytes() for p in split] == [p.tobytes() for p in one], cfg
+            assert forks[0] == 1, cfg  # each call splits, on the one helper
+    finally:
+        pool.close()
+    assert pool.helpers == []
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("code", [errno.EAGAIN, errno.ENOMEM])
@@ -783,8 +825,6 @@ def test_a_refused_fork_trains_the_stack_here(monkeypatch, code):
 
 
 def test_a_pool_of_three_helpers_closes_without_hanging(forks):
-    import signal
-
     starts, datas, seeds = _share_items(4, 2)
     cfg = model.TrainConfig(epochs=1, learning_rate=0.5, batch_size=30)
     pool = model.TrainPool(datas, _in_shares(4))
@@ -807,7 +847,7 @@ def test_a_pool_of_three_helpers_closes_without_hanging(forks):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_the_share_count_follows_the_work_the_cpus_and_fork(monkeypatch):

@@ -9,6 +9,7 @@ import typing
 
 import numpy as np
 import pytest
+from conftest import assert_no_child_left
 
 from dbafl import aggregation as agg
 from dbafl import chain as ch
@@ -1177,11 +1178,6 @@ def _forty_nodes(**overrides):
     return _fleet(24, 16, attack=attack, **overrides)
 
 
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 _SPLITS = pytest.mark.skipif(_CPUS < 2, reason="a stack trains in shares only on two or "
                                                "more allowed CPUs")
@@ -1192,7 +1188,7 @@ def test_a_forty_node_run_trains_its_large_stacks_in_shares(forks):
     orch.run_scenario(_forty_nodes())
     # the run's pool forks its helpers at the first split and keeps them
     assert 1 <= forks[0] <= _CPUS - 1
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 @_SPLITS
@@ -1206,7 +1202,7 @@ def test_a_run_that_raises_leaves_no_child(forks):
     with np.errstate(all="ignore"), pytest.raises(ArithmeticError, match="diverged"):
         orch.run_scenario(dataclasses.replace(cfg, nodes=nodes))
     assert forks[0] >= 1
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("code", [errno.EAGAIN, errno.ENOMEM])
