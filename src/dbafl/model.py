@@ -428,12 +428,12 @@ class TrainPool:
 
     Forks nothing until the first stack that splits, then as many helpers as
     that stack has shares after the first, and keeps them for every later
-    split. A helper inherits the datasets at its fork, so a request carries
-    only each item's position in them, its seed, the TrainConfig and the
-    start rows, and the reply only the trained rows; both are pickled. A
-    helper runs under the numpy floating-point error handling in force at
-    its fork. `close` ends and reaps every helper; the owner calls it on
-    every exit path.
+    split. Each helper talks to the pool over one socket pair. A helper
+    inherits the datasets at its fork, so a request carries only each item's
+    position in them, its seed, the TrainConfig and the start rows, and the
+    reply only the trained rows; both are pickled. A helper runs under the
+    numpy floating-point error handling in force at its fork. `close` ends
+    and reaps every helper; the owner calls it on every exit path.
     """
 
     def __init__(self, datas, shares=None):
@@ -451,29 +451,32 @@ class TrainPool:
             def shares(row_epochs: int) -> int:
                 return max(1, min(row_epochs // MIN_SHARE_ROW_EPOCHS, cpus))
         self.shares = shares
-        self.helpers = []  # (pid, request pipe, reply pipe) of each forked helper
+        self.helpers = []  # (pid, socket, reader of the socket) of each forked helper
 
     def train(self, w: np.ndarray, datas, cfg: TrainConfig, seeds) -> None:
         """_train_stack(w, datas, cfg, seeds) on contiguous shares of the items of w (at
         most one per item): the first, the largest, in this process and each other in a
-        helper. The whole stack trains here when it has one share, a dataset the pool was
-        not made with, or a fork is refused. RuntimeError naming a helper's items and exit
-        code if a request to it or its reply fails; on any error every helper is killed
-        and reaped.
+        helper. The whole stack trains here when it has one share, or when the system
+        refuses a socket pair or a fork. KeyError, before any fork, if a stack that
+        splits has a dataset the pool was not made with. RuntimeError naming a helper's
+        items and exit code if a request to it or its reply fails; on any error every
+        helper is killed and reaped.
         """
         k, n = len(w), datas[0].n
         count = min(k, self.shares(k * n * cfg.epochs))
         if count == 1:  # most calls
             return _train_stack(w, datas, cfg, seeds)
-        if not all(d in self.positions for d in datas) or not self._start(count - 1):
+        positions = [self.positions[d] for d in datas]
+        if not self._start(count - 1):
             return _train_stack(w, datas, cfg, seeds)
         cuts = [-(-k * j // count) for j in range(count + 1)]  # ceilings: the first share is largest
         spans = list(zip(cuts, cuts[1:]))
-        positions = [self.positions[d] for d in datas]
         slot = None  # the helper whose request or reply is under way
         try:
             for slot, (lo, hi) in enumerate(spans[1:]):
-                _send(self.helpers[slot][1], (positions[lo:hi], seeds[lo:hi], cfg, w[lo:hi]))
+                # protocol 5 carries an array's data as a bytearray, so its rows unpickle writable
+                request = positions[lo:hi], seeds[lo:hi], cfg, w[lo:hi]
+                self.helpers[slot][1].sendall(pickle.dumps(request, protocol=5))
             slot = None
             lo, hi = spans[0]
             _train_stack(w[lo:hi], datas[lo:hi], cfg, seeds[lo:hi])
@@ -490,7 +493,7 @@ class TrainPool:
 
     def _start(self, count: int) -> bool:
         """True once the pool has at least count helpers, forking those it lacks; False
-        if the system refuses a pipe or a fork."""
+        if the system refuses a socket pair or a fork."""
         try:
             while len(self.helpers) < count:
                 self.helpers.append(self._fork())
@@ -499,36 +502,44 @@ class TrainPool:
         return True
 
     def _fork(self) -> tuple:
-        """(pid, request pipe, reply pipe) of a new helper, which serves until the
-        request pipe ends. It leaves through os._exit, so it runs no exit handler and
-        flushes none of this process's buffers; its exit code is 1 on any exception,
-        which it does not print."""
-        fds = os.pipe() + os.pipe()  # requests: read, write; replies: read, write
+        """(pid, socket, reader of the socket) of a new helper, which serves until its
+        requests end. It leaves through os._exit, so it runs no exit handler and flushes
+        none of this process's buffers; its exit code is 1 on any exception, which it
+        does not print."""
+        import socket  # a pool that never splits does not load it
+
+        ours, theirs = socket.socketpair()
         try:
             pid = os.fork()
         except BaseException:
-            for fd in fds:
-                os.close(fd)
+            ours.close()
+            theirs.close()
             raise
         if pid == 0:
             code = 1
             try:
-                # an earlier helper sees the end of its requests only once no
-                # process but this one holds their write end
-                for _, requests, replies in self.helpers:
-                    os.close(requests.fileno())
-                    os.close(replies.fileno())
-                os.close(fds[1])
-                os.close(fds[2])
-                # held to the exit, so a reply ends only once the helper's exit code is set
-                pipes = open(fds[0], "rb"), open(fds[3], "wb", buffering=0)
-                _serve(self.datas, *pipes)
+                # an earlier helper sees the end of its requests only once no process but
+                # this one holds the pool's end; the socket's reader still refers to its
+                # descriptor, so closing the socket alone would leave it open
+                for _, sock, _ in self.helpers:
+                    os.close(sock.fileno())
+                ours.close()
+                # theirs is held to the exit, so a reply ends only once the exit code is set
+                self._serve(theirs)
                 code = 0
             finally:
                 os._exit(code)
-        os.close(fds[0])
-        os.close(fds[3])
-        return pid, open(fds[1], "wb", buffering=0), open(fds[2], "rb")
+        theirs.close()
+        return pid, ours, ours.makefile("rb")
+
+    def _serve(self, sock) -> None:
+        """A helper's loop: trains the start rows of each request on the pool's datasets
+        and sends them back, until the requests end."""
+        requests = sock.makefile("rb")
+        while requests.peek(1):
+            positions, seeds, cfg, w = pickle.load(requests)
+            _train_stack(w, [self.datas[i] for i in positions], cfg, seeds)
+            sock.sendall(pickle.dumps(w, protocol=5))
 
     def close(self, kill: bool = False) -> list:
         """Ends every helper, killing it first when kill, and reaps it; returns their
@@ -536,29 +547,12 @@ class TrainPool:
         helpers, self.helpers = self.helpers, []
         if kill and helpers:
             import signal  # only this path needs it, and its import costs about 1 ms
-        for pid, requests, replies in helpers:
-            requests.close()
-            replies.close()
+        for pid, sock, reader in helpers:
+            reader.close()  # the descriptor closes once both are closed
+            sock.close()
             if kill:
                 os.kill(pid, signal.SIGKILL)
         return [os.waitpid(pid, 0)[1] for pid, _, _ in helpers]
-
-
-def _send(pipe, obj) -> None:
-    """Pickles obj to the unbuffered pipe in full: a write may take part of it. Protocol 5
-    carries an array's data as a bytearray, so its rows unpickle writable."""
-    view = memoryview(pickle.dumps(obj, protocol=5))
-    while view:
-        view = view[pipe.write(view):]
-
-
-def _serve(datas, requests, replies) -> None:
-    """A helper's loop: trains the start rows of each request on datas and sends them
-    back, until the requests end."""
-    while requests.peek(1):
-        positions, seeds, cfg, w = pickle.load(requests)
-        _train_stack(w, [datas[i] for i in positions], cfg, seeds)
-        _send(replies, w)
 
 
 def _train_stack(w: np.ndarray, datas, cfg: TrainConfig, seeds) -> None:

@@ -155,6 +155,8 @@ class AttackConfig:
     def __post_init__(self) -> None:
         if not self.poison_magnitude > 0:  # NaN fails it too
             raise ValueError("poison_magnitude must be positive")
+        if not math.isfinite(2 * self.poison_magnitude):  # the width numpy draws noise over
+            raise ValueError("poison_magnitude must leave a finite noise range, 2 * magnitude")
         object.__setattr__(self, "poisoners", frozenset(self.poisoners))
 
 

@@ -1,6 +1,6 @@
 """Hypothesis profiles: `tier1` draws the same examples on every run, `explore` fresh ones;
 the `forks` fixture, which counts the processes a test forks; and
-`assert_no_child_left`, which tests that fork import from here.
+`assert_no_child_left` and `open_descriptors`, which tests that fork import from here.
 
 Set HYPOTHESIS_PROFILE=explore to draw new examples; a test's own settings,
 such as its example count, hold under either profile.
@@ -28,6 +28,11 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", counted)
     return count
+
+
+def open_descriptors():
+    """The count of this process's open file descriptors, or None where /proc has none."""
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
 
 
 def assert_no_child_left():

@@ -6,6 +6,8 @@ import hashlib
 import os
 import re
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +26,16 @@ def _write(tmp_path: Path, name: str, text: str) -> str:
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+def test_importing_the_cli_loads_neither_socket_nor_signal():
+    # model.TrainPool imports them only when it first forks or kills a helper
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, dbafl.cli; print(sorted({'socket', 'signal'} & set(sys.modules)))"
+    loaded = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                            capture_output=True, text=True, check=True).stdout
+    assert loaded == "[]\n"
 
 
 # PyYAML's safe loaders on this install: libyaml's, which the CLI picks when
@@ -351,6 +363,7 @@ RANGE_CASES = {
     "block-bits": ("payload: {block_bits: 0}\n", "payload.block_bits"),
     "hash-over-model": ("payload: {hash_bits: 9.0e7}\n", "payload.hash_bits"),
     "magnitude": ("attack: {poison_magnitude: 0}\n", "attack.poison_magnitude"),
+    "magnitude-over-range": ("attack: {poison_magnitude: 1.0e308}\n", "attack.poison_magnitude"),
     "flood": ("attack: {ddos: {attack_fraction: 1}}\n", "attack.ddos.attack_fraction"),
     "lag": ("attack: {ddos: {retarget_lag_terms: -1}}\n", "attack.ddos.retarget_lag_terms"),
     "theta": ("attack: {defense: {mode: off, theta: -0.5}}\n", "attack.defense.theta"),

@@ -7,11 +7,12 @@ import math
 import os
 import pickle
 import signal
+import socket
 import time
 
 import numpy as np
 import pytest
-from conftest import assert_no_child_left
+from conftest import assert_no_child_left, open_descriptors
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
@@ -632,12 +633,12 @@ def test_a_diverging_item_fails_alone(batch_size, classes):
 # ------------------------------------------------------- training in shares
 
 
-def _share_items(k, classes, seed=90):
-    """k items of 30 rows: random starts, and an int seed each."""
-    datas = [model.generate_synthetic_dataset(seed=seed + i, n=30, f=2, classes=classes,
+def _share_items(k, classes, seed=90, f=2):
+    """k items of 30 rows of f features: random starts, and an int seed each."""
+    datas = [model.generate_synthetic_dataset(seed=seed + i, n=30, f=f, classes=classes,
                                               separation=1.0) for i in range(k)]
     rng = np.random.default_rng(seed)
-    starts = [rng.normal(size=model.param_dim(2, classes)) for _ in range(k)]
+    starts = [rng.normal(size=model.param_dim(f, classes)) for _ in range(k)]
     return starts, datas, [seed + 100 + i for i in range(k)]
 
 
@@ -714,6 +715,7 @@ def test_a_failing_child_makes_the_call_raise_and_prints_nothing(monkeypatch, ca
     monkeypatch.setattr(model, "_train_stack", fails_in_a_child)
     starts, datas, seeds = _share_items(5, 2)
     cfg = model.TrainConfig(epochs=2, learning_rate=0.5, batch_size=7)
+    before = open_descriptors()
     pool = model.TrainPool(datas, _in_shares(2))
     with pytest.raises(RuntimeError, match="^the child process training items 3 to 4 of a "
                                            "stack failed: exit code 1$") as failed:
@@ -721,6 +723,7 @@ def test_a_failing_child_makes_the_call_raise_and_prints_nothing(monkeypatch, ca
     assert isinstance(failed.value.__cause__, EOFError)  # the helper replied nothing
     assert pool.helpers == []  # the failure closed the pool
     assert_no_child_left()
+    assert open_descriptors() == before
     assert capfd.readouterr() == ("", "")
 
 
@@ -736,6 +739,7 @@ def test_a_failing_own_share_kills_and_reaps_the_children(monkeypatch):
     monkeypatch.setattr(model, "_train_stack", fails_in_the_parent)
     starts, datas, seeds = _share_items(3, 2)
     cfg = model.TrainConfig(epochs=2, learning_rate=0.5, batch_size=7)
+    before = open_descriptors()
     pool = model.TrainPool(datas, _in_shares(3))
     began = time.monotonic()
     with pytest.raises(KeyError, match="the parent's share"):
@@ -743,21 +747,13 @@ def test_a_failing_own_share_kills_and_reaps_the_children(monkeypatch):
     assert time.monotonic() - began < 30
     assert pool.helpers == []
     assert_no_child_left()
-
-
-def test_a_stack_with_a_dataset_the_pool_does_not_know_trains_here(forks):
-    starts, datas, seeds = _share_items(4, 2)
-    cfg = model.TrainConfig(epochs=2, learning_rate=0.5, batch_size=7)
-    pool = model.TrainPool(datas[:3], _in_shares(2))
-    one = model.local_train(starts, datas, cfg, seeds)
-    split = model.local_train(starts, datas, cfg, seeds, pool)
-    assert [p.tobytes() for p in split] == [p.tobytes() for p in one]
-    assert forks[0] == 0 and pool.helpers == []
+    assert open_descriptors() == before
 
 
 def test_a_helper_that_died_idle_fails_the_next_split(forks):
     starts, datas, seeds = _share_items(4, 2)
     cfg = model.TrainConfig(epochs=2, learning_rate=0.5, batch_size=7)
+    before = open_descriptors()
     pool = model.TrainPool(datas, _in_shares(2))
     model.local_train(starts, datas, cfg, seeds, pool)
     pid = pool.helpers[0][0]
@@ -770,17 +766,19 @@ def test_a_helper_that_died_idle_fails_the_next_split(forks):
     assert forks[0] == 1
     assert pool.helpers == []
     assert_no_child_left()
+    assert open_descriptors() == before
 
 
 def test_a_truncated_reply_makes_the_call_raise(monkeypatch, capfd):
-    def truncates(datas, requests, replies):
-        start_rows = pickle.load(requests)[-1]
+    def truncates(pool, sock):
+        start_rows = pickle.load(sock.makefile("rb"))[-1]
         reply = pickle.dumps(start_rows, protocol=5)
-        replies.write(reply[: len(reply) // 2])  # then exits 0
+        sock.sendall(reply[: len(reply) // 2])  # then exits 0
 
-    monkeypatch.setattr(model, "_serve", truncates)
+    monkeypatch.setattr(model.TrainPool, "_serve", truncates)
     starts, datas, seeds = _share_items(5, 2)
     cfg = model.TrainConfig(epochs=2, learning_rate=0.5, batch_size=7)
+    before = open_descriptors()
     pool = model.TrainPool(datas, _in_shares(2))
     with pytest.raises(RuntimeError, match="^the child process training items 3 to 4 of a "
                                            "stack failed: exit code 0$") as failed:
@@ -788,6 +786,7 @@ def test_a_truncated_reply_makes_the_call_raise(monkeypatch, capfd):
     assert isinstance(failed.value.__cause__, pickle.UnpicklingError)
     assert pool.helpers == []
     assert_no_child_left()
+    assert open_descriptors() == before
     assert capfd.readouterr() == ("", "")
 
 
@@ -809,19 +808,51 @@ def test_a_seed_or_batch_size_past_int64_splits(forks):
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("code", [errno.EAGAIN, errno.ENOMEM])
+@pytest.mark.parametrize("code", [errno.EAGAIN, errno.ENOMEM, errno.EMFILE])
 def test_a_refused_fork_trains_the_stack_here(monkeypatch, code):
-    def refused():
+    def refused(*_):
         raise OSError(code, os.strerror(code))
 
-    monkeypatch.setattr(os, "fork", refused)
+    if code == errno.EMFILE:  # too many open files: the socket pair, before any fork
+        monkeypatch.setattr(socket, "socketpair", refused)
+    else:
+        monkeypatch.setattr(os, "fork", refused)
     starts, datas, seeds = _share_items(3, 2)
     cfg = model.TrainConfig(epochs=2, learning_rate=0.5, batch_size=7)
     pool = model.TrainPool(datas, _in_shares(2))
     one = model.local_train(starts, datas, cfg, seeds)
-    split = model.local_train(starts, datas, cfg, seeds, pool)
-    assert [p.tobytes() for p in split] == [p.tobytes() for p in one]
+    before = open_descriptors()
+    for _ in range(3):  # each split tries again, and each refusal leaves nothing open
+        split = model.local_train(starts, datas, cfg, seeds, pool)
+        assert [p.tobytes() for p in split] == [p.tobytes() for p in one]
+    assert open_descriptors() == before
     assert pool.helpers == []
+
+
+def test_a_request_larger_than_the_socket_buffer_survives_interrupted_writes(forks):
+    # about 320 kB per request, past the socket's buffer, so a write takes part of it
+    starts, datas, seeds = _share_items(20, 2, f=2000)
+    cfg = model.TrainConfig(epochs=1, learning_rate=0.5, batch_size=7)
+    one = model.local_train(starts, datas, cfg, seeds)
+    deadline = time.monotonic() + 30
+
+    def interrupts(*_):  # a lost byte would hang both processes, so fail instead
+        if time.monotonic() > deadline:
+            raise TimeoutError("a split hung under interrupted writes")
+
+    pool = model.TrainPool(datas, _in_shares(2))
+    previous = signal.signal(signal.SIGALRM, interrupts)
+    signal.setitimer(signal.ITIMER_REAL, 2e-4, 2e-4)
+    try:
+        for _ in range(5):
+            split = model.local_train(starts, datas, cfg, seeds, pool)
+            assert [p.tobytes() for p in split] == [p.tobytes() for p in one]
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+        pool.close()
+    assert forks[0] == 1
+    assert_no_child_left()
 
 
 def test_a_pool_of_three_helpers_closes_without_hanging(forks):
@@ -837,12 +868,12 @@ def test_a_pool_of_three_helpers_closes_without_hanging(forks):
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(30)
     try:
-        # The first helper exits once the pool ends its requests, though the
-        # later helpers were forked while the pool held their write end.
-        pid, requests, _ = pool.helpers[0]
-        requests.close()
+        # The first helper exits once the pool closes its socket, though the
+        # later helpers were forked while the pool held it.
+        pid, sock, reader = pool.helpers.pop(0)
+        reader.close()
+        sock.close()
         assert os.waitpid(pid, 0)[1] == 0
-        pool.helpers.pop(0)[2].close()
         pool.close()
     finally:
         signal.alarm(0)

@@ -9,7 +9,7 @@ import typing
 
 import numpy as np
 import pytest
-from conftest import assert_no_child_left
+from conftest import assert_no_child_left, open_descriptors
 
 from dbafl import aggregation as agg
 from dbafl import chain as ch
@@ -1199,10 +1199,12 @@ def test_a_run_that_raises_leaves_no_child(forks):
     blown = mdl.Dataset(data.features * 1e10, data.labels, data.classes)
     cfg = _forty_nodes(train=mdl.TrainConfig(epochs=50, learning_rate=1e300, batch_size=1500))
     nodes = cfg.nodes[:-1] + (dataclasses.replace(cfg.nodes[-1], dataset=blown),)
+    before = open_descriptors()
     with np.errstate(all="ignore"), pytest.raises(ArithmeticError, match="diverged"):
         orch.run_scenario(dataclasses.replace(cfg, nodes=nodes))
     assert forks[0] >= 1
     assert_no_child_left()
+    assert open_descriptors() == before
 
 
 @pytest.mark.parametrize("code", [errno.EAGAIN, errno.ENOMEM])
